@@ -1,0 +1,148 @@
+"""Golden CLI reports: the cases, the documents they read, and a runner.
+
+Every case is one ``phl`` invocation run in-process through
+``phl.cli.main`` from inside a work directory, so its arguments hold only
+relative paths.  The golden files under ``tests/golden/`` hold, per
+subcommand, every case's arguments, exit code and the exact report text,
+split into lines so that a changed report shows as a short diff.
+
+    python tests/golden_cases.py run DIR   # write inputs under DIR, run, print JSON
+    python tests/golden_cases.py write     # regenerate tests/golden/ from phl on the path
+
+``test_golden.py`` runs the cases in child processes under fixed
+``PYTHONHASHSEED`` values and compares every report byte for byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GUARD = "10000000"
+#: The z2 loop carrier against the graphI depth-1 family enumerates about
+#: 6.7e7 squares; a small guard keeps its resource failure quick.
+Z2_GUARD = "2000"
+CAPS = (3, 4)
+FAMILY_DEPTHS = {"set2": range(3), "graphI": range(3)}
+FIBRANT_DEPTHS = range(2)
+
+
+def prepare(workdir: Path):
+    """Write the corpus, the nerves, the simplices and the families."""
+    from phl import documents, fixtures, lifting, simplicial
+    from phl.cylinder import get_instance
+
+    def write(name, doc):
+        (workdir / name).write_text(documents.canonical_json(doc), encoding="utf-8")
+
+    fixtures.emit_fixture_corpus(workdir / "corpus")
+    for category in fixtures.corpus_categories():
+        for cap in CAPS:
+            write(f"nerve_{category.name}_cap{cap}.json",
+                  documents.object_to_document(simplicial.nerve(category, cap)))
+    for n in (0, 1):
+        write(f"delta{n}_cap3.json", documents.object_to_document(simplicial.delta(n, 3)))
+    for instance, depths in FAMILY_DEPTHS.items():
+        for depth in depths:
+            family = lifting.generate_anodyne(get_instance(instance), [], depth=depth)
+            write(f"family_{instance}_d{depth}.json", documents.family_to_document(family))
+
+
+def cases():
+    """(subcommand, case name, argv) in a fixed order."""
+    from phl import fixtures
+
+    categories = [c.name for c in fixtures.corpus_categories()]
+    out = []
+    for name in categories:
+        for cap in CAPS:
+            for n in range(1, cap + 1):
+                for k in range(n + 1):
+                    out.append(("horn-fill", f"{name}_cap{cap}_n{n}_k{k}", [
+                        "horn-fill", f"nerve_{name}_cap{cap}.json", "--n", str(n),
+                        "--k", str(k), "--cap", str(cap), "--guard", GUARD,
+                    ]))
+    for name in categories:
+        for n in (0, 1):
+            out.append(("tau0", f"delta{n}_{name}_cap3", [
+                "tau0", f"delta{n}_cap3.json", f"nerve_{name}_cap3.json",
+                "--cap", "3", "--guard", GUARD,
+            ]))
+    carriers = [("set2", f"set{i}") for i in range(len(fixtures.corpus_sets()))]
+    carriers += [("set2", f"monoid_{m.name}") for m in fixtures.corpus_monoids()]
+    carriers += [("graphI", f"cat_{name}") for name in categories]
+    for instance, stem in carriers:
+        for depth in FIBRANT_DEPTHS:
+            guard = Z2_GUARD if (stem, depth) == ("cat_z2_loop", 1) else GUARD
+            out.append(("fibrant", f"{stem}_{instance}_d{depth}", [
+                "fibrant", f"corpus/{stem}.json", "--family",
+                f"family_{instance}_d{depth}.json", "--instance", instance,
+                "--depth", str(depth), "--guard", guard,
+            ]))
+    for instance, depths in FAMILY_DEPTHS.items():
+        for depth in depths:
+            out.append(("anodyne", f"{instance}_d{depth}", [
+                "anodyne", "--instance", instance, "--depth", str(depth), "--guard", GUARD,
+            ]))
+    graphs = list(fixtures.corpus_graphs())
+    for x in graphs:
+        for y in graphs:
+            out.append(("classes", f"{x}__{y}", [
+                "classes", f"corpus/graph_{x}.json", f"corpus/graph_{y}.json",
+                "--instance", "graphI", "--guard", GUARD,
+            ]))
+    return out
+
+
+def run(workdir: Path) -> dict:
+    """Prepare ``workdir`` and run every case from inside it."""
+    from phl.cli import main
+
+    workdir.mkdir(parents=True, exist_ok=True)
+    prepare(workdir)
+    results = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for command, name, argv in cases():
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = main(argv)
+            results.setdefault(command, {})[name] = {
+                "argv": argv, "exit": code,
+                "stdout": buffer.getvalue().splitlines(keepends=True),
+            }
+    finally:
+        os.chdir(cwd)
+    return results
+
+
+def load(command: str) -> dict:
+    return json.loads((GOLDEN / f"{command}.json").read_text(encoding="utf-8"))
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "run":
+        sys.stdout.write(json.dumps(run(Path(argv[1]))))
+        return 0
+    if len(argv) == 1 and argv[0] == "write":
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            results = run(Path(tmp))
+        GOLDEN.mkdir(exist_ok=True)
+        for command, table in results.items():
+            text = json.dumps(table, sort_keys=True, indent=1) + "\n"
+            (GOLDEN / f"{command}.json").write_text(text, encoding="utf-8")
+        return 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
