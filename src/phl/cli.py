@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import equivalence, fixtures, homotopy, lifting, simplicial, witnesses
-from .core import Error, GuardExceeded, ValidationError
+from .core import Error, GuardExceeded, PresheafObject, ValidationError
 from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
     canonical_json,
@@ -100,13 +100,24 @@ def cmd_lift(args):
     return 0, {"lift": True, "diagonal": map_to_document(diagonal)}, None
 
 
+def _parse_expecting(path, types, expected):
+    """The document at ``path``, refused unless it parses to one of ``types``."""
+    value = parse_document(Path(path))
+    if not isinstance(value, types):
+        raise ValidationError(f"{path} is not {expected} document")
+    return value
+
+
 def cmd_fibrant(args):
-    a = parse_document(Path(args.object))
+    a = _parse_expecting(
+        args.object, (PresheafObject, FiniteMonoid, FiniteCategory),
+        "an object, monoid or category",
+    )
     if isinstance(a, (FiniteMonoid, FiniteCategory)):
         from .monads import algebra_carrier
 
         a = algebra_carrier(a)
-    family = parse_document(Path(args.family))
+    family = _parse_expecting(args.family, lifting.AnodyneFamily, "a family")
     verdict = lifting.is_naively_fibrant_upto(a, family, guard=args.guard)
     report = {
         "fibrant_upto_depth": verdict.ok,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 
@@ -79,12 +80,16 @@ GRAPH_SIGNATURE = Signature(
 class PresheafObject:
     """A finite object: labelled cells per sort plus operator tables."""
 
-    __slots__ = ("signature", "cells", "ops", "_key")
+    # ``_cell_sets``, ``_plan`` and ``_index`` are caches filled on first
+    # use: per-sort label sets, the search plan of this object as a domain,
+    # and its candidate buckets as a codomain.
+    __slots__ = ("signature", "cells", "ops", "_key", "_cell_sets", "_plan", "_index")
 
     def __init__(self, signature: Signature, cells, ops, _validated=False):
         self.signature = signature
         self.cells = {sort: tuple(sorted(cells.get(sort, ()))) for sort in signature.sorts}
         self.ops = {name: dict(ops.get(name, {})) for name, _, _ in signature.ops}
+        self._cell_sets = self._plan = self._index = None
         if not _validated:
             self._validate()
         self._key = (
@@ -122,7 +127,12 @@ class PresheafObject:
         return self.ops[name][cell]
 
     def has_cell(self, sort: str, label: str) -> bool:
-        return label in set(self.cells[sort])
+        if self._cell_sets is None:
+            self._cell_sets = {}
+        labels = self._cell_sets.get(sort)
+        if labels is None:
+            labels = self._cell_sets[sort] = frozenset(self.cells[sort])
+        return label in labels
 
     def total_cells(self) -> int:
         return sum(len(self.cells[sort]) for sort in self.signature.sorts)
@@ -567,6 +577,99 @@ def pairing(f: PresheafMap, g: PresheafMap, cod=None) -> PresheafMap:
 # ---------------------------------------------------------------------------
 # Exhaustive hom enumeration
 # ---------------------------------------------------------------------------
+#
+# A hom search assigns the domain's cells in canonical order.  Each operator
+# constraint ``op(name, source) = target`` is checked at the later of its two
+# cells, and its role there decides how that cell finds candidates:
+#
+# - forcing: the target comes later, so its image is ``cod.op(name, image of
+#   source)`` -- one candidate (degeneracies of simplicial sets);
+# - keyed: the source comes later, so its candidates are the codomain cells
+#   whose images under those operators are the images already assigned --
+#   graph edges by (src, tgt), n-simplices by their face tuple;
+# - residual: an operator from a cell to itself, checked on each candidate.
+#
+# Buckets list codomain cells in sorted order, so the candidates of a cell
+# are exactly the full scan's survivors of its keyed constraints, in the
+# same order: hom-sets still come out in lexicographic order.
+
+_FREE, _FORCED, _KEYED = 0, 1, 2
+
+
+class _SearchPlan:
+    """Compiled search order of one domain object.
+
+    ``steps[i]`` is ``(sort, cell, mode, gen, own_checks, all_checks)``:
+    ``gen`` is ``(name, source position)`` for a forced cell and ``(bucket
+    key id, image getter)`` for a keyed one; checks are ``(name, s, t)``
+    triples meaning ``cod.op(name, image at s) == image at t``.  An unpinned
+    cell runs ``own_checks`` (the constraints its candidates do not already
+    satisfy); a pinned cell runs ``all_checks``.
+    """
+
+    __slots__ = ("positions", "spans", "steps", "bucket_keys")
+
+    def __init__(self, dom: PresheafObject):
+        order = list(dom.cell_items())
+        self.positions = {sort: {} for sort in dom.signature.sorts}
+        for i, (sort, cell) in enumerate(order):
+            self.positions[sort][cell] = i
+        self.spans, lo = [], 0
+        for sort in dom.signature.sorts:
+            cells = dom.cells[sort]
+            self.spans.append((sort, cells, lo, lo + len(cells)))
+            lo += len(cells)
+        forcing = [[] for _ in order]
+        keyed = [[] for _ in order]
+        residual = [[] for _ in order]
+        for name, s_sort, t_sort in dom.signature.ops:
+            table = dom.ops[name]
+            for cell in dom.cells[s_sort]:
+                s = self.positions[s_sort][cell]
+                t = self.positions[t_sort][table[cell]]
+                at = residual if s == t else forcing if t > s else keyed
+                at[max(s, t)].append((name, s, t))
+        self.bucket_keys = []
+        key_ids = {}
+        self.steps = []
+        for i, (sort, cell) in enumerate(order):
+            all_checks = tuple(forcing[i] + keyed[i] + residual[i])
+            if forcing[i]:
+                name, s, _ = forcing[i][0]
+                mode, gen, own = _FORCED, (name, s), all_checks[1:]
+            elif keyed[i]:
+                key = (sort, tuple(name for name, _, _ in keyed[i]))
+                if key not in key_ids:
+                    key_ids[key] = len(self.bucket_keys)
+                    self.bucket_keys.append(key)
+                getter = itemgetter(*(t for _, _, t in keyed[i]))
+                mode, gen, own = _KEYED, (key_ids[key], getter), tuple(residual[i])
+            else:
+                mode, gen, own = _FREE, None, tuple(residual[i])
+            self.steps.append((sort, cell, mode, gen, own, all_checks))
+
+    @staticmethod
+    def of(dom: PresheafObject) -> "_SearchPlan":
+        if dom._plan is None:
+            dom._plan = _SearchPlan(dom)
+        return dom._plan
+
+
+def _buckets(cod: PresheafObject, sort: str, names: tuple) -> dict:
+    """Cells of ``sort`` grouped by their images under ``names``, cached on
+    ``cod``; a single name keys by the bare image, like ``itemgetter``."""
+    if cod._index is None:
+        cod._index = {}
+    buckets = cod._index.get((sort, names))
+    if buckets is None:
+        tables = [cod.ops[name] for name in names]
+        grouped = {}
+        for cell in cod.cells[sort]:
+            images = tuple(table[cell] for table in tables)
+            grouped.setdefault(images[0] if len(images) == 1 else images, []).append(cell)
+        buckets = cod._index[(sort, names)] = {k: tuple(v) for k, v in grouped.items()}
+    return buckets
+
 
 def search_maps(
     dom: PresheafObject,
@@ -581,60 +684,88 @@ def search_maps(
     ``pin`` forces images for some cells (sort -> {cell: image}),
     ``cell_filter(sort, cell, value)`` prunes candidates, ``injective``
     restricts to cell-wise injective maps.  The guard counts candidate
-    assignments examined and raises :class:`GuardExceeded` loudly.
+    assignments examined -- a pinned or forced cell counts as one -- and
+    raises :class:`GuardExceeded` loudly.
     """
     if dom.signature.name != cod.signature.name:
         raise MismatchError("hom enumeration between different bases")
-    order = [(sort, cell) for sort, cell in dom.cell_items()]
-    pos = {sc: i for i, sc in enumerate(order)}
-    checks = [[] for _ in order]
-    for name, s_sort, t_sort in dom.signature.ops:
-        for cell in dom.cells[s_sort]:
-            target = dom.op(name, cell)
-            at = max(pos[(s_sort, cell)], pos[(t_sort, target)])
-            checks[at].append((name, (s_sort, cell), (t_sort, target)))
-    budget = resolve_guard(guard)
-    state = {"count": 0}
-    asg = {sort: {} for sort in dom.signature.sorts}
+    plan = _SearchPlan.of(dom)
+    pinned = [None] * len(plan.steps)
+    for sort, table in (pin or {}).items():
+        positions = plan.positions.get(sort, {})
+        for cell, value in table.items():
+            if cell in positions:
+                pinned[positions[cell]] = value
+    return _walk(dom, cod, plan, pinned, cell_filter, injective, resolve_guard(guard))
+
+
+def _walk(dom, cod, plan, pinned, cell_filter, injective, budget):
+    steps = plan.steps
+    n = len(steps)
+    cod_ops, cod_cells = cod.ops, cod.cells
+    buckets = [None] * len(plan.bucket_keys)
     used = {sort: set() for sort in dom.signature.sorts}
-    pin = pin or {}
+    vals = [None] * n
+    pending = [None] * n
+    count = 0
 
-    def consistent(i, sort, cell, value):
-        if cell_filter is not None and not cell_filter(sort, cell, value):
-            return False
-        for name, (ss, sc), (ts, tc) in checks[i]:
-            a = value if (ss, sc) == (sort, cell) else asg[ss][sc]
-            b = value if (ts, tc) == (sort, cell) else asg[ts][tc]
-            if cod.op(name, a) != b:
-                return False
-        return True
+    def candidates(i):
+        if pinned[i] is not None:
+            return iter((pinned[i],)), steps[i][5]
+        sort, _, mode, gen, own, _ = steps[i]
+        if mode == _FORCED:
+            name, s = gen
+            return iter((cod_ops[name][vals[s]],)), own
+        if mode == _KEYED:
+            kid, getter = gen
+            if buckets[kid] is None:
+                buckets[kid] = _buckets(cod, *plan.bucket_keys[kid])
+            return iter(buckets[kid].get(getter(vals), ())), own
+        return iter(cod_cells[sort]), own
 
-    def rec(i):
-        if i == len(order):
-            on = {sort: dict(table) for sort, table in asg.items()}
-            yield PresheafMap(dom, cod, on, _validated=True)
-            return
-        sort, cell = order[i]
-        forced = pin.get(sort, {}).get(cell)
-        candidates = (forced,) if forced is not None else cod.cells[sort]
-        for value in candidates:
-            state["count"] += 1
-            if state["count"] > budget:
-                raise GuardExceeded(
-                    f"hom search exceeded the guard of {budget} candidates"
-                )
+    def build():
+        on = {sort: dict(zip(cells, vals[lo:hi])) for sort, cells, lo, hi in plan.spans}
+        return PresheafMap(dom, cod, on, _validated=True)
+
+    if n == 0:
+        yield build()
+        return
+    i = 0
+    it, checks = candidates(0)
+    while True:
+        sort, cell = steps[i][0], steps[i][1]
+        for value in it:
+            count += 1
+            if count > budget:
+                raise GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
             if injective and value in used[sort]:
                 continue
-            if consistent(i, sort, cell, value):
-                asg[sort][cell] = value
-                if injective:
-                    used[sort].add(value)
-                yield from rec(i + 1)
-                del asg[sort][cell]
-                if injective:
-                    used[sort].discard(value)
-
-    return rec(0)
+            if cell_filter is not None and not cell_filter(sort, cell, value):
+                continue
+            vals[i] = value
+            for name, s, t in checks:
+                if cod_ops[name][vals[s]] != vals[t]:
+                    break
+            else:
+                break
+        else:
+            # level i is exhausted: resume level i - 1 after its current value
+            vals[i] = None
+            i -= 1
+            if i < 0:
+                return
+            it, checks = pending[i]
+            if injective:
+                used[steps[i][0]].discard(vals[i])
+            continue
+        if i + 1 == n:
+            yield build()
+            continue
+        if injective:
+            used[sort].add(value)
+        pending[i] = (it, checks)
+        i += 1
+        it, checks = candidates(i)
 
 
 def enumerate_homs(dom: PresheafObject, cod: PresheafObject, guard=None) -> list:

@@ -127,7 +127,7 @@ def default_generating_monos(instance: CylinderData):
             PresheafMap(two, edge, {"vertex": {"a": "a", "b": "b"}, "edge": {}}),
             PresheafMap(edge, parallel, {"vertex": {"a": "a", "b": "b"}, "edge": {"e": "e"}}),
         ]
-    if instance.base == "sset":
+    if instance.base.startswith("sset@"):
         from . import simplicial
 
         cap = len(instance.interval.signature.sorts) - 1

@@ -16,26 +16,59 @@ settings.load_profile("ci")
 
 
 def brute_force_homs(dom, cod):
-    """Independent hom-set oracle: every raw assignment, filtered by the
-    structure constraints, without any pruning or shared code path."""
+    """Independent hom-set oracle: a plain scan with no index, no plan and
+    no code shared with the search engine.
+
+    Sorts are assigned in signature order.  Within a sort, each cell's
+    candidates are the codomain cells, in sorted order, that satisfy every
+    constraint linking the cell to a cell of an earlier sort; the product of
+    those lists is then filtered by the constraints inside the sort.  This
+    yields exactly the raw assignments that satisfy every constraint, in
+    lexicographic order, while staying small enough for simplicial shapes.
+    """
     sorts = dom.signature.sorts
-    cells = [(sort, cell) for sort in sorts for cell in dom.cells[sort]]
-    choices = [cod.cells[sort] for sort, _ in cells]
-    out = []
-    for values in itertools.product(*choices):
-        assignment = {sort: {} for sort in sorts}
-        for (sort, cell), value in zip(cells, values):
-            assignment[sort][cell] = value
-        ok = True
-        for name, s_sort, t_sort in dom.signature.ops:
-            for cell in dom.cells[s_sort]:
-                if assignment[t_sort][dom.op(name, cell)] != cod.op(
-                    name, assignment[s_sort][cell]
-                ):
-                    ok = False
-        if ok:
-            out.append(core.PresheafMap(dom, cod, assignment))
-    return out
+    rank = {sort: r for r, sort in enumerate(sorts)}
+    constraints = [
+        (name, (s_sort, cell), (t_sort, dom.op(name, cell)))
+        for name, s_sort, t_sort in dom.signature.ops
+        for cell in dom.cells[s_sort]
+    ]
+    linked = {(sort, cell): [] for sort in sorts for cell in dom.cells[sort]}
+    inside = {sort: [] for sort in sorts}
+    for c in constraints:
+        (s_sort, _), (t_sort, _) = c[1], c[2]
+        if s_sort == t_sort:
+            inside[s_sort].append(c)
+        else:
+            linked[max(c[1], c[2], key=lambda sc: rank[sc[0]])].append(c)
+
+    def holds(assignment, name, source, target):
+        return cod.op(name, assignment[source]) == assignment[target]
+
+    def extend(r, assignment):
+        if r == len(sorts):
+            on = {sort: {} for sort in sorts}
+            for (sort, cell), value in assignment.items():
+                on[sort][cell] = value
+            yield core.PresheafMap(dom, cod, on)
+            return
+        sort = sorts[r]
+        choices = []
+        for cell in dom.cells[sort]:
+            allowed = []
+            for value in cod.cells[sort]:
+                trial = dict(assignment)
+                trial[(sort, cell)] = value
+                if all(holds(trial, *c) for c in linked[(sort, cell)]):
+                    allowed.append(value)
+            choices.append(allowed)
+        for values in itertools.product(*choices):
+            trial = dict(assignment)
+            trial.update(((sort, cell), v) for cell, v in zip(dom.cells[sort], values))
+            if all(holds(trial, *c) for c in inside[sort]):
+                yield from extend(r + 1, trial)
+
+    return list(extend(0, {}))
 
 
 @pytest.fixture(scope="session")

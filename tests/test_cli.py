@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -257,6 +258,33 @@ class TestRunCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "widget"}', encoding="utf-8")
         assert main(["classes", str(bad), str(bad)]) == 2
+
+    def test_anodyne_sset_lists_boundary_corners(self, tmp_path, capsys):
+        out = tmp_path / "family.json"
+        assert main(["anodyne", "--instance", "sset-delta1", "--cap", "2",
+                     "--depth", "0", "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        # one generator per boundary inclusion of the n-simplex, n <= cap
+        assert report["pre_dedup_counts"] == {"0": 6}
+        family = parse_document(out)
+        assert [e.provenance for e in family.entries] == [
+            f"endpoint-corner[{n},e={e}]" for n in range(3) for e in (0, 1)
+        ]
+
+    def test_fibrant_refuses_a_family_as_object(self, corpus_dir, capsys):
+        family = str(corpus_dir / "family_graphI_d1.json")
+        assert main(["fibrant", family, "--family", family]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["kind"] == "validation"
+        assert error["error"] == (
+            f"{family} is not an object, monoid or category document"
+        )
+
+    def test_fibrant_refuses_an_object_as_family(self, corpus_dir, capsys):
+        obj = str(corpus_dir / "graph_loop.json")
+        assert main(["fibrant", obj, "--family", obj]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error == {"error": f"{obj} is not a family document", "kind": "validation"}
 
     def test_guard_error_exit_two(self, corpus_dir):
         assert (

@@ -249,6 +249,25 @@ class TestEnumerateHoms:
         with pytest.raises(core.GuardExceeded):
             enumerate_homs(big, big, guard=10)
 
+    def test_guard_counts_indexed_graph_candidates(self):
+        # one vertex candidate, then each loop draws the 3 loops over it:
+        # 1 + 3 + 3 * 3 = 13 candidates for the 9 maps
+        two = fin_graph(["a"], [("l", "a", "a"), ("m", "a", "a")])
+        three = fin_graph(["v"], [("p", "v", "v"), ("q", "v", "v"), ("r", "v", "v")])
+        assert len(enumerate_homs(two, three, guard=13)) == 9
+        with pytest.raises(core.GuardExceeded, match="guard of 12 candidates"):
+            enumerate_homs(two, three, guard=12)
+
+    def test_guard_counts_a_forced_cell_as_one(self):
+        from phl.fixtures import chain2_category
+        from phl.simplicial import delta, nerve
+
+        # the degenerate edge 00 of the point is forced by its vertex
+        point, target = delta(0, 1), nerve(chain2_category(), 1)
+        assert len(enumerate_homs(point, target, guard=6)) == 3
+        with pytest.raises(core.GuardExceeded):
+            enumerate_homs(point, target, guard=5)
+
 
 @st.composite
 def small_set_maps(draw):

@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from phl import core
 from phl.core import (
@@ -16,8 +16,10 @@ from phl.core import (
     pushout,
 )
 from phl.cylinder import cylinder_of, graph_instance, set_instance
+from phl.fixtures import chain2_category, z2_category
 from phl.homotopy import find_homotopy
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
+from phl.simplicial import boundary_inclusion, delta, groupoid_interval, horn_inclusion, nerve
 
 from conftest import brute_force_homs
 
@@ -142,3 +144,128 @@ def test_set_products_count(n, m):
     # the pairing with the projections recovers every map into the product
     for h in enumerate_homs(fin_set(["a"]), obj):
         assert core.pairing(h.then(p1), h.then(p2), cod=obj) == h
+
+
+# ---------------------------------------------------------------------------
+# The hom-search engine against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+NERVES = [nerve(c, 2) for c in (chain2_category(), z2_category(), groupoid_interval())]
+SSET_SHAPES = [
+    delta(0, 2), delta(1, 2), delta(2, 2),
+    boundary_inclusion(2, 2).domain, horn_inclusion(2, 0, 2).domain,
+]
+
+
+def _fresh(obj):
+    """An equal object with empty caches."""
+    return core.PresheafObject(obj.signature, obj.cells, obj.ops)
+
+
+@given(small_graphs(2, 2), small_graphs(2, 2))
+def test_oracle_is_the_raw_assignment_scan(x, y):
+    cells = list(x.cell_items())
+    raw = []
+    for values in itertools.product(*(y.cells[sort] for sort, _ in cells)):
+        on = {sort: {} for sort in x.signature.sorts}
+        for (sort, cell), value in zip(cells, values):
+            on[sort][cell] = value
+        if all(
+            on[t_sort][x.op(name, cell)] == y.op(name, on[s_sort][cell])
+            for name, s_sort, t_sort in x.signature.ops
+            for cell in x.cells[s_sort]
+        ):
+            raw.append(PresheafMap(x, y, on))
+    assert brute_force_homs(x, y) == raw
+
+
+@given(small_graphs(3, 3), small_graphs(3, 3))
+def test_graph_homs_agree_with_brute_force(x, y):
+    assert enumerate_homs(x, y) == brute_force_homs(x, y)
+
+
+@given(st.sampled_from(SSET_SHAPES + NERVES[:2]), st.sampled_from(NERVES))
+def test_sset_homs_agree_with_brute_force(x, y):
+    assert enumerate_homs(x, y) == brute_force_homs(x, y)
+
+
+def _draw_pin(draw, x, y):
+    """Pins on a few cells: the images under some map x -> y when there is
+    one and the draw asks for it, else arbitrary cells of y."""
+    cells = [(sort, cell) for sort, cell in x.cell_items() if y.cells[sort]]
+    if not cells:
+        return {}
+    homs = brute_force_homs(x, y)
+    source = draw(st.sampled_from(homs)) if homs and draw(st.booleans()) else None
+    pin = {}
+    for sort, cell in draw(st.lists(st.sampled_from(cells), unique=True, max_size=3)):
+        value = source.on[sort][cell] if source else draw(st.sampled_from(y.cells[sort]))
+        pin.setdefault(sort, {})[cell] = value
+    return pin
+
+
+@st.composite
+def constrained_searches(draw):
+    """A graph pair with a random pin, cell filter and injectivity flag."""
+    x = draw(small_graphs(3, 3))
+    y = draw(small_graphs(3, 3))
+    triples = [(s, c, v) for s, c in x.cell_items() for v in y.cells[s]]
+    banned = set(draw(st.lists(st.sampled_from(triples), max_size=3))) if triples else set()
+    return x, y, _draw_pin(draw, x, y), banned, draw(st.booleans())
+
+
+@st.composite
+def twice_pinned(draw):
+    x = draw(small_graphs(3, 3))
+    y = draw(small_graphs(3, 3))
+    return x, y, _draw_pin(draw, x, y), _draw_pin(draw, x, y)
+
+
+@settings(max_examples=150)
+@given(constrained_searches())
+def test_pin_filter_injective_agree_with_filtered_brute_force(case):
+    x, y, pin, banned, injective = case
+
+    def allowed(sort, cell, value):
+        return (sort, cell, value) not in banned
+
+    matching = [
+        f for f in brute_force_homs(x, y)
+        if all(f.on[s][c] == v for s, table in pin.items() for c, v in table.items())
+        and all(allowed(s, c, f.on[s][c]) for s, c in x.cell_items())
+    ]
+    expected = [f for f in matching if not injective or is_mono(f)]
+    found = list(core.search_maps(x, y, pin=pin, cell_filter=allowed, injective=injective))
+    assert found == expected
+    first = core.first_map(x, y, pin=pin, cell_filter=allowed)
+    assert first == (matching[0] if matching else None)
+
+
+@given(twice_pinned())
+def test_cached_plans_give_the_results_of_fresh_objects(case):
+    x, y, pin_a, pin_b = case
+    runs = [
+        lambda d, c: list(core.search_maps(d, c, pin=pin_a)),
+        lambda d, c: list(core.search_maps(d, c, pin=pin_b)),
+        lambda d, c: enumerate_homs(d, c),
+    ]
+    for run in runs:
+        assert run(x, y) == run(_fresh(x), _fresh(y))
+    plan = x._plan
+    assert plan is not None
+    enumerate_homs(x, y)
+    assert x._plan is plan
+
+
+def test_horn_pins_agree_with_filtered_brute_force():
+    for k in range(3):
+        incl = horn_inclusion(2, k, 2)
+        for y in NERVES:
+            everything = brute_force_homs(incl.codomain, y)
+            for top in enumerate_homs(incl.domain, y):
+                pin = {
+                    sort: {incl.on[sort][c]: v for c, v in top.on[sort].items()}
+                    for sort in incl.domain.signature.sorts
+                }
+                expected = [f for f in everything if incl.then(f) == top]
+                assert list(core.search_maps(incl.codomain, y, pin=pin)) == expected
