@@ -15,7 +15,6 @@ from .core import (
     PresheafMap,
     PresheafObject,
     ValidationError,
-    build_object,
     coproduct,
     chain_colimit,
     enumerate_homs,
@@ -32,7 +31,6 @@ from .cylinder import (
     CylinderData,
     corner_endpoint,
     corner_full,
-    cylinder_of,
     get_instance,
     verify_ehd,
 )
@@ -59,11 +57,7 @@ from .monads import (
     FreeMonoidMonad,
     algebra_extend,
     check_monad_laws,
-    free_category,
-    free_monoid,
     linear_chain,
-    monad_map_and_mult,
-    unit_of,
 )
 from .witnesses import (
     RetractWitness,
@@ -85,7 +79,6 @@ from .simplicial import (
     groupoid_interval,
     horn_filler,
     nerve,
-    standard_shapes,
     tau0_classes,
 )
 

@@ -19,23 +19,19 @@ from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
     canonical_json,
     family_to_document,
+    load_document,
     map_to_document,
     object_to_document,
     parse_document,
 )
-from .monads import FiniteCategory, FiniteMonoid, FreeCategoryMonad, FreeMonoidMonad
+from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad, algebra_carrier
+
+OBJECT_KINDS = ("set", "graph", "sset")
+ALGEBRA_KINDS = ("monoid", "category")
 
 
 def _instance(args):
     return get_instance(args.instance, cap=args.cap)
-
-
-def _monad_for(instance, cap):
-    if instance.base == "set":
-        return FreeMonoidMonad(cap)
-    if instance.base == "graph":
-        return FreeCategoryMonad(cap)
-    raise ValidationError("monad commands support the set and graph instances")
 
 
 def _write_out(args, document):
@@ -43,10 +39,18 @@ def _write_out(args, document):
         Path(args.out).write_text(canonical_json(document), encoding="utf-8")
 
 
+def _parse_expecting(path, kinds, expected, refusal=None):
+    """The document at ``path``, refused unless its kind is one of ``kinds``."""
+    doc = load_document(Path(path))
+    if isinstance(doc, dict) and doc.get("kind") not in kinds:
+        raise ValidationError(refusal or f"{path} is not {expected} document")
+    return parse_document(doc)
+
+
 def cmd_classes(args):
     instance = _instance(args)
-    x = parse_document(Path(args.x))
-    y = parse_document(Path(args.y))
+    x = _parse_expecting(args.x, OBJECT_KINDS, "a set, graph or sset")
+    y = _parse_expecting(args.y, OBJECT_KINDS, "a set, graph or sset")
     classes = homotopy.homotopy_classes(instance, x, y, guard=args.guard)
     report = {
         "class_count": classes.class_count,
@@ -61,8 +65,8 @@ def cmd_classes(args):
 
 def cmd_homotopy(args):
     instance = _instance(args)
-    f = parse_document(Path(args.f))
-    g = parse_document(Path(args.g))
+    f = _parse_expecting(args.f, ("map",), "a map")
+    g = _parse_expecting(args.g, ("map",), "a map")
     found = homotopy.find_homotopy(instance, f, g, guard=args.guard)
     if found is None:
         return 1, {"homotopic": False}, None
@@ -70,7 +74,7 @@ def cmd_homotopy(args):
 
 
 def cmd_lift(args):
-    square = parse_document(Path(args.square))
+    square = _parse_expecting(args.square, ("square",), "a square")
     problem = lifting.LiftingProblem(
         square["left"], square["right"], square["top"], square["bottom"]
     )
@@ -89,9 +93,10 @@ def cmd_lift(args):
         if args.explicit == "monoid":
             diagonal = witnesses.explicit_lift_monoid(corner, square["top"])
         else:
-            algebra = parse_document(Path(args.algebra))
-            if not isinstance(algebra, FiniteCategory):
-                raise ValidationError("category lifts need a category document")
+            algebra = _parse_expecting(
+                args.algebra, ("category",), "a category",
+                refusal="category lifts need a category document",
+            )
             diagonal = witnesses.explicit_lift_category(corner, square["top"], algebra)
     else:
         diagonal = lifting.solve_lift(problem, guard=args.guard)
@@ -100,24 +105,13 @@ def cmd_lift(args):
     return 0, {"lift": True, "diagonal": map_to_document(diagonal)}, None
 
 
-def _parse_expecting(path, types, expected):
-    """The document at ``path``, refused unless it parses to one of ``types``."""
-    value = parse_document(Path(path))
-    if not isinstance(value, types):
-        raise ValidationError(f"{path} is not {expected} document")
-    return value
-
-
 def cmd_fibrant(args):
     a = _parse_expecting(
-        args.object, (PresheafObject, FiniteMonoid, FiniteCategory),
-        "an object, monoid or category",
+        args.object, OBJECT_KINDS + ALGEBRA_KINDS, "an object, monoid or category"
     )
-    if isinstance(a, (FiniteMonoid, FiniteCategory)):
-        from .monads import algebra_carrier
-
+    if not isinstance(a, PresheafObject):
         a = algebra_carrier(a)
-    family = _parse_expecting(args.family, lifting.AnodyneFamily, "a family")
+    family = _parse_expecting(args.family, ("family",), "a family")
     verdict = lifting.is_naively_fibrant_upto(a, family, guard=args.guard)
     report = {
         "fibrant_upto_depth": verdict.ok,
@@ -141,7 +135,7 @@ def cmd_anodyne(args):
     instance = _instance(args)
     seeds, generators = [], None
     if args.seeds:
-        seed_doc = parse_document(Path(args.seeds))
+        seed_doc = _parse_expecting(args.seeds, ("seeds",), "a seeds")
         seeds = seed_doc["seeds"]
         generators = seed_doc["generators"]
     family = lifting.generate_anodyne(
@@ -159,12 +153,19 @@ def cmd_anodyne(args):
 
 def cmd_tweq(args):
     instance = _instance(args)
-    f = parse_document(Path(args.f))
+    f = _parse_expecting(args.f, ("map",), "a map")
     algebras = []
     for path in sorted(Path(args.algebras).glob("*.json")):
         parsed = parse_document(path)
-        if isinstance(parsed, (FiniteMonoid, FiniteCategory)):
-            algebras.append(parsed)
+        if not isinstance(parsed, FiniteCategory):  # monoids included
+            continue
+        base = algebra_carrier(parsed).signature.name
+        if base != instance.base:
+            raise ValidationError(
+                f"{path} is an algebra over the base {base!r}, "
+                f"not over the instance base {instance.base!r}"
+            )
+        algebras.append(parsed)
     verdict = equivalence.is_t_weak_equivalence(instance, f, algebras, guard=args.guard)
     report = {
         "t_weak_equivalence": verdict.ok,
@@ -183,9 +184,11 @@ def cmd_tweq(args):
 
 
 def cmd_witness_m2(args):
-    x = parse_document(Path(args.object))
+    if args.cap is None:
+        raise ValidationError("witness-m2 needs an explicit --cap")
     if args.monad == "monoid":
-        witness = witnesses.m2_retract_set(x, cap=args.cap or 2)
+        x = _parse_expecting(args.object, ("set",), "a set")
+        witness = witnesses.m2_retract_set(x, cap=args.cap)
         document = {
             "kind": "retract-witness",
             "eta": map_to_document(witness.eta),
@@ -199,9 +202,8 @@ def cmd_witness_m2(args):
             ],
         }
     else:
-        witness = witnesses.m2_tower_graph(
-            x, n_max=args.nmax, cap=args.cap or max(args.nmax, 1)
-        )
+        x = _parse_expecting(args.object, ("graph",), "a graph")
+        witness = witnesses.m2_tower_graph(x, n_max=args.nmax, cap=args.cap)
         document = {
             "kind": "tower-witness",
             "stages": [object_to_document(s) for s in witness.stages],
@@ -243,7 +245,7 @@ def cmd_check_ehd(args):
 
 
 def cmd_horn_fill(args):
-    x = parse_document(Path(args.object))
+    x = _parse_expecting(args.object, ("sset",), "an sset")
     report_obj = simplicial.horn_filler(x, args.n, args.k, guard=args.guard)
     report = {
         "n": args.n,
@@ -258,9 +260,9 @@ def cmd_horn_fill(args):
 
 
 def cmd_nerve(args):
-    category = parse_document(Path(args.category))
-    if not isinstance(category, FiniteCategory):
-        raise ValidationError("nerve needs a category document")
+    category = _parse_expecting(
+        args.category, ("category",), "a category", refusal="nerve needs a category document"
+    )
     obj = simplicial.nerve(category, args.cap)
     document = object_to_document(obj)
     _write_out(args, document)
@@ -268,8 +270,8 @@ def cmd_nerve(args):
 
 
 def cmd_tau0(args):
-    x = parse_document(Path(args.x))
-    a = parse_document(Path(args.a))
+    x = _parse_expecting(args.x, ("sset",), "an sset")
+    a = _parse_expecting(args.a, ("sset",), "an sset")
     classes = simplicial.tau0_classes(x, a, cap=args.cap, guard=args.guard)
     return 0, {"class_count": classes.class_count, "caveat": classes.caveat}, None
 
@@ -416,7 +418,7 @@ def run_command(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.cap is None and args.instance.startswith("sset"):
-        args.cap = 2
+        raise ValidationError(f"instance {args.instance!r} needs an explicit --cap")
     started = time.monotonic()
     code, body, extra = args.handler(args)
     report = {

@@ -64,9 +64,6 @@ class Signature:
     sorts: tuple
     ops: tuple
 
-    def op_names(self):
-        return tuple(name for name, _, _ in self.ops)
-
 
 SET_SIGNATURE = Signature("set", ("element",), ())
 
@@ -773,17 +770,31 @@ def enumerate_homs(dom: PresheafObject, cod: PresheafObject, guard=None) -> list
     return list(search_maps(dom, cod, guard=guard))
 
 
+def pin_along(legs, then=None) -> Optional[dict]:
+    """A ``pin`` for a search from the common codomain of the legs' inclusions.
+
+    Each leg ``(incl, f)`` forces the image of ``incl(c)``, for every cell c
+    of the domain of incl and f, to be ``f(c)``, or ``then(f(c))`` when a
+    map ``then`` is given.  Returns None when two cells force different
+    images on one cell.
+    """
+    pin = {sort: {} for sort in legs[0][0].codomain.signature.sorts}
+    for incl, f in legs:
+        for sort, forced in pin.items():
+            image = f.on[sort]
+            after = None if then is None else then.on[sort]
+            for cell, target in incl.on[sort].items():
+                value = image[cell] if after is None else after[image[cell]]
+                if forced.setdefault(target, value) != value:
+                    return None
+    return pin
+
+
 def first_map(dom, cod, pin=None, cell_filter=None, guard=None) -> Optional[PresheafMap]:
     """Lexicographically least map subject to the constraints, or None."""
     for f in search_maps(dom, cod, pin=pin, cell_filter=cell_filter, guard=guard):
         return f
     return None
-
-
-def enumerate_isos(x: PresheafObject, y: PresheafObject, guard=None) -> Iterator[PresheafMap]:
-    if any(len(x.cells[s]) != len(y.cells[s]) for s in x.signature.sorts):
-        return iter(())
-    return search_maps(x, y, injective=True, guard=guard)
 
 
 def refine_colors(obj: PresheafObject, init=None):
@@ -863,15 +874,8 @@ def arrows_isomorphic(m1: PresheafMap, m2: PresheafMap, guard=None) -> bool:
     for phi in search_maps(
         m1.domain, m2.domain, injective=True, cell_filter=dom_filter, guard=guard
     ):
-        pin = {sort: {} for sort in m1.domain.signature.sorts}
-        consistent = True
-        for sort in m1.domain.signature.sorts:
-            for cell in m1.domain.cells[sort]:
-                target = m1.on[sort][cell]
-                value = m2.on[sort][phi.on[sort][cell]]
-                if pin[sort].setdefault(target, value) != value:
-                    consistent = False
-        if not consistent:
+        pin = pin_along([(m1, phi)], then=m2)
+        if pin is None:
             continue
         for _psi in search_maps(
             m1.codomain, m2.codomain, pin=pin, injective=True,
@@ -880,15 +884,3 @@ def arrows_isomorphic(m1: PresheafMap, m2: PresheafMap, guard=None) -> bool:
             return True
     return False
 
-
-def build_object(document: dict) -> PresheafObject:
-    """Validated object from a parsed document of kind ``set`` or ``graph``.
-
-    Simplicial documents are handled by :mod:`phl.simplicial`.
-    """
-    kind = document.get("kind")
-    if kind == "set":
-        return fin_set(document.get("elements", []))
-    if kind == "graph":
-        return fin_graph(document.get("vertices", []), document.get("edges", []))
-    raise ValidationError(f"unknown sort {kind!r}")

@@ -139,10 +139,6 @@ def get_instance(name: str, cap: Optional[int] = None) -> CylinderData:
     raise ValidationError(f"unknown instance {name!r}")
 
 
-def cylinder_of(instance: CylinderData, x: PresheafObject) -> Cylinder:
-    return instance.cylinder(x)
-
-
 @dataclass(frozen=True)
 class CornerMap:
     """The inclusion K⊗I ∪ L⊗∂I -> L⊗I (or the one-endpoint variant).

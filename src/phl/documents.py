@@ -25,7 +25,8 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _load(source):
+def load_document(source):
+    """The JSON value of a document given as a dict, a path or JSON text."""
     if isinstance(source, dict):
         return source
     if isinstance(source, Path):
@@ -42,7 +43,7 @@ def _load(source):
 
 def parse_document(source):
     """Validated typed object from a document, path, or JSON text."""
-    doc = _load(source)
+    doc = load_document(source)
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
     kind = doc.get("kind")

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MismatchError, PresheafMap, PresheafObject, first_map, search_maps
+from .core import (
+    MismatchError, PresheafMap, PresheafObject, _UnionFind, first_map, pin_along, search_maps,
+)
 from .cylinder import CylinderData
 
 
@@ -24,26 +26,13 @@ class Homotopy:
     g: PresheafMap
 
 
-def _endpoint_pins(cyl, f: PresheafMap, g: PresheafMap):
-    """Forced theta-values on the endpoint images; None on a clash."""
-    pin = {sort: {} for sort in cyl.obj.signature.sorts}
-    for incl, end in ((cyl.d0, f), (cyl.d1, g)):
-        for sort in cyl.base.signature.sorts:
-            for cell in cyl.base.cells[sort]:
-                target = incl.on[sort][cell]
-                value = end.on[sort][cell]
-                if pin[sort].setdefault(target, value) != value:
-                    return None
-    return pin
-
-
 def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
                   guard=None) -> Optional[Homotopy]:
     """Lexicographically least one-step homotopy from f to g, or None."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise MismatchError("homotopy endpoints must be parallel maps")
     cyl = instance.cylinder(f.domain)
-    pin = _endpoint_pins(cyl, f, g)
+    pin = pin_along([(cyl.d0, f), (cyl.d1, g)])  # theta on the two ends
     if pin is None:
         return None
     theta = first_map(cyl.obj, f.codomain, pin=pin, guard=guard)
@@ -94,26 +83,20 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     zig-zag closure is the union-find of those edges.
     """
     homs = tuple(search_maps(x, y, guard=guard))
-    parent = list(range(len(homs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    linked = _UnionFind()
+    for i in range(len(homs)):
+        linked.add(i)
     for i in range(len(homs)):
         for j in range(i + 1, len(homs)):
-            if find(i) == find(j):
+            if linked.find(i) == linked.find(j):
                 continue
             if homotopic(instance, homs[i], homs[j], guard=guard) or homotopic(
                 instance, homs[j], homs[i], guard=guard
             ):
-                ri, rj = find(i), find(j)
-                parent[max(ri, rj)] = min(ri, rj)
+                linked.union(i, j)
     buckets = {}
     for i in range(len(homs)):
-        buckets.setdefault(find(i), []).append(i)
+        buckets.setdefault(linked.find(i), []).append(i)
     classes = tuple(tuple(buckets[root]) for root in sorted(buckets))
     return HomClasses(x, y, homs, classes, caveat=caveat)
 

@@ -22,6 +22,7 @@ from .core import (
     fin_set,
     first_map,
     is_mono,
+    pin_along,
     search_maps,
 )
 from .cylinder import CornerMap, CylinderData, corner_endpoint, corner_full
@@ -63,13 +64,9 @@ def solve_lift(problem: LiftingProblem, guard=None) -> Optional[PresheafMap]:
     by cell against the bottom triangle.
     """
     i, p, u, v = problem.left, problem.right, problem.top, problem.bottom
-    pin = {sort: {} for sort in i.codomain.signature.sorts}
-    for sort in i.domain.signature.sorts:
-        for cell in i.domain.cells[sort]:
-            target = i.on[sort][cell]
-            value = u.on[sort][cell]
-            if pin[sort].setdefault(target, value) != value:
-                return None
+    pin = pin_along([(i, u)])
+    if pin is None:
+        return None
 
     def triangle(sort, cell, value):
         return p.on[sort][value] == v.on[sort][cell]
@@ -200,15 +197,8 @@ def has_rlp(p: PresheafMap, family, guard=None) -> RlpVerdict:
         i = entry.arrow if isinstance(entry, FamilyEntry) else entry
         provenance = entry.provenance if isinstance(entry, FamilyEntry) else "entry"
         for top in search_maps(i.domain, p.domain, guard=guard):
-            pin = {sort: {} for sort in i.codomain.signature.sorts}
-            clash = False
-            for sort in i.domain.signature.sorts:
-                for cell in i.domain.cells[sort]:
-                    target = i.on[sort][cell]
-                    value = p.on[sort][top.on[sort][cell]]
-                    if pin[sort].setdefault(target, value) != value:
-                        clash = True
-            if clash:
+            pin = pin_along([(i, top)], then=p)
+            if pin is None:
                 continue
             for bottom in search_maps(i.codomain, p.codomain, pin=pin, guard=guard):
                 checked += 1

@@ -1,8 +1,19 @@
-"""Truncation-capped free-monoid and free-category monads with algebras.
+"""Truncation-capped free-category monad, its free-monoid restriction, and algebras.
 
 T(X) at cap L is a genuine finite object; multiplication is partial where
 flattening would exceed the cap, and every law check quantifies only over
 elements whose full expansion stays inside the cap and says so.
+
+A set is read as the graph with one vertex and one loop per element, so the
+free-monoid monad is the free-category monad on one-vertex graphs and a
+finite monoid is a one-object finite category.  That vertex, like the one
+object of a monoid, carries no label: it is ``None``.  Every construction
+below has one body; the monads differ only in how they read an object or a
+map of their base as a graph and write the result back (``_graph``,
+``_tables``, ``_object``, ``_on``), and in the shape of a decoded element:
+a word, or a ``(source, target, edges)`` path.  Labels follow the same
+rule for both: a word or path is named by its letters, ``[a,b]``, and the
+empty path is ``[]@v`` at a vertex v but ``[]`` on the unlabelled vertex.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ from .core import (
     ValidationError,
     fin_graph,
     fin_set,
-    is_mono,
     resolve_guard,
 )
 
@@ -37,10 +47,10 @@ def word_label(letters) -> str:
     return "[" + ",".join(letters) + "]"
 
 
-def path_label(vertex: str, edges) -> str:
-    if not edges:
-        return f"[]@{vertex}"
-    return "[" + ",".join(edges) + "]"
+def path_label(vertex, edges) -> str:
+    if edges or vertex is None:
+        return word_label(edges)
+    return f"[]@{vertex}"
 
 
 @dataclass(frozen=True)
@@ -77,10 +87,10 @@ class MultData:
         return PresheafMap(self.domain, self.codomain, self.defined)
 
 
-class FreeMonoidMonad:
-    """Words of length at most ``cap`` over a finite set."""
+class FreeCategoryMonad:
+    """Paths of length at most ``cap`` in a finite directed multigraph."""
 
-    base = "set"
+    name, noun, cell_noun = "free category", "path", "cells"  # for messages
 
     def __init__(self, cap: int):
         if cap < 0:
@@ -88,232 +98,147 @@ class FreeMonoidMonad:
         self.cap = cap
         self._cache = {}
 
+    # -- the graph view of the base ---------------------------------------
+
+    @staticmethod
+    def _graph(g: PresheafObject):
+        """Vertices, and the (source, target) of each edge in label order."""
+        return g.cells["vertex"], {e: (g.op("src", e), g.op("tgt", e)) for e in g.cells["edge"]}
+
+    @staticmethod
+    def _tables(on):
+        """Vertex and edge assignments of a map's ``on`` table."""
+        return on["vertex"], on["edge"]
+
+    @staticmethod
+    def _object(vertices, ends) -> PresheafObject:
+        return fin_graph(vertices, [(e, a, b) for e, (a, b) in ends.items()])
+
+    @staticmethod
+    def _on(vertex_on, edge_on):
+        return {"vertex": vertex_on, "edge": edge_on}
+
+    @staticmethod
+    def _element(a, b, edges):
+        return a, b, edges
+
+    @staticmethod
+    def _path(element):
+        return element
+
+    # -- the monad ---------------------------------------------------------
+
     def apply(self, x: PresheafObject, guard=None) -> TObject:
+        """Vertices of X with all composable paths of length at most the cap,
+        the empty path at each vertex included, shortest first and each
+        length in lexicographic order of its edges."""
         if x._key in self._cache:
             return self._cache[x._key]
         budget = resolve_guard(guard)
-        letters = x.cells["element"]
-        decode, encode = {}, {}
-        count = 0
+        vertices, ends = self._graph(x)
+        leaving = {v: [] for v in vertices}
+        for e, (a, _b) in ends.items():
+            leaving[a].append(e)
+        decode, encode, path_ends = {}, {}, {}
+        layer = [(v, v, ()) for v in vertices]
         for length in range(self.cap + 1):
-            for word in itertools.product(letters, repeat=length):
-                count += 1
-                if count > budget:
-                    raise GuardExceeded("free monoid enumeration exceeded the guard")
-                label = word_label(word)
+            for a, b, edges in layer:
+                if len(decode) >= budget:
+                    raise GuardExceeded(f"{self.name} enumeration exceeded the guard")
+                label = path_label(a, edges)
                 if label in decode:
-                    raise ValidationError("word labels collide; rename input elements")
-                decode[label] = word
-                encode[word] = label
-        result = TObject(fin_set(decode.keys()), decode, encode)
+                    raise ValidationError(
+                        f"{self.noun} labels collide; rename input {self.cell_noun}"
+                    )
+                element = self._element(a, b, edges)
+                decode[label] = element
+                encode[element] = label
+                path_ends[label] = (a, b)
+            if length == 0:  # every edge in label order, not grouped by source
+                layer = [(a, b, (e,)) for e, (a, b) in ends.items()]
+            elif length < self.cap:
+                layer = [
+                    (a, ends[e][1], edges + (e,)) for a, b, edges in layer for e in leaving[b]
+                ]
+        result = TObject(self._object(vertices, path_ends), decode, encode)
         self._cache[x._key] = result
         return result
 
     def unit(self, x: PresheafObject) -> PresheafMap:
         if self.cap < 1:
-            raise CapError("unit needs cap >= 1 to form singleton words")
+            raise CapError(f"unit needs cap >= 1 to form singleton {self.noun}s")
         tx = self.apply(x)
-        on = {"element": {e: tx.encode[(e,)] for e in x.cells["element"]}}
-        return PresheafMap(x, tx.obj, on)
+        vertices, ends = self._graph(x)
+        edge_on = {e: tx.encode[self._element(a, b, (e,))] for e, (a, b) in ends.items()}
+        return PresheafMap(x, tx.obj, self._on({v: v for v in vertices}, edge_on))
 
     def on_map(self, f: PresheafMap) -> PresheafMap:
         tx, ty = self.apply(f.domain), self.apply(f.codomain)
-        on = {
-            "element": {
-                label: ty.encode[tuple(f.on["element"][letter] for letter in word)]
-                for label, word in tx.decode.items()
-            }
-        }
-        return PresheafMap(tx.obj, ty.obj, on, _validated=True)
+        vertex_on, edge_on = self._tables(f.on)
+        image = {}
+        for label, element in tx.decode.items():
+            a, b, edges = self._path(element)
+            path = (vertex_on[a], vertex_on[b], tuple(edge_on[e] for e in edges))
+            image[label] = ty.encode[self._element(*path)]
+        return PresheafMap(tx.obj, ty.obj, self._on(dict(vertex_on), image), _validated=True)
 
     def mult(self, x: PresheafObject) -> MultData:
         tx = self.apply(x)
         ttx = self.apply(tx.obj)
+        edges_of = {label: self._path(element)[2] for label, element in tx.decode.items()}
         defined, skipped = {}, []
-        for label, outer in ttx.decode.items():
-            flat = tuple(itertools.chain.from_iterable(tx.decode[w] for w in outer))
+        for label, element in ttx.decode.items():
+            a, b, inner = self._path(element)
+            flat = tuple(itertools.chain.from_iterable(edges_of[p] for p in inner))
             if len(flat) <= self.cap:
-                defined[label] = tx.encode[flat]
+                defined[label] = tx.encode[self._element(a, b, flat)]
             else:
                 skipped.append(label)
-        return MultData(ttx.obj, tx.obj, {"element": defined}, tuple(skipped))
-
-    def generators(self, k_max: int):
-        """Units of the canonical finite cardinals 0..k_max."""
-        out = []
-        for k in range(k_max + 1):
-            g = fin_set([str(i) for i in range(k)])
-            out.append((g, self.unit(g)))
-        return out
+        vertices, _ = self._graph(tx.obj)
+        on = self._on({v: v for v in vertices}, defined)
+        return MultData(ttx.obj, tx.obj, on, tuple(skipped))
 
 
-class FreeCategoryMonad:
-    """Paths of length at most ``cap`` in a finite directed multigraph."""
+class FreeMonoidMonad(FreeCategoryMonad):
+    """Words of length at most ``cap`` over a finite set: the free-category
+    monad on the set read as a one-vertex graph."""
 
-    base = "graph"
+    name, noun, cell_noun = "free monoid", "word", "elements"
 
-    def __init__(self, cap: int):
-        if cap < 0:
-            raise ValidationError("cap must be nonnegative")
-        self.cap = cap
-        self._cache = {}
+    # The same bodies, named in this class too: bench/spans.py traces these
+    # three methods per monad class.
+    apply = FreeCategoryMonad.apply
+    on_map = FreeCategoryMonad.on_map
+    mult = FreeCategoryMonad.mult
 
-    def apply(self, g: PresheafObject, guard=None) -> TObject:
-        if g._key in self._cache:
-            return self._cache[g._key]
-        budget = resolve_guard(guard)
-        decode, encode = {}, {}
-        src, tgt = {}, {}
-        count = 0
+    @staticmethod
+    def _graph(x: PresheafObject):
+        return (None,), dict.fromkeys(x.cells["element"], (None, None))
 
-        def register(vertex_from, vertex_to, edges):
-            nonlocal count
-            count += 1
-            if count > budget:
-                raise GuardExceeded("free category enumeration exceeded the guard")
-            label = path_label(vertex_from, edges)
-            if label in decode:
-                raise ValidationError("path labels collide; rename input cells")
-            element = (vertex_from, vertex_to, edges)
-            decode[label] = element
-            encode[element] = label
-            src[label] = vertex_from
-            tgt[label] = vertex_to
+    @staticmethod
+    def _tables(on):
+        return {None: None}, on["element"]
 
-        for v in g.cells["vertex"]:
-            register(v, v, ())
-        frontier = [(g.op("src", e), g.op("tgt", e), (e,)) for e in g.cells["edge"]]
-        for length in range(1, self.cap + 1):
-            for a, b, edges in frontier:
-                register(a, b, edges)
-            if length == self.cap:
-                break
-            frontier = [
-                (a, g.op("tgt", e), edges + (e,))
-                for a, b, edges in frontier
-                for e in g.cells["edge"]
-                if g.op("src", e) == b
-            ]
-        obj = fin_graph(g.cells["vertex"], [(l, src[l], tgt[l]) for l in decode])
-        result = TObject(obj, decode, encode)
-        self._cache[g._key] = result
-        return result
+    @staticmethod
+    def _object(vertices, ends) -> PresheafObject:
+        return fin_set(ends)
 
-    def unit(self, g: PresheafObject) -> PresheafMap:
-        if self.cap < 1:
-            raise CapError("unit needs cap >= 1 to form singleton paths")
-        tg = self.apply(g)
-        on = {
-            "vertex": {v: v for v in g.cells["vertex"]},
-            "edge": {
-                e: tg.encode[(g.op("src", e), g.op("tgt", e), (e,))]
-                for e in g.cells["edge"]
-            },
-        }
-        return PresheafMap(g, tg.obj, on)
+    @staticmethod
+    def _on(vertex_on, edge_on):
+        return {"element": edge_on}
 
-    def on_map(self, f: PresheafMap) -> PresheafMap:
-        tg, th = self.apply(f.domain), self.apply(f.codomain)
-        edge_on = {}
-        for label, (a, b, edges) in tg.decode.items():
-            image = (
-                f.on["vertex"][a],
-                f.on["vertex"][b],
-                tuple(f.on["edge"][e] for e in edges),
-            )
-            edge_on[label] = th.encode[image]
-        on = {"vertex": dict(f.on["vertex"]), "edge": edge_on}
-        return PresheafMap(tg.obj, th.obj, on, _validated=True)
+    @staticmethod
+    def _element(a, b, edges):
+        return edges
 
-    def mult(self, g: PresheafObject) -> MultData:
-        tg = self.apply(g)
-        ttg = self.apply(tg.obj)
-        defined_v = {v: v for v in tg.obj.cells["vertex"]}
-        defined_e, skipped = {}, []
-        for label, (a, b, inner_paths) in ttg.decode.items():
-            flat = tuple(
-                itertools.chain.from_iterable(tg.decode[p][2] for p in inner_paths)
-            )
-            if len(flat) <= self.cap:
-                defined_e[label] = tg.encode[(a, b, flat)]
-            else:
-                skipped.append(label)
-        return MultData(
-            ttg.obj, tg.obj, {"vertex": defined_v, "edge": defined_e}, tuple(skipped)
-        )
-
-    def generators(self, k_max: int):
-        """Units of the linear chains [0] .. [k_max]."""
-        out = []
-        for n in range(k_max + 1):
-            g = linear_chain(n)
-            out.append((g, self.unit(g)))
-        return out
-
-
-def free_monoid(x: PresheafObject, cap: int, guard=None) -> TObject:
-    """All words over X of length at most ``cap``, the empty word included."""
-    return FreeMonoidMonad(cap).apply(x, guard=guard)
-
-
-def free_category(g: PresheafObject, cap: int, guard=None) -> TObject:
-    """Vertices of G with all composable paths of length at most ``cap``,
-    the empty path at each vertex included."""
-    return FreeCategoryMonad(cap).apply(g, guard=guard)
-
-
-def unit_of(monad, x: PresheafObject) -> PresheafMap:
-    eta = monad.unit(x)
-    if not is_mono(eta):
-        raise ValidationError("unit failed to be a monomorphism")
-    return eta
-
-
-def monad_map_and_mult(monad, f: PresheafMap):
-    """The functorial action on a map together with the (partial)
-    multiplication at the map's domain."""
-    return monad.on_map(f), monad.mult(f.domain)
+    @staticmethod
+    def _path(word):
+        return None, None, word
 
 
 # ---------------------------------------------------------------------------
 # Algebras
 # ---------------------------------------------------------------------------
-
-class FiniteMonoid:
-    """A finite monoid given by its multiplication table."""
-
-    def __init__(self, elements, unit, table, name="monoid"):
-        self.name = name
-        self.elements = tuple(sorted(elements))
-        if len(set(self.elements)) != len(self.elements):
-            raise ValidationError("monoid elements must be distinct")
-        if unit not in self.elements:
-            raise ValidationError(f"unit {unit!r} is not an element")
-        self.unit = unit
-        self.table = {a: dict(table[a]) for a in self.elements}
-        for a in self.elements:
-            for b in self.elements:
-                if b not in self.table[a]:
-                    raise ValidationError(f"table is missing the pair ({a!r},{b!r})")
-                if self.table[a][b] not in self.elements:
-                    raise ValidationError(f"table escapes the carrier at ({a!r},{b!r})")
-        for a in self.elements:
-            if self.table[self.unit][a] != a or self.table[a][self.unit] != a:
-                raise ValidationError(f"unit law fails at {a!r}")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise ValidationError(
-                            f"associativity fails at the triple ({a!r},{b!r},{c!r})"
-                        )
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def carrier(self) -> PresheafObject:
-        return fin_set(self.elements)
-
 
 class FiniteCategory:
     """A finite category given by explicit identity and composition tables.
@@ -339,8 +264,10 @@ class FiniteCategory:
             ident = self.identities.get(obj)
             if ident is None:
                 raise ValidationError(f"object {obj!r} has no identity")
-            if self.src.get(ident) != obj or self.tgt.get(ident) != obj:
-                raise ValidationError(f"identity of {obj!r} has wrong endpoints")
+            if not self._is_morphism(ident, obj, obj):
+                raise ValidationError(
+                    f"identity {ident!r} of {obj!r} is not a morphism from {obj!r} to itself"
+                )
         self.compose = {f: dict(compose.get(f, {})) for f in self.morphisms}
         for f in self.morphisms:
             for g in self.morphisms:
@@ -352,10 +279,8 @@ class FiniteCategory:
                     raise ValidationError(
                         f"composition is defined on the non-composable pair ({f!r},{g!r})"
                     )
-                if present:
-                    h = self.compose[f][g]
-                    if self.src.get(h) != self.src[f] or self.tgt.get(h) != self.tgt[g]:
-                        raise ValidationError(f"composite of ({f!r},{g!r}) has wrong endpoints")
+                if present and not self._is_morphism(self.compose[f][g], self.src[f], self.tgt[g]):
+                    raise ValidationError(f"composite of ({f!r},{g!r}) has wrong endpoints")
         for f in self.morphisms:
             if self.then(self.identities[self.src[f]], f) != f:
                 raise ValidationError(f"left identity law fails at {f!r}")
@@ -373,6 +298,9 @@ class FiniteCategory:
                             f"associativity fails at the triple ({f!r},{g!r},{h!r})"
                         )
 
+    def _is_morphism(self, label, a, b) -> bool:
+        return label in self.morphisms and self.src[label] == a and self.tgt[label] == b
+
     def then(self, f, g):
         """Composite of f followed by g."""
         return self.compose[f][g]
@@ -387,43 +315,66 @@ class FiniteCategory:
             [(m, self.src[m], self.tgt[m]) for m in self.morphisms],
         )
 
+    def carrier(self) -> PresheafObject:
+        """The object of the monad's base that the algebra acts on."""
+        return self.underlying_graph()
+
+
+class FiniteMonoid(FiniteCategory):
+    """A finite monoid: a category with one unlabelled object, ``None``.
+
+    Its elements, in sorted order, are the morphisms, its unit is the
+    identity and its table the composition; ``table[a][b]`` is a*b.  Its
+    carrier is the set of its elements, the loops of the one vertex.
+    """
+
+    def __init__(self, elements, unit, table, name="monoid"):
+        loops = [(e, None, None) for e in sorted(elements)]
+        super().__init__((None,), loops, {None: unit}, table, name=name)
+
+    @property
+    def elements(self):
+        return self.morphisms
+
+    @property
+    def unit(self):
+        return self.identities[None]
+
+    @property
+    def table(self):
+        return self.compose
+
+    def mul(self, a, b):
+        return self.then(a, b)
+
+    def carrier(self) -> PresheafObject:
+        return fin_set(self.elements)
+
 
 def algebra_carrier(algebra) -> PresheafObject:
-    if isinstance(algebra, FiniteMonoid):
-        return algebra.carrier()
-    if isinstance(algebra, FiniteCategory):
-        return algebra.underlying_graph()
-    raise ValidationError(f"unknown algebra {algebra!r}")
+    return algebra.carrier()
 
 
 def algebra_extend(algebra, f: PresheafMap, monad) -> PresheafMap:
     """The canonical extension T(X) -> A of a map f : X -> A into an algebra.
 
-    Words fold through the monoid table; paths compose through the category
-    table; empty words and paths go to the unit and the identities.
+    A path composes through the algebra's table from the identity at its
+    source, so the empty path goes to that identity (to the unit, for a
+    monoid).
     """
     carrier = algebra_carrier(algebra)
     if f.codomain != carrier:
         raise ValidationError("map must land in the algebra carrier")
     tx = monad.apply(f.domain)
-    if isinstance(algebra, FiniteMonoid):
-        on = {"element": {}}
-        for label, word in tx.decode.items():
-            value = algebra.unit
-            for letter in word:
-                value = algebra.mul(value, f.on["element"][letter])
-            on["element"][label] = value
-        return PresheafMap(tx.obj, carrier, on)
-    on = {"vertex": dict(f.on["vertex"]), "edge": {}}
-    for label, (a, _b, edges) in tx.decode.items():
-        if not edges:
-            on["edge"][label] = algebra.identity(f.on["vertex"][a])
-            continue
-        value = f.on["edge"][edges[0]]
-        for edge in edges[1:]:
-            value = algebra.then(value, f.on["edge"][edge])
-        on["edge"][label] = value
-    return PresheafMap(tx.obj, carrier, on)
+    vertex_on, edge_on = monad._tables(f.on)
+    on = {}
+    for label, element in tx.decode.items():
+        a, _b, edges = monad._path(element)
+        value = algebra.identity(vertex_on[a])
+        for edge in edges:
+            value = algebra.then(value, edge_on[edge])
+        on[label] = value
+    return PresheafMap(tx.obj, carrier, monad._on(dict(vertex_on), on))
 
 
 def extend_to_free(monad, h: PresheafMap, source_t: TObject, target_t: TObject
@@ -434,31 +385,17 @@ def extend_to_free(monad, h: PresheafMap, source_t: TObject, target_t: TObject
     cap; the extension is an algebra homomorphism wherever it is defined,
     so totality is exactly the cap condition.
     """
-    if isinstance(monad, FreeMonoidMonad):
-        tx = target_t
-        on = {"element": {}}
-        for label, word in source_t.decode.items():
-            flat = []
-            for letter in word:
-                flat.extend(tx.decode[h.on["element"][letter]])
-            if len(flat) > monad.cap:
-                return None
-            on["element"][label] = tx.encode[tuple(flat)]
-        return PresheafMap(source_t.obj, tx.obj, on)
-    tx = target_t
-    on = {"vertex": {}, "edge": {}}
-    for v in source_t.obj.cells["vertex"]:
-        on["vertex"][v] = h.on["vertex"][v]
-    for label, (a, b, edges) in source_t.decode.items():
+    vertex_on, edge_on = monad._tables(h.on)
+    on = {}
+    for label, element in source_t.decode.items():
+        a, b, edges = monad._path(element)
         flat = []
         for edge in edges:
-            flat.extend(tx.decode[h.on["edge"][edge]][2])
+            flat.extend(monad._path(target_t.decode[edge_on[edge]])[2])
         if len(flat) > monad.cap:
             return None
-        start = h.on["vertex"][a]
-        end = h.on["vertex"][b]
-        on["edge"][label] = tx.encode[(start, end, tuple(flat))]
-    return PresheafMap(source_t.obj, tx.obj, on)
+        on[label] = target_t.encode[monad._element(vertex_on[a], vertex_on[b], tuple(flat))]
+    return PresheafMap(source_t.obj, target_t.obj, monad._on(dict(vertex_on), on))
 
 
 # ---------------------------------------------------------------------------
@@ -483,24 +420,6 @@ class LawReport:
 _SKIP_SAMPLE = 20
 
 
-def _mu_sort(monad):
-    return "element" if isinstance(monad, FreeMonoidMonad) else "edge"
-
-
-def _expansion(monad, tx, ttx, label) -> int:
-    """Total base-letter count of an element of T(T(X)) named by its label."""
-    if isinstance(monad, FreeMonoidMonad):
-        return sum(len(tx.decode[w]) for w in ttx.decode[label])
-    return sum(len(tx.decode[p][2]) for p in ttx.decode[label][2])
-
-
-def _tt_entries(monad, ttx, label):
-    """The sequence of T(X)-labels inside an element of T(T(X))."""
-    if isinstance(monad, FreeMonoidMonad):
-        return ttx.decode[label]
-    return ttx.decode[label][2]
-
-
 def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     """Monad laws checked through the actual unit and multiplication tables.
 
@@ -515,7 +434,6 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     tx = monad.apply(x)
     mu = monad.mult(x)
     ttx = monad.apply(tx.obj)
-    mu_sort = _mu_sort(monad)
 
     unit_left_ok = True
     unit_right_ok = True
@@ -530,68 +448,68 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
                 unit_right_ok = False
                 failures.append(("mu∘Teta", sort, cell))
 
-    graph_case = not isinstance(monad, FreeMonoidMonad)
+    # T(X)-cells as paths, T(T(X))-cells as paths of T(X)-cells
+    t_path = {label: monad._path(element) for label, element in tx.decode.items()}
+    tt_path = {label: monad._path(element) for label, element in ttx.decode.items()}
+    tt_label = {path: label for label, path in tt_path.items()}
+    _, mu_on = monad._tables(mu.defined)
 
     def tt_encode(entries, vertex):
-        if graph_case:
-            if entries:
-                a = tx.decode[entries[0]][0]
-                b = tx.decode[entries[-1]][1]
-            else:
-                a = b = vertex
-            return ttx.encode.get((a, b, tuple(entries)))
-        return ttx.encode.get(tuple(entries))
+        if entries:
+            path = (t_path[entries[0]][0], t_path[entries[-1]][1], tuple(entries))
+        else:
+            path = (vertex, vertex, ())
+        return tt_label.get(path)
 
     # triple-nested elements: composable sequences of T(T(X))-cells, outer
     # length <= cap, total expansion <= cap.  Inside that domain a side can
     # still overflow (empty-word padding inflates intermediate lengths);
     # those elements land in the skip list instead of being checked.
-    expansions = {
-        label: _expansion(monad, tx, ttx, label) for label in ttx.decode
+    expansion = {
+        label: sum(len(t_path[entry][2]) for entry in path[2])
+        for label, path in tt_path.items()
     }
-    tt_cells = [label for label in ttx.decode if expansions[label] <= cap]
-    if graph_case:
-        tt_src = {label: ttx.decode[label][0] for label in tt_cells}
-        tt_tgt = {label: ttx.decode[label][1] for label in tt_cells}
-    triples = []
-    vertices = tx.obj.cells["vertex"] if graph_case else (None,)
-    for v in vertices:
-        triples.append((v, ()))
+    tt_cells = [label for label in tt_path if expansion[label] <= cap]
+    leaving = {}
+    for label in tt_cells:
+        leaving.setdefault(tt_path[label][0], []).append(label)
 
-    def grow(prefix, total, endpoint):
-        for label in tt_cells:
-            if graph_case and prefix and tt_src[label] != endpoint:
-                continue
-            extra = expansions[label]
+    def grow(prefix, total, choices):
+        for label in choices:
+            extra = expansion[label]
             if total + extra > cap:
                 continue
-            new_prefix = prefix + (label,)
-            anchor = tt_src[new_prefix[0]] if graph_case else None
-            triples.append((anchor, new_prefix))
-            if len(new_prefix) < cap:
-                grow(new_prefix, total + extra, tt_tgt[label] if graph_case else None)
+            outer = prefix + (label,)
+            yield tt_path[outer[0]][0], outer
+            if len(outer) < cap:
+                yield from grow(outer, total + extra, leaving.get(tt_path[label][1], ()))
 
-    grow((), 0, None)
+    def nested():
+        """Each vertex with the empty sequence, then the sequences
+        depth-first in T(T(X)) decode order."""
+        for vertex in monad._graph(tx.obj)[0]:
+            yield vertex, ()
+        yield from grow((), 0, tt_cells)
 
     assoc_ok = True
     checked = 0
     skipped_count = 0
     skipped = []
-    for anchor, outer in triples:
+    for anchor, outer in nested():
         # path one: flatten the outer two levels, then multiply
         concat = []
         for label in outer:
-            concat.extend(_tt_entries(monad, ttx, label))
+            concat.extend(tt_path[label][2])
         first = None
         if len(concat) <= cap:
             middle = tt_encode(concat, anchor)
             if middle is not None:
-                first = mu.defined[mu_sort].get(middle)
+                first = mu_on.get(middle)
         # path two: multiply each entry, then the result
         second = None
         inner = []
         for label in outer:
-            value = mu.defined[mu_sort].get(label)
+            value = mu_on.get(label)
             if value is None:
                 inner = None
                 break
@@ -599,7 +517,7 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         if inner is not None:
             middle = tt_encode(inner, anchor)
             if middle is not None:
-                second = mu.defined[mu_sort].get(middle)
+                second = mu_on.get(middle)
         if first is None or second is None:
             skipped_count += 1
             if len(skipped) < _SKIP_SAMPLE:

@@ -18,6 +18,7 @@ from .core import (
     Signature,
     ValidationError,
     first_map,
+    pin_along,
     search_maps,
     subobject_from_cells,
 )
@@ -159,23 +160,6 @@ def horn_inclusion(n: int, k: int, cap: int) -> PresheafMap:
     amb = delta(n, cap)
     _, incl = _sub_shape(amb, lambda c: not (full - set(c) <= {str(k)}))
     return incl
-
-
-@dataclass(frozen=True)
-class StandardShapes:
-    simplex: PresheafObject
-    boundary: PresheafObject
-    horn: PresheafObject
-    boundary_inclusion: PresheafMap
-    horn_inclusion: PresheafMap
-
-
-def standard_shapes(n: int, k: int, cap: int) -> StandardShapes:
-    if n > cap:
-        raise CapError(f"simplex dimension {n} exceeds the cap {cap}")
-    b = boundary_inclusion(n, cap)
-    h = horn_inclusion(n, k, cap)
-    return StandardShapes(b.codomain, b.domain, h.domain, b, h)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +314,7 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
     incl = horn_inclusion(n, k, cap)
     instances = []
     for top in search_maps(incl.domain, x, guard=guard):
-        pin = {
-            sort: {
-                incl.on[sort][cell]: top.on[sort][cell]
-                for cell in incl.domain.cells[sort]
-            }
-            for sort in incl.domain.signature.sorts
-        }
-        filler = first_map(incl.codomain, x, pin=pin, guard=guard)
+        filler = first_map(incl.codomain, x, pin=pin_along([(incl, top)]), guard=guard)
         instances.append((top, filler))
     return HornReport(n, k, tuple(instances), f"cells above dimension {cap} are not represented")
 

@@ -15,6 +15,13 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def mono_unit(monad, x):
+    """The unit of ``monad`` at ``x``, asserted to be a monomorphism."""
+    eta = monad.unit(x)
+    assert core.is_mono(eta), "unit failed to be a monomorphism"
+    return eta
+
+
 def brute_force_homs(dom, cod):
     """Independent hom-set oracle: a plain scan with no index, no plan and
     no code shared with the search engine.

@@ -4,7 +4,8 @@ Every case is one ``phl`` invocation run in-process through
 ``phl.cli.main`` from inside a work directory, so its arguments hold only
 relative paths.  The golden files under ``tests/golden/`` hold, per
 subcommand, every case's arguments, exit code and the exact report text,
-split into lines so that a changed report shows as a short diff.
+split into lines so that a changed report shows as a short diff.  A case
+that writes an ``--out`` document records that document's text as well.
 
     python tests/golden_cases.py run DIR   # write inputs under DIR, run, print JSON
     python tests/golden_cases.py write     # regenerate tests/golden/ from phl on the path
@@ -30,10 +31,20 @@ Z2_GUARD = "2000"
 CAPS = (3, 4)
 FAMILY_DEPTHS = {"set2": range(3), "graphI": range(3)}
 FIBRANT_DEPTHS = range(2)
+WITNESS_CAPS = (1, 2, 3)
+#: instance -> base of the algebras and corpus monos its ``tweq`` cases use
+TWEQ_INSTANCES = {"set2": "set", "graphI": "graph"}
+
+
+def _corpus_monos(base):
+    from phl import fixtures
+
+    return {"set": fixtures.corpus_monos_set, "graph": fixtures.corpus_monos_graph}[base]()
 
 
 def prepare(workdir: Path):
-    """Write the corpus, the nerves, the simplices and the families."""
+    """Write the corpus, the nerves, the simplices, the families, the corpus
+    monos and one directory of probe algebras per base."""
     from phl import documents, fixtures, lifting, simplicial
     from phl.cylinder import get_instance
 
@@ -51,6 +62,13 @@ def prepare(workdir: Path):
         for depth in depths:
             family = lifting.generate_anodyne(get_instance(instance), [], depth=depth)
             write(f"family_{instance}_d{depth}.json", documents.family_to_document(family))
+    (workdir / "out").mkdir(exist_ok=True)
+    for base in TWEQ_INSTANCES.values():
+        for i, mono in enumerate(_corpus_monos(base)):
+            write(f"mono_{base}{i}.json", documents.map_to_document(mono))
+        (workdir / f"algebras_{base}").mkdir(exist_ok=True)
+        for algebra in fixtures.we_algebras(base):
+            write(f"algebras_{base}/{algebra.name}.json", documents.algebra_to_document(algebra))
 
 
 def cases():
@@ -96,6 +114,29 @@ def cases():
                 "classes", f"corpus/graph_{x}.json", f"corpus/graph_{y}.json",
                 "--instance", "graphI", "--guard", GUARD,
             ]))
+    for i in range(len(fixtures.corpus_sets())):
+        for cap in WITNESS_CAPS:
+            out.append(("witness-m2", f"set{i}_monoid_cap{cap}", [
+                "witness-m2", f"corpus/set{i}.json", "--monad", "monoid", "--cap", str(cap),
+                "--guard", GUARD, "--out", f"out/set{i}_monoid_cap{cap}.json",
+            ]))
+    stems = [f"graph_{x}" for x in graphs] + [f"linchain{n}" for n in range(4)]
+    for stem in stems:
+        for nmax, cap in [(c, c) for c in WITNESS_CAPS] + [(1, 3)]:
+            name = f"{stem}_category_n{nmax}_cap{cap}"
+            out.append(("witness-m2", name, [
+                "witness-m2", f"corpus/{stem}.json", "--monad", "category", "--nmax", str(nmax),
+                "--cap", str(cap), "--guard", GUARD, "--out", f"out/{name}.json",
+            ]))
+    out.append(("verify", "core", ["verify", "--suite", "core"]))
+    for instance in ("set2", "graphI"):
+        out.append(("check-ehd", instance, ["check-ehd", "--instance", instance]))
+    for instance, base in TWEQ_INSTANCES.items():
+        for i in range(len(_corpus_monos(base))):
+            out.append(("tweq", f"{base}{i}_{instance}", [
+                "tweq", f"mono_{base}{i}.json", "--algebras", f"algebras_{base}",
+                "--instance", instance, "--guard", GUARD,
+            ]))
     return out
 
 
@@ -113,10 +154,14 @@ def run(workdir: Path) -> dict:
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
                 code = main(argv)
-            results.setdefault(command, {})[name] = {
+            result = results.setdefault(command, {})[name] = {
                 "argv": argv, "exit": code,
                 "stdout": buffer.getvalue().splitlines(keepends=True),
             }
+            if "--out" in argv:
+                written = Path(argv[argv.index("--out") + 1])
+                text = written.read_text(encoding="utf-8") if written.exists() else ""
+                result["out"] = text.splitlines(keepends=True)
     finally:
         os.chdir(cwd)
     return results

@@ -24,7 +24,6 @@ from phl.core import (
 )
 from phl.cylinder import (
     corner_endpoint,
-    cylinder_of,
     get_instance,
     graph_instance,
     set_instance,
@@ -64,7 +63,6 @@ from phl.monads import (
     FreeCategoryMonad,
     FreeMonoidMonad,
     algebra_carrier,
-    unit_of,
 )
 from phl.simplicial import delta, nerve, tau0_classes, horn_filler
 from phl.witnesses import (
@@ -75,6 +73,7 @@ from phl.witnesses import (
     validate_saturation,
 )
 
+from conftest import mono_unit
 from test_witnesses import random_endpoint_corner_problems
 
 SET2 = set_instance()
@@ -95,12 +94,12 @@ def small_sets(max_size=3, nonempty=False):
 def test_c01_cylinder_axioms():
     checked = 0
     for obj in small_sets(3):
-        cyl = cylinder_of(SET2, obj)
+        cyl = SET2.cylinder(obj)
         assert cyl.d0.then(cyl.sigma) == identity(obj)
         assert cyl.d1.then(cyl.sigma) == identity(obj)
         checked += 1
     for obj in all_small_graphs(3, 3):
-        cyl = cylinder_of(GRAPHI, obj)
+        cyl = GRAPHI.cylinder(obj)
         assert cyl.d0.then(cyl.sigma) == identity(obj)
         assert cyl.d1.then(cyl.sigma) == identity(obj)
         for sort in obj.signature.sorts:
@@ -201,7 +200,7 @@ def test_c04_unit_and_action_monos():
     checked = 0
     sets = small_sets(3)
     for x in sets:
-        if not is_mono(unit_of(smonad, x)):
+        if not is_mono(smonad.unit(x)):
             failures += 1
         checked += 1
     for x in sets:
@@ -216,7 +215,7 @@ def test_c04_unit_and_action_monos():
         if len(g.cells["vertex"]) <= 2 and len(g.cells["edge"]) <= 2
     ]
     for g in graphs:
-        if not is_mono(unit_of(gmonad, g)):
+        if not is_mono(gmonad.unit(g)):
             failures += 1
         checked += 1
     for x in graphs:
@@ -352,25 +351,25 @@ def test_c09_unit_naturality_and_retractions():
     for x in graphs:
         for y in graphs:
             for f in enumerate_homs(x, y):
-                assert f.then(unit_of(gmonad, y)) == unit_of(gmonad, x).then(gmonad.on_map(f))
+                assert f.then(mono_unit(gmonad, y)) == mono_unit(gmonad, x).then(gmonad.on_map(f))
                 checked += 1
     for x in small_sets(3):
         for y in small_sets(3):
             for f in enumerate_homs(x, y):
-                assert f.then(unit_of(smonad, y)) == unit_of(smonad, x).then(smonad.on_map(f))
+                assert f.then(mono_unit(smonad, y)) == mono_unit(smonad, x).then(smonad.on_map(f))
                 checked += 1
     retractions = 0
     for algebra in corpus_monoids():
         alpha = find_retraction(algebra, smonad)
         assert alpha is not None
         carrier = algebra_carrier(algebra)
-        assert unit_of(smonad, carrier).then(alpha) == identity(carrier)
+        assert mono_unit(smonad, carrier).then(alpha) == identity(carrier)
         retractions += 1
     for algebra in corpus_categories():
         alpha = find_retraction(algebra, gmonad)
         assert alpha is not None
         carrier = algebra_carrier(algebra)
-        assert unit_of(gmonad, carrier).then(alpha) == identity(carrier)
+        assert mono_unit(gmonad, carrier).then(alpha) == identity(carrier)
         retractions += 1
     report(
         "C9 unit naturality and retractions", True,

@@ -296,6 +296,106 @@ class TestRunCommand:
         )
 
 
+def _refusal(argv, capsys):
+    """Exit code and validation error text of a refused invocation."""
+    code = main(argv)
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "validation"
+    return code, error["error"]
+
+
+class TestRefusals:
+    """Bad documents and missing parameters exit 2 with a validation error."""
+
+    @pytest.mark.parametrize("argv, culprit", [
+        (["homotopy", "set1.json", "set1.json"], "set1.json"),
+        (["classes", "monoid_z2.json", "set1.json", "--instance", "set2"], "monoid_z2.json"),
+        (["lift", "--square", "set1.json"], "set1.json"),
+        (["tweq", "graph_loop.json", "--algebras", "."], "graph_loop.json"),
+        (["witness-m2", "graph_loop.json", "--monad", "monoid", "--cap", "2"], "graph_loop.json"),
+        (["witness-m2", "set1.json", "--monad", "category", "--cap", "2"], "set1.json"),
+        (["horn-fill", "graph_loop.json", "--n", "1", "--k", "0"], "graph_loop.json"),
+        (["tau0", "set1.json", "set1.json", "--cap", "2"], "set1.json"),
+        (["anodyne", "--seeds", "set1.json"], "set1.json"),
+    ])
+    def test_wrong_kind_names_the_file(self, corpus_dir, capsys, argv, culprit):
+        argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+        code, error = _refusal(argv, capsys)
+        assert code == 2
+        assert error.startswith(str(corpus_dir / culprit) + " is not a")
+
+    def test_monoids_are_not_category_documents(self, corpus_dir, capsys):
+        monoid = str(corpus_dir / "monoid_z2.json")
+        assert _refusal(["nerve", monoid, "--cap", "2"], capsys) == (
+            2, "nerve needs a category document"
+        )
+
+    @pytest.mark.parametrize("instance, base, first", [
+        ("set2", "set", "cat_chain2.json"),
+        ("graphI", "graph", "monoid_idempotent.json"),
+    ])
+    def test_tweq_names_the_first_algebra_of_another_base(
+        self, tmp_path, capsys, instance, base, first,
+    ):
+        from phl.fixtures import corpus_monos_graph, corpus_monos_set
+
+        corpus = tmp_path / "fixtures"
+        assert main(["fixtures", "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        mono = (corpus_monos_set() if base == "set" else corpus_monos_graph())[1]
+        path = tmp_path / "mono.json"
+        path.write_text(canonical_json(map_to_document(mono)), encoding="utf-8")
+        other = "graph" if base == "set" else "set"
+        assert _refusal(
+            ["tweq", str(path), "--algebras", str(corpus), "--instance", instance], capsys
+        ) == (2, (
+            f"{corpus / first} is an algebra over the base {other!r}, "
+            f"not over the instance base {base!r}"
+        ))
+
+    def test_sset_instance_needs_a_cap(self, capsys):
+        assert _refusal(["anodyne", "--instance", "sset-delta1"], capsys) == (
+            2, "instance 'sset-delta1' needs an explicit --cap"
+        )
+
+    @pytest.mark.parametrize("monad, stem", [("monoid", "set1"), ("category", "graph_loop")])
+    def test_witness_needs_a_cap(self, corpus_dir, capsys, monad, stem):
+        argv = ["witness-m2", str(corpus_dir / f"{stem}.json"), "--monad", monad]
+        assert _refusal(argv, capsys) == (2, "witness-m2 needs an explicit --cap")
+
+    @pytest.mark.parametrize("monad, stem, message", [
+        ("monoid", "set1", "retract witness needs cap >= 1"),
+        ("category", "graph_loop", "unit needs cap >= 1 to form singleton paths"),
+    ])
+    def test_witness_at_cap_zero_is_a_cap_error(self, corpus_dir, capsys, monad, stem, message):
+        argv = ["witness-m2", str(corpus_dir / f"{stem}.json"), "--monad", monad,
+                "--nmax", "0", "--cap", "0"]
+        assert _refusal(argv, capsys) == (2, message)
+
+    @pytest.mark.parametrize("table, culprit", [
+        ({"e": {"e": "e", "a": "a"}, "a": {"e": "a"}}, "('a','a')"),    # missing pair
+        ({"e": {"e": "e", "a": "a"}}, "('a','a')"),                     # missing row
+        ({"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "z"}}, "('a','a')"),  # escapes
+        ({"e": {"e": "e", "a": "e"}, "a": {"e": "a", "a": "a"}}, "'a'"),  # left unit law
+        ({"e": {"e": "e", "a": "a"}, "a": {"e": "e", "a": "a"}}, "'a'"),  # right unit law
+    ])
+    def test_malformed_monoid_names_its_element_or_pair(self, tmp_path, capsys, table, culprit):
+        doc = {"kind": "monoid", "elements": ["a", "e"], "unit": "e", "table": table}
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        family = tmp_path / "family.json"
+        family.write_text('{"kind": "family", "entries": []}', encoding="utf-8")
+        code, error = _refusal(["fibrant", str(path), "--family", str(family)], capsys)
+        assert code == 2 and culprit in error
+
+    def test_monoid_unit_must_be_an_element(self, tmp_path, capsys):
+        doc = {"kind": "monoid", "elements": ["e"], "unit": "z", "table": {"e": {"e": "e"}}}
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, error = _refusal(["fibrant", str(path), "--family", str(path)], capsys)
+        assert code == 2 and "'z'" in error
+
+
 class TestDeterminism:
     def run_cli(self, args):
         return subprocess.run(

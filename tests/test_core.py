@@ -5,7 +5,6 @@ from phl import core
 from phl.core import (
     PresheafMap,
     ValidationError,
-    build_object,
     chain_colimit,
     coproduct,
     enumerate_homs,
@@ -18,6 +17,8 @@ from phl.core import (
     terminal_object,
 )
 
+from phl.documents import parse_document
+
 from conftest import brute_force_homs
 
 
@@ -27,28 +28,28 @@ def vertex_map(dom, cod, vertices, edges=None):
 
 class TestBuildObject:
     def test_one_vertex_graph(self):
-        g = build_object({"kind": "graph", "vertices": ["a"], "edges": []})
+        g = parse_document({"kind": "graph", "vertices": ["a"], "edges": []})
         assert g.cells["vertex"] == ("a",)
         assert g.cells["edge"] == ()
 
     def test_two_element_set(self):
-        s = build_object({"kind": "set", "elements": ["x", "y"]})
+        s = parse_document({"kind": "set", "elements": ["x", "y"]})
         assert s.cells["element"] == ("x", "y")
 
     def test_dangling_endpoint(self):
         with pytest.raises(ValidationError, match="dangling|not a declared vertex"):
-            build_object({"kind": "graph", "vertices": ["a"], "edges": [["e", "a", "b"]]})
+            parse_document({"kind": "graph", "vertices": ["a"], "edges": [["e", "a", "b"]]})
 
     def test_duplicate_label(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            build_object({"kind": "set", "elements": ["x", "x"]})
+            parse_document({"kind": "set", "elements": ["x", "x"]})
 
     def test_unknown_sort(self):
         with pytest.raises(ValidationError, match="unknown sort"):
-            build_object({"kind": "widget"})
+            parse_document({"kind": "widget"})
 
     def test_enumeration_order_is_sorted(self):
-        s = build_object({"kind": "set", "elements": ["c", "a", "b"]})
+        s = parse_document({"kind": "set", "elements": ["c", "a", "b"]})
         assert s.cells["element"] == ("a", "b", "c")
 
 

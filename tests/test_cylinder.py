@@ -16,7 +16,6 @@ from phl.cylinder import (
     Cylinder,
     corner_endpoint,
     corner_full,
-    cylinder_of,
     get_instance,
     verify_ehd,
 )
@@ -26,27 +25,27 @@ from phl.fixtures import all_small_graphs, corpus_monos_graph, corpus_monos_set,
 class TestCylinderOf:
     def test_set_cylinder_is_product_with_two(self, set_instance):
         x = fin_set(["x", "y"])
-        cyl = cylinder_of(set_instance, x)
+        cyl = set_instance.cylinder(x)
         assert len(cyl.obj.cells["element"]) == 4
         assert cyl.d0.on["element"]["x"] == pair_label("x", "0")
 
     def test_loop_cylinder_edges(self, graph_instance):
         # oracle: componentwise edge pairs (l, -) over the 4 interval edges
         loop = fin_graph(["a"], [("l", "a", "a")])
-        cyl = cylinder_of(graph_instance, loop)
+        cyl = graph_instance.cylinder(loop)
         assert len(cyl.obj.cells["vertex"]) == 2
         expected = {pair_label("l", j) for j in ("u", "d", "l0", "l1")}
         assert set(cyl.obj.cells["edge"]) == expected
 
     def test_sigma_section(self, graph_instance):
         for g in all_small_graphs(2, 2)[:20]:
-            cyl = cylinder_of(graph_instance, g)
+            cyl = graph_instance.cylinder(g)
             assert cyl.d0.then(cyl.sigma) == identity(g)
             assert cyl.d1.then(cyl.sigma) == identity(g)
 
     def test_base_mismatch(self, set_instance):
         with pytest.raises(core.MismatchError):
-            cylinder_of(set_instance, fin_graph(["a"], []))
+            set_instance.cylinder(fin_graph(["a"], []))
 
 
 def _copair_mono(cyl):
@@ -60,9 +59,9 @@ def _copair_mono(cyl):
 
 def test_endpoint_copair_is_mono_everywhere(graph_instance, set_instance):
     for g in all_small_graphs(3, 3):
-        assert _copair_mono(cylinder_of(graph_instance, g))
+        assert _copair_mono(graph_instance.cylinder(g))
     for n in range(4):
-        assert _copair_mono(cylinder_of(set_instance, fin_set([f"x{i}" for i in range(n)])))
+        assert _copair_mono(set_instance.cylinder(fin_set([f"x{i}" for i in range(n)])))
 
 
 class TestCornerFull:
@@ -157,8 +156,8 @@ class TestFunctoriality:
     def test_naturality_of_endpoints_and_projection(self, graph_instance):
         g1 = fin_graph(["a"], [("l", "a", "a")])
         g2 = fin_graph(["v", "w"], [("m", "v", "v"), ("e", "v", "w")])
-        cyl1 = cylinder_of(graph_instance, g1)
-        cyl2 = cylinder_of(graph_instance, g2)
+        cyl1 = graph_instance.cylinder(g1)
+        cyl2 = graph_instance.cylinder(g2)
         for f in enumerate_homs(g1, g2):
             tensored = graph_instance.tensor_map(f)
             assert cyl1.d0.then(tensored) == f.then(cyl2.d0)
@@ -180,7 +179,7 @@ class TestVerifyEhd:
             name = "corrupted"
 
             def cylinder(self, x):
-                good = cylinder_of(graph_instance, x)
+                good = graph_instance.cylinder(x)
                 broken = {
                     sort: {c: good.base.cells[sort][0] for c in good.obj.cells[sort]}
                     for sort in good.base.signature.sorts

@@ -1,6 +1,5 @@
 from phl import core
 from phl.core import PresheafMap, enumerate_homs, fin_graph, fin_set, identity
-from phl.cylinder import cylinder_of
 from phl.equivalence import (
     alternative_we_check,
     check_m3_sample,
@@ -20,7 +19,9 @@ from phl.fixtures import (
     z2_category,
 )
 from phl.lifting import generate_anodyne
-from phl.monads import FreeCategoryMonad, FreeMonoidMonad, algebra_carrier, unit_of
+from phl.monads import FreeCategoryMonad, FreeMonoidMonad, algebra_carrier
+
+from conftest import mono_unit
 
 
 def strongly_connected_looped():
@@ -47,7 +48,7 @@ class TestIsTWeakEquivalence:
     def test_endpoint_inclusion_against_small_categories(self, graph_instance):
         # oracle: full class enumeration per algebra, frozen outcome
         x = fin_graph(["0"], [])
-        cyl = cylinder_of(graph_instance, x)
+        cyl = graph_instance.cylinder(x)
         verdict = is_t_weak_equivalence(graph_instance, cyl.d0, we_algebras("graph"))
         assert verdict.ok
 
@@ -162,7 +163,7 @@ class TestNaturalityAndMinimality:
             for y in graphs[:6]:
                 maps.extend(enumerate_homs(x, y)[:4])
         for f in maps:
-            assert f.then(unit_of(monad, f.codomain)) == unit_of(monad, f.domain).then(monad.on_map(f))
+            assert f.then(mono_unit(monad, f.codomain)) == mono_unit(monad, f.domain).then(monad.on_map(f))
 
     def test_suite_on_loop_corpus(self, graph_instance):
         monad = FreeCategoryMonad(2)
@@ -194,13 +195,13 @@ class TestRetraction:
             alpha = find_retraction(algebra, FreeMonoidMonad(2))
             assert alpha is not None
             carrier = algebra_carrier(algebra)
-            assert unit_of(FreeMonoidMonad(2), carrier).then(alpha) == identity(carrier)
+            assert mono_unit(FreeMonoidMonad(2), carrier).then(alpha) == identity(carrier)
         for algebra in (terminal_category(), groupoid_interval(), chain2_category(),
                         z2_category(), discrete2_category()):
             alpha = find_retraction(algebra, FreeCategoryMonad(2))
             assert alpha is not None
             carrier = algebra_carrier(algebra)
-            assert unit_of(FreeCategoryMonad(2), carrier).then(alpha) == identity(carrier)
+            assert mono_unit(FreeCategoryMonad(2), carrier).then(alpha) == identity(carrier)
 
 
 class TestHomotopyEquivalencesAreWe:

@@ -1,4 +1,4 @@
-"""CLI reports of the search-heavy subcommands, byte for byte.
+"""CLI reports and written documents, byte for byte.
 
 The files under ``tests/golden/`` were written by ``golden_cases.py``; a
 search change that alters any report, exit code, counterexample or guard
@@ -18,7 +18,10 @@ import phl
 import golden_cases
 
 SEEDS = ("0", "42")
-COMMANDS = ("horn-fill", "tau0", "fibrant", "anodyne", "classes")
+COMMANDS = (
+    "horn-fill", "tau0", "fibrant", "anodyne", "classes",
+    "witness-m2", "verify", "check-ehd", "tweq",
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,11 @@ def test_cases_match_golden_files():
         assert {name: case["argv"] for name, case in golden.items()} == listed[command]
 
 
+def _outcome(case):
+    """Exit code, report text and, for a case with ``--out``, the document."""
+    return case["exit"], "".join(case["stdout"]), "".join(case.get("out", ()))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("command", COMMANDS)
 def test_reports_are_byte_identical(outcomes, command, seed):
@@ -61,7 +69,6 @@ def test_reports_are_byte_identical(outcomes, command, seed):
     assert set(ran) == set(golden)
     differing = [
         name for name in golden
-        if (ran[name]["exit"], "".join(ran[name]["stdout"]))
-        != (golden[name]["exit"], "".join(golden[name]["stdout"]))
+        if _outcome(ran[name]) != _outcome(golden[name])
     ]
     assert not differing, f"{len(differing)} {command} reports differ, first {differing[:5]}"

@@ -1,5 +1,5 @@
 from phl.core import PresheafMap, enumerate_homs, fin_graph, fin_set, identity
-from phl.cylinder import cylinder_of, get_instance
+from phl.cylinder import get_instance
 from phl.homotopy import (
     check_equivalence_relation,
     find_homotopy,
@@ -16,7 +16,7 @@ def one_step_matrix(instance, x, a):
     """Independent oracle: the full pairwise homotopy matrix computed by
     scanning every candidate cylinder map."""
     homs = brute_force_homs(x, a)
-    cyl = cylinder_of(instance, x)
+    cyl = instance.cylinder(x)
     thetas = brute_force_homs(cyl.obj, a)
     matrix = {}
     for f in homs:
@@ -33,7 +33,7 @@ class TestFindHomotopy:
         f = enumerate_homs(loop, corpus_graphs()["two_loops"])[0]
         found = find_homotopy(graph_instance, f, f)
         assert found is not None
-        cyl = cylinder_of(graph_instance, loop)
+        cyl = graph_instance.cylinder(loop)
         assert found.theta == cyl.sigma.then(f)
 
     def test_sets_always_homotopic(self, set_instance):
@@ -106,7 +106,7 @@ class TestInducedClassMap:
     def test_endpoint_inclusion_into_interval(self, graph_instance):
         # oracle: enumerate both hom-sets and quotient them directly
         x = fin_graph(["0"], [])
-        cyl = cylinder_of(graph_instance, x)
+        cyl = graph_instance.cylinder(x)
         a = groupoid_interval().underlying_graph()
         induced = induced_class_map(graph_instance, cyl.d0, a)
         assert induced.well_defined

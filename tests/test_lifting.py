@@ -103,10 +103,9 @@ class TestHasRlp:
     def test_general_right_map(self, graph_instance):
         # the cylinder projection lifts against the endpoint corners; the
         # bottom maps are genuinely enumerated here, not forced
-        from phl.cylinder import cylinder_of
 
         loop = corpus_graphs()["loop"]
-        cyl = cylinder_of(graph_instance, loop)
+        cyl = graph_instance.cylinder(loop)
         point = fin_graph(["v"], [])
         j = PresheafMap(empty_object(core.GRAPH_SIGNATURE), point, {})
         family = generate_anodyne(graph_instance, [], [j], depth=0)

@@ -13,7 +13,9 @@ from phl.core import (
     is_mono,
 )
 from phl.cylinder import graph_instance as make_graph_instance
-from phl.fixtures import corpus_graphs, corpus_monoids, groupoid_interval, loop_complete_graphs
+from phl.fixtures import (
+    corpus_graphs, corpus_monoids, corpus_sets, groupoid_interval, loop_complete_graphs,
+)
 from phl.homotopy import find_homotopy
 from phl.monads import (
     FiniteCategory,
@@ -24,9 +26,9 @@ from phl.monads import (
     check_monad_laws,
     extend_to_free,
     linear_chain,
-    monad_map_and_mult,
-    unit_of,
 )
+
+from conftest import mono_unit
 
 
 class TestFreeMonoid:
@@ -35,10 +37,8 @@ class TestFreeMonoid:
         assert set(tx.obj.cells["element"]) == {"[]", "[a]", "[a,a]", "[a,a,a]"}
 
     def test_module_level_constructors(self):
-        from phl.monads import free_category, free_monoid
-
-        assert len(free_monoid(fin_set(["a"]), 3).obj.cells["element"]) == 4
-        assert len(free_category(linear_chain(1), 2).obj.cells["edge"]) == 3
+        assert len(FreeMonoidMonad(3).apply(fin_set(["a"])).obj.cells["element"]) == 4
+        assert len(FreeCategoryMonad(2).apply(linear_chain(1)).obj.cells["edge"]) == 3
 
     def test_empty_set(self):
         tx = FreeMonoidMonad(5).apply(fin_set([]))
@@ -48,6 +48,55 @@ class TestFreeMonoid:
         # oracle: 1 + 2 + 4
         tx = FreeMonoidMonad(2).apply(fin_set(["a", "b"]))
         assert len(tx.obj.cells["element"]) == 7
+
+
+class TestOneVertexGraphs:
+    """The free-monoid monad is the free-category monad on one-vertex graphs."""
+
+    @pytest.mark.parametrize("cap", range(5))
+    def test_free_monoid_matches_word_oracle(self, cap):
+        for x in corpus_sets():
+            letters = x.cells["element"]
+            words = [
+                word for n in range(cap + 1) for word in itertools.product(letters, repeat=n)
+            ]
+            labels = ["[" + ",".join(word) + "]" for word in words]
+            tx = FreeMonoidMonad(cap).apply(x)
+            assert list(tx.decode.items()) == list(zip(labels, words))
+            assert tx.encode == dict(zip(words, labels))
+            assert tx.obj == fin_set(labels)
+
+    @pytest.mark.parametrize("letters, cap", [("ab", 3), ("a", 3), ("xyz", 2)])
+    def test_same_objects_laws_and_overflow_as_a_loop_graph(self, letters, cap):
+        def as_word(label):
+            return label.replace("[]@*", "[]")
+
+        x = fin_set(letters)
+        g = fin_graph(["*"], [(letter, "*", "*") for letter in letters])
+        smonad, gmonad = FreeMonoidMonad(cap), FreeCategoryMonad(cap)
+        tx, tg = smonad.apply(x), gmonad.apply(g)
+        assert list(tx.decode) == [as_word(label) for label in tg.decode]
+        ttx, ttg = smonad.apply(tx.obj), gmonad.apply(tg.obj)
+        assert list(ttx.decode) == [as_word(label) for label in ttg.decode]
+        assert smonad.mult(x).skipped == tuple(as_word(l) for l in gmonad.mult(g).skipped)
+        words, paths = check_monad_laws(smonad, x), check_monad_laws(gmonad, g)
+        assert words.ok and paths.ok
+        assert (words.assoc_checked, words.skipped_count) == (
+            paths.assoc_checked, paths.skipped_count
+        )
+
+    def test_law_reports_keep_their_counts_and_samples(self):
+        # counts and first skipped elements of the law checks that
+        # ``phl verify`` runs, and of the two-letter monoid at cap 3
+        report = check_monad_laws(FreeMonoidMonad(3), fin_set(["a"]))
+        assert (report.ok, report.assoc_checked, report.skipped_count) == (True, 428, 3668)
+        assert report.skipped[0] == (None, ("[]", "[[]]", "[[],[],[]]"), "mu∘muT")
+        report = check_monad_laws(FreeCategoryMonad(2), fin_graph(["a"], [("l", "a", "a")]))
+        assert (report.ok, report.assoc_checked, report.skipped_count) == (True, 36, 35)
+        assert report.skipped[0] == ("a", ("[[]@a]", "[[]@a,[]@a]"), "mu∘muT")
+        report = check_monad_laws(FreeMonoidMonad(3), fin_set(["a", "b"]))
+        assert (report.ok, report.assoc_checked, report.skipped_count) == (True, 2249, 23720)
+        assert len(report.skipped) == 20 and not report.failures
 
 
 class TestFreeCategory:
@@ -82,32 +131,32 @@ class TestFreeCategory:
 class TestUnit:
     def test_set_unit(self):
         x = fin_set(["a"])
-        eta = unit_of(FreeMonoidMonad(2), x)
+        eta = mono_unit(FreeMonoidMonad(2), x)
         assert eta.on["element"]["a"] == "[a]"
 
     def test_graph_unit(self):
         loop = fin_graph(["a"], [("l", "a", "a")])
-        eta = unit_of(FreeCategoryMonad(2), loop)
+        eta = mono_unit(FreeCategoryMonad(2), loop)
         assert eta.on["edge"]["l"] == "[l]"
 
     def test_unit_needs_cap(self):
         with pytest.raises(CapError):
-            unit_of(FreeMonoidMonad(0), fin_set(["a"]))
+            FreeMonoidMonad(0).unit(fin_set(["a"]))
 
     def test_unit_mono_on_corpus(self):
         monad = FreeCategoryMonad(3)
         for g in corpus_graphs().values():
-            assert is_mono(unit_of(monad, g))
+            assert is_mono(monad.unit(g))
         smonad = FreeMonoidMonad(3)
         for n in range(4):
-            assert is_mono(unit_of(smonad, fin_set([f"x{i}" for i in range(n + 1)])))
+            assert is_mono(smonad.unit(fin_set([f"x{i}" for i in range(n + 1)])))
 
 
 class TestMapAndMult:
     def test_identity_action(self):
         monad = FreeMonoidMonad(2)
         x = fin_set(["a", "b"])
-        tf, _ = monad_map_and_mult(monad, identity(x))
+        tf, _ = monad.on_map(identity(x)), monad.mult(x)
         assert tf == identity(monad.apply(x).obj)
 
     def test_flattening(self):
@@ -201,7 +250,7 @@ class TestAlgebras:
         tx = monad.apply(x)
         assert fp.on["element"][tx.encode[()]] == "0"        # empty product
         assert fp.on["element"][tx.encode[("x", "x")]] == "0"  # x*x = 0 in z2
-        assert unit_of(monad, x).then(fp) == f
+        assert mono_unit(monad, x).then(fp) == f
 
     def test_extend_category_empty_path(self):
         gpd = groupoid_interval()
@@ -214,7 +263,7 @@ class TestAlgebras:
         fp = algebra_extend(gpd, f, monad)
         tg = monad.apply(g)
         assert fp.on["edge"][tg.encode[("0", "0", ())]] == "ib"
-        assert unit_of(monad, g).then(fp) == f
+        assert mono_unit(monad, g).then(fp) == f
 
     def test_extension_is_unique_algebra_hom(self):
         # oracle: scan every map T(X) -> A and keep the algebra
@@ -223,7 +272,7 @@ class TestAlgebras:
         monad = FreeMonoidMonad(2)
         x = fin_set(["x"])
         tx = monad.apply(x)
-        eta = unit_of(monad, x)
+        eta = mono_unit(monad, x)
         f = PresheafMap(x, z2.carrier(), {"element": {"x": "1"}})
         fp = algebra_extend(z2, f, monad)
         matches = []
@@ -254,7 +303,7 @@ class TestAlgebras:
             fbar = extend_to_free(monad, h, ty, tx)
             if fbar is None:
                 continue
-            assert unit_of(monad, y).then(fbar) == h
+            assert mono_unit(monad, y).then(fbar) == h
 
 
 class TestHomotopyPreservation:

@@ -15,7 +15,7 @@ from phl.core import (
     product,
     pushout,
 )
-from phl.cylinder import cylinder_of, graph_instance, set_instance
+from phl.cylinder import graph_instance, set_instance
 from phl.fixtures import chain2_category, z2_category
 from phl.homotopy import find_homotopy
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
@@ -93,7 +93,7 @@ def test_endpoint_squares_are_pullbacks(k, l):
         if not is_mono(j):
             continue
         tensored = GRAPHI.tensor_map(j)
-        l_cyl = cylinder_of(GRAPHI, l)
+        l_cyl = GRAPHI.cylinder(l)
         image = core.image_cells(tensored)
         for e in (0, 1):
             incl = l_cyl.endpoint(e)

@@ -19,7 +19,6 @@ from phl.simplicial import (
     horn_filler,
     horn_inclusion,
     nerve,
-    standard_shapes,
     tau0_classes,
     trunc_sset,
 )
@@ -35,32 +34,32 @@ def monotone_maps(m, n):
 
 class TestStandardShapes:
     def test_point(self):
-        shapes = standard_shapes(0, 0, 2)
-        assert all(len(shapes.simplex.cells[str(m)]) == 1 for m in range(3))
-        assert all(len(shapes.boundary.cells[str(m)]) == 0 for m in range(3))
+        boundary = boundary_inclusion(0, 2)
+        assert all(len(boundary.codomain.cells[str(m)]) == 1 for m in range(3))
+        assert all(len(boundary.domain.cells[str(m)]) == 0 for m in range(3))
 
     def test_boundary_of_interval(self):
-        shapes = standard_shapes(1, 0, 2)
-        assert shapes.boundary.cells["0"] == ("0", "1")
-        nondegenerate = [c for c in shapes.boundary.cells["1"] if c[0] != c[1]]
+        boundary = boundary_inclusion(1, 2).domain
+        assert boundary.cells["0"] == ("0", "1")
+        nondegenerate = [c for c in boundary.cells["1"] if c[0] != c[1]]
         assert nondegenerate == []
 
     def test_horn_cells_match_oracle(self):
         # a cell lies in the horn iff its image misses a vertex other than k
         for n, k in ((1, 0), (2, 0), (2, 1), (2, 2)):
-            shapes = standard_shapes(n, k, 3)
+            horn = horn_inclusion(n, k, 3).domain
             for m in range(4):
                 expected = [
                     c
                     for c in monotone_maps(m, n)
                     if not (set(str(v) for v in range(n + 1)) - set(c) <= {str(k)})
                 ]
-                assert list(shapes.horn.cells[str(m)]) == expected
+                assert list(horn.cells[str(m)]) == expected
 
     def test_lambda_1_2_shape(self):
-        shapes = standard_shapes(2, 1, 2)
-        assert len(shapes.horn.cells["0"]) == 3
-        nondegenerate = [c for c in shapes.horn.cells["1"] if len(set(c)) == 2]
+        horn = horn_inclusion(2, 1, 2).domain
+        assert len(horn.cells["0"]) == 3
+        nondegenerate = [c for c in horn.cells["1"] if len(set(c)) == 2]
         assert nondegenerate == ["01", "12"]
 
     def test_inclusions_are_monos(self):
@@ -68,10 +67,6 @@ class TestStandardShapes:
             assert is_mono(boundary_inclusion(n, 2))
             for k in range(n + 1):
                 assert is_mono(horn_inclusion(n, k, 2))
-
-    def test_dimension_beyond_cap(self):
-        with pytest.raises(core.CapError):
-            standard_shapes(3, 1, 2)
 
 
 class TestTruncSSet:
