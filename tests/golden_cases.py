@@ -5,7 +5,8 @@ Every case is one ``phl`` invocation run in-process through
 relative paths.  The golden files under ``tests/golden/`` hold, per
 subcommand, every case's arguments, exit code and the exact report text,
 split into lines so that a changed report shows as a short diff.  A case
-that writes an ``--out`` document records that document's text as well.
+that writes an ``--out`` document records that document's text as well; a
+case whose ``--out`` is a directory records the text of every file in it.
 
     python tests/golden_cases.py run DIR   # write inputs under DIR, run, print JSON
     python tests/golden_cases.py write     # regenerate tests/golden/ from phl on the path
@@ -128,6 +129,13 @@ def cases():
                 "witness-m2", f"corpus/{stem}.json", "--monad", "category", "--nmax", str(nmax),
                 "--cap", str(cap), "--guard", GUARD, "--out", f"out/{name}.json",
             ]))
+    for name in categories:
+        for cap in CAPS:
+            out.append(("nerve", f"{name}_cap{cap}", [
+                "nerve", f"corpus/cat_{name}.json", "--cap", str(cap),
+                "--out", f"out/nerve_{name}_cap{cap}.json",
+            ]))
+    out.append(("fixtures", "corpus", ["fixtures", "--out", "out/fixtures"]))
     out.append(("verify", "core", ["verify", "--suite", "core"]))
     for instance in ("set2", "graphI"):
         out.append(("check-ehd", instance, ["check-ehd", "--instance", instance]))
@@ -138,6 +146,14 @@ def cases():
                 "--instance", instance, "--guard", GUARD,
             ]))
     return out
+
+
+def _written(path: Path):
+    """The lines of the file at ``path``, or per file name those of every
+    file in the directory ``path``; nothing if it was not written."""
+    if path.is_dir():
+        return {f.name: _written(f) for f in sorted(path.iterdir())}
+    return path.read_text(encoding="utf-8").splitlines(keepends=True) if path.exists() else []
 
 
 def run(workdir: Path) -> dict:
@@ -159,9 +175,7 @@ def run(workdir: Path) -> dict:
                 "stdout": buffer.getvalue().splitlines(keepends=True),
             }
             if "--out" in argv:
-                written = Path(argv[argv.index("--out") + 1])
-                text = written.read_text(encoding="utf-8") if written.exists() else ""
-                result["out"] = text.splitlines(keepends=True)
+                result["out"] = _written(Path(argv[argv.index("--out") + 1]))
     finally:
         os.chdir(cwd)
     return results

@@ -20,7 +20,7 @@ import golden_cases
 SEEDS = ("0", "42")
 COMMANDS = (
     "horn-fill", "tau0", "fibrant", "anodyne", "classes",
-    "witness-m2", "verify", "check-ehd", "tweq",
+    "witness-m2", "verify", "check-ehd", "tweq", "nerve", "fixtures",
 )
 
 
@@ -56,9 +56,17 @@ def test_cases_match_golden_files():
         assert {name: case["argv"] for name, case in golden.items()} == listed[command]
 
 
+def _text(written):
+    """A written document's text, or per file name the text of each file
+    of a written directory."""
+    if isinstance(written, dict):
+        return {name: _text(lines) for name, lines in written.items()}
+    return "".join(written)
+
+
 def _outcome(case):
-    """Exit code, report text and, for a case with ``--out``, the document."""
-    return case["exit"], "".join(case["stdout"]), "".join(case.get("out", ()))
+    """Exit code, report text and, for a case with ``--out``, what it wrote."""
+    return case["exit"], "".join(case["stdout"]), _text(case.get("out", ()))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
