@@ -16,7 +16,6 @@ from .core import (
     PresheafObject,
     ValidationError,
     coproduct,
-    chain_colimit,
     enumerate_homs,
     fin_graph,
     fin_set,

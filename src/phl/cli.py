@@ -24,7 +24,7 @@ from .documents import (
     object_to_document,
     parse_document,
 )
-from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad, algebra_carrier
+from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad
 
 OBJECT_KINDS = ("set", "graph", "sset")
 ALGEBRA_KINDS = ("monoid", "category")
@@ -60,7 +60,7 @@ def cmd_classes(args):
             for rep in classes.representatives()
         ],
     }
-    return 0, report, None
+    return 0, report
 
 
 def cmd_homotopy(args):
@@ -69,8 +69,8 @@ def cmd_homotopy(args):
     g = _parse_expecting(args.g, ("map",), "a map")
     found = homotopy.find_homotopy(instance, f, g, guard=args.guard)
     if found is None:
-        return 1, {"homotopic": False}, None
-    return 0, {"homotopic": True, "witness": map_to_document(found.theta)}, None
+        return 1, {"homotopic": False}
+    return 0, {"homotopic": True, "witness": map_to_document(found.theta)}
 
 
 def cmd_lift(args):
@@ -101,8 +101,8 @@ def cmd_lift(args):
     else:
         diagonal = lifting.solve_lift(problem, guard=args.guard)
     if diagonal is None:
-        return 1, {"lift": False}, None
-    return 0, {"lift": True, "diagonal": map_to_document(diagonal)}, None
+        return 1, {"lift": False}
+    return 0, {"lift": True, "diagonal": map_to_document(diagonal)}
 
 
 def cmd_fibrant(args):
@@ -110,7 +110,7 @@ def cmd_fibrant(args):
         args.object, OBJECT_KINDS + ALGEBRA_KINDS, "an object, monoid or category"
     )
     if not isinstance(a, PresheafObject):
-        a = algebra_carrier(a)
+        a = a.carrier()
     family = _parse_expecting(args.family, ("family",), "a family")
     verdict = lifting.is_naively_fibrant_upto(a, family, guard=args.guard)
     report = {
@@ -119,16 +119,14 @@ def cmd_fibrant(args):
         "caveat": verdict.caveat,
         "squares_checked": verdict.squares_checked,
     }
-    counterexample = None
     if not verdict.ok:
         provenance, top, bottom = verdict.counterexample
-        counterexample = {
+        report["counterexample"] = {
             "entry": provenance,
             "top": map_to_document(top),
             "bottom": map_to_document(bottom),
         }
-        report["counterexample"] = counterexample
-    return (0 if verdict.ok else 1), report, None
+    return (0 if verdict.ok else 1), report
 
 
 def cmd_anodyne(args):
@@ -148,7 +146,7 @@ def cmd_anodyne(args):
         "depth": family.depth,
         "pre_dedup_counts": {str(k): v for k, v in family.pre_dedup_counts.items()},
     }
-    return 0, report, None
+    return 0, report
 
 
 def cmd_tweq(args):
@@ -159,7 +157,7 @@ def cmd_tweq(args):
         parsed = parse_document(path)
         if not isinstance(parsed, FiniteCategory):  # monoids included
             continue
-        base = algebra_carrier(parsed).signature.name
+        base = parsed.carrier().signature.name
         if base != instance.base:
             raise ValidationError(
                 f"{path} is an algebra over the base {base!r}, "
@@ -180,7 +178,7 @@ def cmd_tweq(args):
             for r in verdict.records
         ],
     }
-    return (0 if verdict.ok else 1), report, None
+    return (0 if verdict.ok else 1), report
 
 
 def cmd_witness_m2(args):
@@ -217,7 +215,7 @@ def cmd_witness_m2(args):
             ],
         }
     _write_out(args, document)
-    return 0, {"witness": document["kind"], "verified": True}, None
+    return 0, {"witness": document["kind"], "verified": True}
 
 
 def cmd_check_ehd(args):
@@ -241,7 +239,7 @@ def cmd_check_ehd(args):
             for c in report_obj.checks
         ],
     }
-    return (0 if report_obj.ok else 1), report, None
+    return (0 if report_obj.ok else 1), report
 
 
 def cmd_horn_fill(args):
@@ -256,7 +254,7 @@ def cmd_horn_fill(args):
     }
     if not report_obj.all_fill:
         report["counterexample"] = map_to_document(report_obj.first_failure)
-    return (0 if report_obj.all_fill else 1), report, None
+    return (0 if report_obj.all_fill else 1), report
 
 
 def cmd_nerve(args):
@@ -266,14 +264,14 @@ def cmd_nerve(args):
     obj = simplicial.nerve(category, args.cap)
     document = object_to_document(obj)
     _write_out(args, document)
-    return 0, {"cells": {sort: len(obj.cells[sort]) for sort in obj.signature.sorts}}, None
+    return 0, {"cells": {sort: len(obj.cells[sort]) for sort in obj.signature.sorts}}
 
 
 def cmd_tau0(args):
     x = _parse_expecting(args.x, ("sset",), "an sset")
     a = _parse_expecting(args.a, ("sset",), "an sset")
     classes = simplicial.tau0_classes(x, a, cap=args.cap, guard=args.guard)
-    return 0, {"class_count": classes.class_count, "caveat": classes.caveat}, None
+    return 0, {"class_count": classes.class_count, "caveat": classes.caveat}
 
 
 def cmd_verify(args):
@@ -311,12 +309,12 @@ def cmd_verify(args):
         }
     )
     ok = all(c["ok"] for c in checks)
-    return (0 if ok else 1), {"suite": args.suite, "ok": ok, "checks": checks}, None
+    return (0 if ok else 1), {"suite": args.suite, "ok": ok, "checks": checks}
 
 
 def cmd_fixtures(args):
     written = fixtures.emit_fixture_corpus(args.out or "fixtures")
-    return 0, {"written": [p.name for p in sorted(written)]}, None
+    return 0, {"written": [p.name for p in sorted(written)]}
 
 
 def build_parser():
@@ -420,7 +418,7 @@ def run_command(argv):
     if args.cap is None and args.instance.startswith("sset"):
         raise ValidationError(f"instance {args.instance!r} needs an explicit --cap")
     started = time.monotonic()
-    code, body, extra = args.handler(args)
+    code, body = args.handler(args)
     report = {
         "command": args.command,
         "parameters": {

@@ -355,33 +355,40 @@ def image_cells(f: PresheafMap):
 
 
 # ---------------------------------------------------------------------------
-# Coproducts, pushouts, products, chain colimits
+# Coproducts, pushouts, products
 # ---------------------------------------------------------------------------
+
+def coproduct_of(signature: Signature, summands):
+    """Disjoint union of the ``(prefix, object)`` summands, each cell c of a
+    summand labelled ``prefix + c``; no summands give the empty object.
+
+    Returns (object, list of the injections in summand order).
+    """
+    cells = {sort: [] for sort in signature.sorts}
+    ops = {name: {} for name, _, _ in signature.ops}
+    tables = []
+    for prefix, x in summands:
+        if x.signature.name != signature.name:
+            raise MismatchError("coproduct of objects in different bases")
+        on = {sort: {c: prefix + c for c in x.cells[sort]} for sort in signature.sorts}
+        for sort in signature.sorts:
+            cells[sort].extend(on[sort].values())
+        for name, s_sort, t_sort in signature.ops:
+            ops[name].update((on[s_sort][c], on[t_sort][v]) for c, v in x.ops[name].items())
+        tables.append((x, on))
+    for sort, labels in cells.items():
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"coproduct {sort} labels collide; choose distinct prefixes")
+    obj = PresheafObject(signature, cells, ops, _validated=True)
+    return obj, [PresheafMap(x, obj, on, _validated=True) for x, on in tables]
+
 
 def coproduct(x: PresheafObject, y: PresheafObject):
     """Disjoint union with the ``l:``/``r:`` label prefixing scheme.
 
     Returns (object, left injection, right injection).
     """
-    if x.signature.name != y.signature.name:
-        raise MismatchError("coproduct of objects in different bases")
-    sig = x.signature
-    cells, ops = {}, {}
-    left_on, right_on = {}, {}
-    for sort in sig.sorts:
-        left_on[sort] = {c: "l:" + c for c in x.cells[sort]}
-        right_on[sort] = {c: "r:" + c for c in y.cells[sort]}
-        cells[sort] = tuple(left_on[sort].values()) + tuple(right_on[sort].values())
-    for name, s_sort, t_sort in sig.ops:
-        table = {}
-        for c, v in x.ops[name].items():
-            table["l:" + c] = "l:" + v
-        for c, v in y.ops[name].items():
-            table["r:" + c] = "r:" + v
-        ops[name] = table
-    obj = PresheafObject(sig, cells, ops, _validated=True)
-    inl = PresheafMap(x, obj, left_on, _validated=True)
-    inr = PresheafMap(y, obj, right_on, _validated=True)
+    obj, (inl, inr) = coproduct_of(x.signature, [("l:", x), ("r:", y)])
     return obj, inl, inr
 
 
@@ -416,27 +423,19 @@ class PushoutResult:
     apex: PresheafObject
     left: PresheafMap   # B -> apex
     right: PresheafMap  # C -> apex
-    span: tuple         # (f: A -> B, g: A -> C)
 
     def mediate(self, p: PresheafMap, q: PresheafMap) -> Optional[PresheafMap]:
         """The unique map m with m∘left = p and m∘right = q, or None if
         (p, q) is not a commuting cocone on the span."""
-        f, g = self.span
         if p.domain != self.left.domain or q.domain != self.right.domain:
             raise MismatchError("cocone legs do not match the pushout span")
         if p.codomain != q.codomain:
             raise MismatchError("cocone legs have different codomains")
-        if f.then(p) != g.then(q):
+        # left and right cover the apex, and they force one image on a cell
+        # exactly when p∘f = q∘g
+        on = pin_along([(self.left, p), (self.right, q)])
+        if on is None:
             return None
-        on = {sort: {} for sort in self.apex.signature.sorts}
-        for sort in self.apex.signature.sorts:
-            for cell, value in self.left.on[sort].items():
-                on[sort][value] = p.on[sort][cell]
-            for cell, value in self.right.on[sort].items():
-                existing = on[sort].get(value)
-                if existing is not None and existing != q.on[sort][cell]:
-                    return None
-                on[sort][value] = q.on[sort][cell]
         return PresheafMap(self.apex, p.codomain, on, _validated=True)
 
 
@@ -480,30 +479,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
         {sort: {cell: rep[sort]["r:" + cell] for cell in c.cells[sort]} for sort in c.signature.sorts},
         _validated=True,
     )
-    return PushoutResult(apex, left, right, (f, g))
-
-
-def chain_colimit(maps):
-    """Colimit of a finite composable chain X0 -> X1 -> ... -> Xn.
-
-    The colimit object is Xn; the cocone consists of the composites into it
-    (with the identity at the end).  Provided for tower bookkeeping.
-    """
-    maps = list(maps)
-    if not maps:
-        raise ValidationError("chain_colimit needs at least one map")
-    for left, right in zip(maps, maps[1:]):
-        if left.codomain != right.domain:
-            raise MismatchError("chain is not composable")
-    top = maps[-1].codomain
-    cocone = []
-    for i in range(len(maps)):
-        leg = maps[i]
-        for nxt in maps[i + 1:]:
-            leg = leg.then(nxt)
-        cocone.append(leg)
-    cocone.append(identity(top))
-    return top, cocone
+    return PushoutResult(apex, left, right)
 
 
 def pair_label(a: str, b: str) -> str:
@@ -771,14 +747,16 @@ def enumerate_homs(dom: PresheafObject, cod: PresheafObject, guard=None) -> list
 
 
 def pin_along(legs, then=None) -> Optional[dict]:
-    """A ``pin`` for a search from the common codomain of the legs' inclusions.
+    """The assignment that the legs force on the common codomain of their
+    inclusions: a ``pin`` for a search from it or, when the inclusions
+    cover it, the table of the copairing or mediating map they determine.
 
     Each leg ``(incl, f)`` forces the image of ``incl(c)``, for every cell c
     of the domain of incl and f, to be ``f(c)``, or ``then(f(c))`` when a
     map ``then`` is given.  Returns None when two cells force different
     images on one cell.
     """
-    pin = {sort: {} for sort in legs[0][0].codomain.signature.sorts}
+    pin = {sort: {} for sort in legs[0][0].codomain.signature.sorts} if legs else {}
     for incl, f in legs:
         for sort, forced in pin.items():
             image = f.on[sort]

@@ -169,16 +169,14 @@ class CornerMap:
 
 def _corner(instance: CylinderData, j: PresheafMap, sub, incl, kind, endpoint):
     k, l = j.domain, j.codomain
-    k_cyl = instance.cylinder(k)
-    l_cyl = instance.cylinder(l)
+    j_tensor = instance.tensor_map(j)  # K⊗I -> L⊗I
     k_sub, _, _ = product(k, sub)
     # legs of the union pushout: K⊗S -> K⊗I and K⊗S -> L⊗S
-    into_kcyl = product_map(identity(k), incl, dom=k_sub, cod=k_cyl.obj)
+    into_kcyl = product_map(identity(k), incl, dom=k_sub, cod=j_tensor.domain)
     l_sub, _, _ = product(l, sub)
     into_lsub = product_map(j, identity(sub), dom=k_sub, cod=l_sub)
     po = pushout(into_kcyl, into_lsub)
-    j_tensor = product_map(j, identity(instance.interval), dom=k_cyl.obj, cod=l_cyl.obj)
-    l_incl = product_map(identity(l), incl, dom=l_sub, cod=l_cyl.obj)
+    l_incl = product_map(identity(l), incl, dom=l_sub, cod=j_tensor.codomain)
     arrow = po.mediate(j_tensor, l_incl)
     if arrow is None:
         raise ValidationError("corner cocone failed to commute")

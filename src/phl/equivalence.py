@@ -13,7 +13,7 @@ from .core import PresheafMap, bang, identity, search_maps
 from .cylinder import CylinderData
 from .homotopy import find_homotopy, homotopy_classes, induced_class_map
 from .lifting import AnodyneFamily, FibrancyVerdict, LiftingProblem, is_naively_fibrant_upto, solve_lift
-from .monads import algebra_carrier, extend_to_free
+from .monads import extend_to_free
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def is_t_weak_equivalence(instance: CylinderData, f: PresheafMap, algebras,
     supplied algebra carrier."""
     records = []
     for algebra in algebras:
-        carrier = algebra_carrier(algebra)
+        carrier = algebra.carrier()
         induced = induced_class_map(instance, f, carrier, guard=guard)
         records.append(
             AlgebraRecord(
@@ -111,7 +111,7 @@ def check_m3_sample(algebras, family: AnodyneFamily, guard=None) -> M3Report:
     """RLP of every algebra carrier against the generated family."""
     rows = []
     for algebra in algebras:
-        carrier = algebra_carrier(algebra)
+        carrier = algebra.carrier()
         rows.append(M3Row(algebra.name, is_naively_fibrant_upto(carrier, family, guard=guard)))
     return M3Report(tuple(rows))
 
@@ -119,7 +119,7 @@ def check_m3_sample(algebras, family: AnodyneFamily, guard=None) -> M3Report:
 def find_retraction(algebra, monad, guard=None) -> Optional[PresheafMap]:
     """A map alpha : T(A) -> A with alpha∘eta = id, found by the lifting
     oracle on the truncated free object."""
-    carrier = algebra_carrier(algebra)
+    carrier = algebra.carrier()
     eta = monad.unit(carrier)
     problem = LiftingProblem(eta, bang(carrier), identity(carrier), bang(eta.codomain))
     return solve_lift(problem, guard=guard)

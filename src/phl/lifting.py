@@ -46,8 +46,11 @@ class LiftingProblem:
             raise MismatchError("top map must land in the right map's domain")
         if self.bottom.codomain != self.right.codomain:
             raise MismatchError("bottom map must land in the right map's codomain")
-        if self.left.then(self.bottom) != self.top.then(self.right):
-            raise ValidationError("lifting square does not commute")
+        for sort, left in self.left.on.items():
+            bottom, top, right = self.bottom.on[sort], self.top.on[sort], self.right.on[sort]
+            for cell, image in left.items():
+                if bottom[image] != right[top[cell]]:
+                    raise ValidationError("lifting square does not commute")
 
     @classmethod
     def to_terminal(cls, left: PresheafMap, top: PresheafMap) -> "LiftingProblem":

@@ -351,10 +351,6 @@ class FiniteMonoid(FiniteCategory):
         return fin_set(self.elements)
 
 
-def algebra_carrier(algebra) -> PresheafObject:
-    return algebra.carrier()
-
-
 def algebra_extend(algebra, f: PresheafMap, monad) -> PresheafMap:
     """The canonical extension T(X) -> A of a map f : X -> A into an algebra.
 
@@ -362,7 +358,7 @@ def algebra_extend(algebra, f: PresheafMap, monad) -> PresheafMap:
     source, so the empty path goes to that identity (to the unit, for a
     monoid).
     """
-    carrier = algebra_carrier(algebra)
+    carrier = algebra.carrier()
     if f.codomain != carrier:
         raise ValidationError("map must land in the algebra carrier")
     tx = monad.apply(f.domain)

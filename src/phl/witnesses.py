@@ -18,9 +18,11 @@ from .core import (
     PresheafMap,
     PresheafObject,
     ValidationError,
+    coproduct_of,
     fin_set,
     identity,
     pair_label,
+    pin_along,
     pushout,
     relabel,
     subobject_from_cells,
@@ -30,6 +32,7 @@ from .monads import (
     FiniteCategory,
     FreeCategoryMonad,
     FreeMonoidMonad,
+    extend_to_free,
     linear_chain,
     word_label,
 )
@@ -182,44 +185,30 @@ def m2_retract_set(x: PresheafObject, cap: int, size_guard: int = 4) -> RetractW
     eta = monad.unit(x)
     pairs = finite_subset_pairs(x)
 
-    p_cells, q_cells = [], []
-    c_on = {}
-    components = []
+    # per (S, sigma): the unit of the canonical |S|-element set and sigma
+    # read as a map from that set to X
+    units, sigmas = [], []
     for subset, sigma in pairs:
-        k = len(subset)
-        tag = _component_tag(subset, sigma)
-        canonical = fin_set([str(i) for i in range(k)])
-        t_canonical = monad.apply(canonical)
-        dom_embed = {"element": {}}
-        cod_embed = {"element": {}}
-        for i in range(k):
-            label = f"{tag}/{i}"
-            p_cells.append(label)
-            dom_embed["element"][str(i)] = label
-        for wlabel in t_canonical.obj.cells["element"]:
-            label = f"{tag}/{wlabel}"
-            q_cells.append(label)
-            cod_embed["element"][wlabel] = label
-        unit = monad.unit(canonical)
-        for i in range(k):
-            c_on[f"{tag}/{i}"] = f"{tag}/{unit.on['element'][str(i)]}"
-        components.append((unit, dom_embed, cod_embed))
-    p = fin_set(p_cells)
-    q = fin_set(q_cells)
-    c = PresheafMap(p, q, {"element": c_on})
+        canonical = fin_set([str(i) for i in range(len(subset))])
+        units.append(monad.unit(canonical))
+        sigmas.append(PresheafMap(
+            canonical, x, {"element": {str(i): letter for i, letter in enumerate(sigma)}}
+        ))
+    tags = [_component_tag(subset, sigma) + "/" for subset, sigma in pairs]
+    p, into_p = coproduct_of(x.signature, [(tag, e.domain) for tag, e in zip(tags, units)])
+    q, into_q = coproduct_of(x.signature, [(tag, e.codomain) for tag, e in zip(tags, units)])
+    c = PresheafMap(p, q, pin_along([(i, e.then(j)) for i, e, j in zip(into_p, units, into_q)]))
+    r = PresheafMap(p, x, pin_along(list(zip(into_p, sigmas))))
+    v = PresheafMap(
+        q, tx.obj, pin_along([(j, monad.on_map(sigma)) for j, sigma in zip(into_q, sigmas)])
+    )
+    components = [(e, i.on, j.on) for e, i, j in zip(units, into_p, into_q)]
 
     s_on = {}
     for letter in letters:
         tag = _component_tag((letter,), (letter,))
         s_on[letter] = f"{tag}/0"
     s = PresheafMap(x, p, {"element": s_on})
-
-    r_on = {}
-    for subset, sigma in pairs:
-        tag = _component_tag(subset, sigma)
-        for i in range(len(subset)):
-            r_on[f"{tag}/{i}"] = sigma[i]
-    r = PresheafMap(p, x, {"element": r_on})
 
     u_on = {}
     for wlabel, word in tx.decode.items():
@@ -229,17 +218,6 @@ def m2_retract_set(x: PresheafObject, cap: int, size_guard: int = 4) -> RetractW
         digits = tuple(str(sigma.index(letter)) for letter in word)
         u_on[wlabel] = f"{tag}/{word_label(digits)}"
     u = PresheafMap(tx.obj, q, {"element": u_on})
-
-    v_on = {}
-    for subset, sigma in pairs:
-        k = len(subset)
-        tag = _component_tag(subset, sigma)
-        canonical = fin_set([str(i) for i in range(k)])
-        t_canonical = monad.apply(canonical)
-        for wlabel, word in t_canonical.decode.items():
-            image = tuple(sigma[int(d)] for d in word)
-            v_on[f"{tag}/{wlabel}"] = tx.encode[image]
-    v = PresheafMap(q, tx.obj, {"element": v_on})
 
     if s.then(r) != identity(x):
         raise WitnessError("retract identity r∘s = id failed")
@@ -358,48 +336,24 @@ def m2_tower_graph(
     eta = monad.unit(g)
 
     stages, h_maps, k_maps, steps = [], [], [], []
-    current = g
-    k_table = {
-        "vertex": {v: v for v in g.cells["vertex"]},
-        "edge": {e: eta.on["edge"][e] for e in g.cells["edge"]},
-    }
+    current, k_prev = g, eta
     composite_cell = {}  # T(G) path label -> cell of the current stage
 
     for n in range(0, n_max + 1):
         chain = linear_chain(n)
-        t_chain = FreeCategoryMonad(max(cap, n)).apply(chain)
-        unit = FreeCategoryMonad(max(cap, n)).unit(chain)
+        t_chain = monad.apply(chain)
+        unit = monad.unit(chain)
         glue_maps = _glue_maps(current, n, g, tg, glue, guard=guard)
 
         # span: coproduct of chain copies -> current, and -> coproduct of T[n] copies
-        a_cells = {"vertex": [], "edge": []}
-        a_ops = {"src": {}, "tgt": {}}
-        b_cells = {"vertex": [], "edge": []}
-        b_ops = {"src": {}, "tgt": {}}
-        left_on = {"vertex": {}, "edge": {}}
-        right_on = {"vertex": {}, "edge": {}}
-        components = []
-        for idx, c_map in enumerate(glue_maps):
-            for sort in ("vertex", "edge"):
-                for cell in chain.cells[sort]:
-                    label = f"{idx}/{cell}"
-                    a_cells[sort].append(label)
-                    left_on[sort][label] = c_map.on[sort][cell]
-                    right_on[sort][label] = f"{idx}/{unit.on[sort][cell]}"
-                for cell in t_chain.obj.cells[sort]:
-                    b_cells[sort].append(f"{idx}/{cell}")
-            for op in ("src", "tgt"):
-                for cell in chain.cells["edge"]:
-                    a_ops[op][f"{idx}/{cell}"] = f"{idx}/{chain.op(op, cell)}"
-                for cell in t_chain.obj.cells["edge"]:
-                    b_ops[op][f"{idx}/{cell}"] = f"{idx}/{t_chain.obj.op(op, cell)}"
-            dom_embed = {s: {c: f"{idx}/{c}" for c in chain.cells[s]} for s in ("vertex", "edge")}
-            cod_embed = {s: {c: f"{idx}/{c}" for c in t_chain.obj.cells[s]} for s in ("vertex", "edge")}
-            components.append((unit, dom_embed, cod_embed))
-        a_obj = PresheafObject(g.signature, a_cells, a_ops)
-        b_obj = PresheafObject(g.signature, b_cells, b_ops)
-        left = PresheafMap(a_obj, current, left_on)
-        right = PresheafMap(a_obj, b_obj, right_on)
+        tags = [f"{idx}/" for idx in range(len(glue_maps))]
+        a_obj, into_a = coproduct_of(g.signature, [(tag, chain) for tag in tags])
+        b_obj, into_b = coproduct_of(g.signature, [(tag, t_chain.obj) for tag in tags])
+        left = PresheafMap(a_obj, current, pin_along(list(zip(into_a, glue_maps))))
+        right = PresheafMap(
+            a_obj, b_obj, pin_along([(i, unit.then(j)) for i, j in zip(into_a, into_b)])
+        )
+        components = [(unit, i.on, j.on) for i, j in zip(into_a, into_b)]
         po = pushout(left, right)
 
         def rename(sort, label):
@@ -427,47 +381,30 @@ def m2_tower_graph(
             )
         )
 
-        # extend the comparison map to the new cells
-        new_k = {
-            "vertex": dict(k_table["vertex"]),
-            "edge": dict(k_table["edge"]),
-        }
-        for sort in ("vertex", "edge"):
-            table = {}
-            for cell, value in new_k[sort].items():
-                table[h_n.on[sort][cell]] = value
-            new_k[sort] = table
-        for idx, c_map in enumerate(glue_maps):
-            for cell in t_chain.obj.cells["edge"]:
-                image = glued.on["edge"][f"{idx}/{cell}"]
-                if image in new_k["edge"]:
-                    continue
-                i_from, i_to, digits = t_chain.decode[cell]
-                flat = []
-                for step_edge in digits:
-                    stage_edge = c_map.on["edge"][step_edge]
-                    path = tg.decode[k_table["edge"][stage_edge]]
-                    flat.extend(path[2])
-                if len(flat) > cap:
-                    raise CapError(
-                        f"stage-{n} composite flattens past the cap; lower n_max or raise cap"
-                    )
-                start = new_k["vertex"][glued.on["vertex"][f"{idx}/{i_from}"]]
-                end = new_k["vertex"][glued.on["vertex"][f"{idx}/{i_to}"]]
-                new_k["edge"][image] = tg.encode[(start, end, tuple(flat))]
+        # k_n is k_{n-1} on the old stage and, on each glued copy of T[n],
+        # the free extension of the glue map read in T(G); composites
+        # recorded at earlier stages keep their labels (originals are stable)
+        legs = [(h_n, k_prev)]
+        full_cell = t_chain.encode[("0", str(n), tuple(f"f{i}" for i in range(1, n + 1)))]
+        for j, c_map in zip(into_b, glue_maps):
+            extended = extend_to_free(monad, c_map.then(k_prev), t_chain, tg)
+            if extended is None:
+                raise CapError(
+                    f"stage-{n} composite flattens past the cap; lower n_max or raise cap"
+                )
+            copy = j.then(glued)
+            legs.append((copy, extended))
             path_shaped = n == 0 or all(
                 c_map.on["edge"][f"f{i}"] in set(g.cells["edge"])
                 for i in range(1, n + 1)
             )
             if path_shaped:
-                full_cell = t_chain.encode[
-                    ("0", str(n), tuple(f"f{i}" for i in range(1, n + 1)))
-                ]
-                target = glued.on["edge"][f"{idx}/{full_cell}"]
-                composite_cell[new_k["edge"][target]] = target
-        # previously recorded composites keep their labels (originals are stable)
-        k_table = new_k
-        k_maps.append(PresheafMap(stages[-1], tg.obj, k_table))
+                composite_cell[extended.on["edge"][full_cell]] = copy.on["edge"][full_cell]
+        k_on = pin_along(legs)
+        if k_on is None:
+            raise WitnessError(f"k_{n} is not well defined on the stage-{n} pushout")
+        k_prev = PresheafMap(stage_obj, tg.obj, k_on)
+        k_maps.append(k_prev)
         current = stage_obj
 
     # verify the tower compatibilities

@@ -59,11 +59,7 @@ from phl.lifting import (
     is_naively_fibrant_upto,
     solve_lift,
 )
-from phl.monads import (
-    FreeCategoryMonad,
-    FreeMonoidMonad,
-    algebra_carrier,
-)
+from phl.monads import FreeCategoryMonad, FreeMonoidMonad
 from phl.simplicial import delta, nerve, tau0_classes, horn_filler
 from phl.witnesses import (
     explicit_lift_category,
@@ -362,13 +358,13 @@ def test_c09_unit_naturality_and_retractions():
     for algebra in corpus_monoids():
         alpha = find_retraction(algebra, smonad)
         assert alpha is not None
-        carrier = algebra_carrier(algebra)
+        carrier = algebra.carrier()
         assert mono_unit(smonad, carrier).then(alpha) == identity(carrier)
         retractions += 1
     for algebra in corpus_categories():
         alpha = find_retraction(algebra, gmonad)
         assert alpha is not None
-        carrier = algebra_carrier(algebra)
+        carrier = algebra.carrier()
         assert mono_unit(gmonad, carrier).then(alpha) == identity(carrier)
         retractions += 1
     report(

@@ -5,8 +5,8 @@ from phl import core
 from phl.core import (
     PresheafMap,
     ValidationError,
-    chain_colimit,
     coproduct,
+    coproduct_of,
     enumerate_homs,
     fin_graph,
     fin_set,
@@ -94,6 +94,39 @@ class TestCoproduct:
         assert len(obj.cells["vertex"]) == 2
         assert len(obj.cells["edge"]) == 1
 
+    def test_no_summands_give_the_empty_object(self):
+        sig = fin_graph([], []).signature
+        obj, injections = coproduct_of(sig, [])
+        assert obj == core.empty_object(sig)
+        assert injections == []
+
+    def test_n_ary_labels_and_disjoint_covering_injections(self):
+        summands = [
+            ("0/", fin_graph(["a", "b"], [("e", "a", "b")])),
+            ("1/", fin_graph(["a"], [("e", "a", "a")])),
+            ("2/", fin_graph([], [])),
+        ]
+        obj, injections = coproduct_of(summands[0][1].signature, summands)
+        assert len(injections) == len(summands)
+        for (prefix, x), inj in zip(summands, injections):
+            assert inj.domain == x and inj.codomain == obj
+            for sort, cell in x.cell_items():
+                assert inj(sort, cell) == prefix + cell
+            assert is_mono(inj)
+        for sort in obj.signature.sorts:
+            images = [c for inj in injections for c in inj.on[sort].values()]
+            assert sorted(images) == list(obj.cells[sort])
+        assert obj.op("src", "1/e") == "1/a" and obj.op("tgt", "0/e") == "0/b"
+
+    def test_colliding_prefixes_are_refused(self):
+        with pytest.raises(ValidationError):
+            coproduct_of(core.SET_SIGNATURE, [("", fin_set(["a"])), ("", fin_set(["a"]))])
+
+    def test_binary_is_the_l_r_case(self):
+        x, y = fin_set(["a"]), fin_set(["a", "b"])
+        obj, inl, inr = coproduct(x, y)
+        assert (obj, [inl, inr]) == coproduct_of(x.signature, [("l:", x), ("r:", y)])
+
 
 class TestPushout:
     def test_absorption(self):
@@ -163,35 +196,6 @@ class TestPushout:
                 for f in monos:
                     po = pushout(f, g)
                     assert is_mono(po.right)
-
-
-class TestChainColimit:
-    def test_single_map(self):
-        f = PresheafMap(fin_set(["a"]), fin_set(["a", "b"]), {"element": {"a": "b"}})
-        top, cocone = chain_colimit([f])
-        assert top == f.codomain
-        assert cocone[0] == f
-        assert cocone[1] == identity(top)
-
-    def test_identity_chain(self):
-        x = fin_graph(["a"], [("l", "a", "a")])
-        top, cocone = chain_colimit([identity(x), identity(x), identity(x)])
-        assert top == x
-        assert all(leg == identity(x) for leg in cocone)
-
-    def test_non_composable_chain(self):
-        f = PresheafMap(fin_set(["a"]), fin_set(["a", "b"]), {"element": {"a": "b"}})
-        g = PresheafMap(fin_set(["z"]), fin_set(["z"]), {"element": {"z": "z"}})
-        with pytest.raises(core.MismatchError):
-            chain_colimit([f, g])
-
-    def test_cocone_legs_compose(self):
-        a, b, c = fin_set(["a"]), fin_set(["a", "b"]), fin_set(["a", "b", "c"])
-        f = PresheafMap(a, b, {"element": {"a": "b"}})
-        g = PresheafMap(b, c, {"element": {"a": "a", "b": "c"}})
-        top, cocone = chain_colimit([f, g])
-        assert cocone[0] == f.then(g)
-        assert cocone[1] == g
 
 
 class TestProduct:

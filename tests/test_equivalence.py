@@ -19,7 +19,7 @@ from phl.fixtures import (
     z2_category,
 )
 from phl.lifting import generate_anodyne
-from phl.monads import FreeCategoryMonad, FreeMonoidMonad, algebra_carrier
+from phl.monads import FreeCategoryMonad, FreeMonoidMonad
 
 from conftest import mono_unit
 
@@ -194,13 +194,13 @@ class TestRetraction:
         for algebra in corpus_monoids():
             alpha = find_retraction(algebra, FreeMonoidMonad(2))
             assert alpha is not None
-            carrier = algebra_carrier(algebra)
+            carrier = algebra.carrier()
             assert mono_unit(FreeMonoidMonad(2), carrier).then(alpha) == identity(carrier)
         for algebra in (terminal_category(), groupoid_interval(), chain2_category(),
                         z2_category(), discrete2_category()):
             alpha = find_retraction(algebra, FreeCategoryMonad(2))
             assert alpha is not None
-            carrier = algebra_carrier(algebra)
+            carrier = algebra.carrier()
             assert mono_unit(FreeCategoryMonad(2), carrier).then(alpha) == identity(carrier)
 
 
