@@ -35,6 +35,15 @@ FIBRANT_DEPTHS = range(2)
 WITNESS_CAPS = (1, 2, 3)
 #: instance -> base of the algebras and corpus monos its ``tweq`` cases use
 TWEQ_INSTANCES = {"set2": "set", "graphI": "graph"}
+#: (instance, corpus stem of X, corpus stem of Y): every ordered pair of maps
+#: X -> Y is one ``homotopy`` case
+HOMOTOPY_HOMS = (
+    ("set2", "set0", "set1"), ("set2", "set1", "set2"), ("set2", "set2", "set2"),
+    ("graphI", "graph_vertex", "graph_edge"), ("graphI", "graph_edge", "graph_cycle2"),
+    ("graphI", "graph_loop", "graph_two_loops"), ("graphI", "graph_loop", "graph_looped_pair"),
+    ("graphI", "graph_two_vertices", "graph_edge"),
+    ("graphI", "graph_edge", "graph_looped_edge"),
+)
 
 
 def _corpus_monos(base):
@@ -45,7 +54,8 @@ def _corpus_monos(base):
 
 def prepare(workdir: Path):
     """Write the corpus, the nerves, the simplices, the families, the corpus
-    monos and one directory of probe algebras per base."""
+    monos, one directory of probe algebras per base, the maps of the
+    ``homotopy`` cases and the squares of the ``lift`` cases."""
     from phl import documents, fixtures, lifting, simplicial
     from phl.cylinder import get_instance
 
@@ -70,6 +80,67 @@ def prepare(workdir: Path):
         (workdir / f"algebras_{base}").mkdir(exist_ok=True)
         for algebra in fixtures.we_algebras(base):
             write(f"algebras_{base}/{algebra.name}.json", documents.algebra_to_document(algebra))
+    for (_, x, y), homs in _homotopy_homs().items():
+        for i, f in enumerate(homs):
+            write(f"hom_{x}__{y}_{i}.json", documents.map_to_document(f))
+    for name, _, _, square in _lift_squares():
+        write(f"square_{name}.json", square)
+
+
+def _homotopy_homs():
+    """Per entry of ``HOMOTOPY_HOMS``, the maps X -> Y in enumeration order."""
+    from phl import core, fixtures
+
+    objects = {f"set{i}": x for i, x in enumerate(fixtures.corpus_sets())}
+    objects.update((f"graph_{name}", g) for name, g in fixtures.corpus_graphs().items())
+    return {
+        (instance, x, y): core.enumerate_homs(objects[x], objects[y])
+        for instance, x, y in HOMOTOPY_HOMS
+    }
+
+
+def _lift_squares():
+    """(name, corner stem, algebra stem or None, square document): one
+    square over carrier -> 1 per top map from an endpoint corner of a mono
+    j, which the document records as its provenance.  In the
+    ``two_vertices`` corners K has no loops, so the explicit category lift
+    has no thread connector to build from."""
+    from phl import core, documents, fixtures
+    from phl.cylinder import corner_endpoint, get_instance
+
+    looped = core.fin_graph(["a"], [("la", "a", "a")])
+    looped_edge = core.fin_graph(["a", "b"], [("la", "a", "a"), ("e", "a", "b")])
+    j_loop = core.PresheafMap(looped, looped_edge, {"vertex": {"a": "a"}, "edge": {"la": "la"}})
+    set_mono = fixtures.corpus_monos_set()[1]
+    vertex_mono, two_vertices_mono = fixtures.corpus_monos_graph()[1:3]
+    gpd, chain2 = fixtures.groupoid_interval(), fixtures.chain2_category()
+    corners = (
+        ("point_in_pair__set2", "set2", set_mono, fixtures.corpus_sets()[2], None),
+        ("vertex_in_edge__chain2", "graphI", vertex_mono,
+         fixtures.corpus_graphs()["chain2"], None),
+        ("loop_in_looped_edge__gpd", "graphI", j_loop, gpd.underlying_graph(),
+         "cat_groupoid_interval"),
+        ("loop_in_looped_edge__chain2cat", "graphI", j_loop, chain2.underlying_graph(),
+         "cat_chain2"),
+        ("two_vertices_in_edge__gpd", "graphI", two_vertices_mono, gpd.underlying_graph(),
+         "cat_groupoid_interval"),
+    )
+    out = []
+    for stem, instance, j, carrier, algebra in corners:
+        for e in (0, 1):
+            corner = corner_endpoint(get_instance(instance), j, e)
+            for i, top in enumerate(core.enumerate_homs(corner.domain, carrier)):
+                out.append((f"{stem}_e{e}_t{i}", stem, algebra, {
+                    "kind": "square",
+                    "left": documents.map_to_document(corner.arrow),
+                    "right": documents.map_to_document(core.bang(carrier)),
+                    "top": documents.map_to_document(top),
+                    "bottom": documents.map_to_document(core.bang(corner.codomain)),
+                    "corner": {
+                        "instance": instance, "j": documents.map_to_document(j), "endpoint": e,
+                    },
+                }))
+    return out
 
 
 def cases():
@@ -144,6 +215,31 @@ def cases():
             out.append(("tweq", f"{base}{i}_{instance}", [
                 "tweq", f"mono_{base}{i}.json", "--algebras", f"algebras_{base}",
                 "--instance", instance, "--guard", GUARD,
+            ]))
+    for (instance, x, y), homs in _homotopy_homs().items():
+        for i in range(len(homs)):
+            for j in range(len(homs)):
+                out.append(("homotopy", f"{x}__{y}_{i}_{j}", [
+                    "homotopy", f"hom_{x}__{y}_{i}.json", f"hom_{x}__{y}_{j}.json",
+                    "--instance", instance, "--guard", GUARD,
+                ]))
+    out.append(("homotopy", "not_parallel", [
+        "homotopy", "hom_set1__set2_0.json", "hom_set2__set2_0.json",
+        "--instance", "set2", "--guard", GUARD,
+    ]))
+    out.append(("homotopy", "graph_maps_under_set2", [
+        "homotopy", "hom_graph_vertex__graph_edge_0.json", "hom_graph_vertex__graph_edge_1.json",
+        "--instance", "set2", "--guard", GUARD,
+    ]))
+    for name, stem, algebra, _ in _lift_squares():
+        square = ["lift", "--square", f"square_{name}.json"]
+        if not stem.startswith("two_vertices"):
+            out.append(("lift", f"search_{name}", square + ["--guard", GUARD]))
+        if stem.endswith("set2") or name == "loop_in_looped_edge__gpd_e0_t0":
+            out.append(("lift", f"monoid_{name}", square + ["--explicit", "monoid"]))
+        if algebra is not None and (not stem.startswith("two_vertices") or name.endswith("_t0")):
+            out.append(("lift", f"category_{name}", square + [
+                "--explicit", "category", "--algebra", f"corpus/{algebra}.json",
             ]))
     return out
 

@@ -20,7 +20,7 @@ import golden_cases
 SEEDS = ("0", "42")
 COMMANDS = (
     "horn-fill", "tau0", "fibrant", "anodyne", "classes",
-    "witness-m2", "verify", "check-ehd", "tweq", "nerve", "fixtures",
+    "witness-m2", "verify", "check-ehd", "tweq", "nerve", "fixtures", "homotopy", "lift",
 )
 
 
