@@ -35,7 +35,6 @@ from .cylinder import (
 )
 from .homotopy import (
     HomClasses,
-    Homotopy,
     check_equivalence_relation,
     find_homotopy,
     homotopy_classes,

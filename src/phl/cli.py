@@ -67,10 +67,10 @@ def cmd_homotopy(args):
     instance = _instance(args)
     f = _parse_expecting(args.f, ("map",), "a map")
     g = _parse_expecting(args.g, ("map",), "a map")
-    found = homotopy.find_homotopy(instance, f, g, guard=args.guard)
-    if found is None:
+    theta = homotopy.find_homotopy(instance, f, g, guard=args.guard)
+    if theta is None:
         return 1, {"homotopic": False}
-    return 0, {"homotopic": True, "witness": map_to_document(found.theta)}
+    return 0, {"homotopic": True, "witness": map_to_document(theta)}
 
 
 def cmd_lift(args):

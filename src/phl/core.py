@@ -11,7 +11,6 @@ deduplication logic depend on it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -40,16 +39,6 @@ class CapError(Error):
 #: Default budget for exhaustive searches, counted in candidate cell
 #: assignments examined.  Exceeding it raises, never degrades.
 DEFAULT_GUARD = 10_000_000
-
-
-def resolve_guard(guard: Optional[int] = None) -> int:
-    """Effective guard: explicit argument, else PHL_GUARD, else the default."""
-    if guard is not None:
-        return guard
-    env = os.environ.get("PHL_GUARD")
-    if env:
-        return int(env)
-    return DEFAULT_GUARD
 
 
 @dataclass(frozen=True)
@@ -656,9 +645,9 @@ def search_maps(
 
     ``pin`` forces images for some cells (sort -> {cell: image}),
     ``cell_filter(sort, cell, value)`` prunes candidates, ``injective``
-    restricts to cell-wise injective maps.  The guard counts candidate
-    assignments examined -- a pinned or forced cell counts as one -- and
-    raises :class:`GuardExceeded` loudly.
+    restricts to cell-wise injective maps.  The guard (``DEFAULT_GUARD`` if
+    None) counts candidate assignments examined -- a pinned or forced cell
+    counts as one -- and raises :class:`GuardExceeded` loudly.
     """
     if dom.signature.name != cod.signature.name:
         raise MismatchError("hom enumeration between different bases")
@@ -669,7 +658,8 @@ def search_maps(
         for cell, value in table.items():
             if cell in positions:
                 pinned[positions[cell]] = value
-    return _walk(dom, cod, plan, pinned, cell_filter, injective, resolve_guard(guard))
+    budget = DEFAULT_GUARD if guard is None else guard
+    return _walk(dom, cod, plan, pinned, cell_filter, injective, budget)
 
 
 def _walk(dom, cod, plan, pinned, cell_filter, injective, budget):

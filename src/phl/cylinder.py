@@ -84,21 +84,6 @@ class CylinderData:
         self.check_base(f.domain)
         return product_map(f, identity(self.interval))
 
-    def endpoint_subobject(self, e: int):
-        """The subobject {e} of the interval: the image of the endpoint-e
-        inclusion at the terminal object.  Returns (object, inclusion)."""
-        targets = self.const_targets[e]
-        keep = {sort: {targets[sort]} for sort in self.interval.signature.sorts}
-        return subobject_from_cells(self.interval, keep)
-
-    def boundary_subobject(self):
-        """∂I: both endpoint images inside the interval."""
-        keep = {
-            sort: {self.const_targets[0][sort], self.const_targets[1][sort]}
-            for sort in self.interval.signature.sorts
-        }
-        return subobject_from_cells(self.interval, keep)
-
 
 def set_instance() -> CylinderData:
     """Sets with cartesian product by the two-point classifier {0, 1}."""
@@ -167,7 +152,17 @@ class CornerMap:
         return cell in self.preimage[sort]
 
 
-def _corner(instance: CylinderData, j: PresheafMap, sub, incl, kind, endpoint):
+def _corner(instance: CylinderData, j: PresheafMap, endpoint: Optional[int]) -> CornerMap:
+    """K⊗I ∪ L⊗S -> L⊗I, where S is the subobject of the interval on the
+    images of the endpoint inclusions at the terminal object: ∂I when
+    ``endpoint`` is None, else {endpoint}."""
+    if not is_mono(j):
+        raise ValidationError("corner seeds must be monomorphisms")
+    ends = (0, 1) if endpoint is None else (endpoint,)
+    sub, incl = subobject_from_cells(instance.interval, {
+        sort: {instance.const_targets[e][sort] for e in ends}
+        for sort in instance.interval.signature.sorts
+    })
     k, l = j.domain, j.codomain
     j_tensor = instance.tensor_map(j)  # K⊗I -> L⊗I
     k_sub, _, _ = product(k, sub)
@@ -186,25 +181,20 @@ def _corner(instance: CylinderData, j: PresheafMap, sub, incl, kind, endpoint):
         sort: {value: cell for cell, value in arrow.on[sort].items()}
         for sort in arrow.domain.signature.sorts
     }
+    kind = "full" if endpoint is None else "endpoint"
     return CornerMap(arrow, instance.name, j, kind, endpoint, preimage)
 
 
 def corner_full(instance: CylinderData, j: PresheafMap) -> CornerMap:
     """K⊗I ∪ L⊗∂I -> L⊗I for a mono j : K -> L."""
-    if not is_mono(j):
-        raise ValidationError("corner seeds must be monomorphisms")
-    sub, incl = instance.boundary_subobject()
-    return _corner(instance, j, sub, incl, "full", None)
+    return _corner(instance, j, None)
 
 
 def corner_endpoint(instance: CylinderData, j: PresheafMap, e: int) -> CornerMap:
     """K⊗I ∪ L⊗{e} -> L⊗I for a mono j : K -> L and endpoint e."""
-    if not is_mono(j):
-        raise ValidationError("corner seeds must be monomorphisms")
     if e not in (0, 1):
         raise ValidationError("endpoint must be 0 or 1")
-    sub, incl = instance.endpoint_subobject(e)
-    return _corner(instance, j, sub, incl, "endpoint", e)
+    return _corner(instance, j, e)
 
 
 @dataclass(frozen=True)

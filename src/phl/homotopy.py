@@ -17,28 +17,17 @@ from .core import (
 from .cylinder import CylinderData
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """A witness theta : X⊗I -> Y with theta∘d0 = f and theta∘d1 = g."""
-
-    theta: PresheafMap
-    f: PresheafMap
-    g: PresheafMap
-
-
 def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
-                  guard=None) -> Optional[Homotopy]:
-    """Lexicographically least one-step homotopy from f to g, or None."""
+                  guard=None) -> Optional[PresheafMap]:
+    """Lexicographically least one-step homotopy from f to g: a map
+    theta : X⊗I -> Y with theta∘d0 = f and theta∘d1 = g, or None."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise MismatchError("homotopy endpoints must be parallel maps")
     cyl = instance.cylinder(f.domain)
     pin = pin_along([(cyl.d0, f), (cyl.d1, g)])  # theta on the two ends
     if pin is None:
         return None
-    theta = first_map(cyl.obj, f.codomain, pin=pin, guard=guard)
-    if theta is None:
-        return None
-    return Homotopy(theta, f, g)
+    return first_map(cyl.obj, f.codomain, pin=pin, guard=guard)
 
 
 def homotopic(instance, f, g, guard=None) -> bool:

@@ -25,7 +25,7 @@ from .core import (
     pin_along,
     search_maps,
 )
-from .cylinder import CornerMap, CylinderData, corner_endpoint, corner_full
+from .cylinder import CylinderData, corner_endpoint, corner_full
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ class FamilyEntry:
     arrow: PresheafMap
     depth: int
     provenance: str
-    corner: Optional[CornerMap] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,6 @@ class AnodyneFamily:
 
     def at_depth(self, n: int):
         return tuple(e for e in self.entries if e.depth == n)
-
-    def upto_depth(self, n: int):
-        return tuple(e for e in self.entries if e.depth <= n)
 
 
 def default_generating_monos(instance: CylinderData):
@@ -160,23 +156,24 @@ def generate_anodyne(instance: CylinderData, seeds, generators=None, depth=0,
 
     def push(candidates, level):
         pre_dedup[level] = len(candidates)
-        for arrow, provenance, corner in candidates:
+        for arrow, provenance in candidates:
             if any(arrows_isomorphic(arrow, kept.arrow, guard=guard) for kept in entries):
                 continue
-            entries.append(FamilyEntry(arrow, level, provenance, corner))
+            entries.append(FamilyEntry(arrow, level, provenance))
 
-    level0 = [(s, f"seed[{idx}]", None) for idx, s in enumerate(seeds)]
+    level0 = [(s, f"seed[{idx}]") for idx, s in enumerate(seeds)]
     for idx, m in enumerate(generators):
         for e in (0, 1):
-            corner = corner_endpoint(instance, m, e)
-            level0.append((corner.arrow, f"endpoint-corner[{idx},e={e}]", corner))
+            level0.append(
+                (corner_endpoint(instance, m, e).arrow, f"endpoint-corner[{idx},e={e}]")
+            )
     push(level0, 0)
     for level in range(1, depth + 1):
         previous = [entry for entry in entries if entry.depth == level - 1]
-        batch = []
-        for entry in previous:
-            corner = corner_full(instance, entry.arrow)
-            batch.append((corner.arrow, f"corner({entry.provenance})", corner))
+        batch = [
+            (corner_full(instance, entry.arrow).arrow, f"corner({entry.provenance})")
+            for entry in previous
+        ]
         push(batch, level)
     return AnodyneFamily(
         instance.name, tuple(entries), depth, len(seeds), len(generators), pre_dedup
@@ -190,15 +187,13 @@ class RlpVerdict:
     counterexample: Optional[tuple] = None  # (entry provenance, top, bottom)
 
 
-def has_rlp(p: PresheafMap, family, guard=None) -> RlpVerdict:
+def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
     """Whether p lifts against every family entry, over every commuting
     square, enumerated exhaustively; the first failure in enumeration order
     is returned as the counterexample."""
-    entries = family.entries if isinstance(family, AnodyneFamily) else tuple(family)
     checked = 0
-    for entry in entries:
-        i = entry.arrow if isinstance(entry, FamilyEntry) else entry
-        provenance = entry.provenance if isinstance(entry, FamilyEntry) else "entry"
+    for entry in family.entries:
+        i = entry.arrow
         for top in search_maps(i.domain, p.domain, guard=guard):
             pin = pin_along([(i, top)], then=p)
             if pin is None:
@@ -207,7 +202,7 @@ def has_rlp(p: PresheafMap, family, guard=None) -> RlpVerdict:
                 checked += 1
                 problem = LiftingProblem(i, p, top, bottom)
                 if solve_lift(problem, guard=guard) is None:
-                    return RlpVerdict(False, checked, (provenance, top, bottom))
+                    return RlpVerdict(False, checked, (entry.provenance, top, bottom))
     return RlpVerdict(True, checked)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
+    DEFAULT_GUARD,
     CapError,
     GuardExceeded,
     PresheafMap,
@@ -30,7 +31,6 @@ from .core import (
     ValidationError,
     fin_graph,
     fin_set,
-    resolve_guard,
 )
 
 
@@ -128,13 +128,13 @@ class FreeCategoryMonad:
 
     # -- the monad ---------------------------------------------------------
 
-    def apply(self, x: PresheafObject, guard=None) -> TObject:
+    def apply(self, x: PresheafObject) -> TObject:
         """Vertices of X with all composable paths of length at most the cap,
         the empty path at each vertex included, shortest first and each
-        length in lexicographic order of its edges."""
+        length in lexicographic order of its edges; more than
+        ``DEFAULT_GUARD`` cells raise."""
         if x._key in self._cache:
             return self._cache[x._key]
-        budget = resolve_guard(guard)
         vertices, ends = self._graph(x)
         leaving = {v: [] for v in vertices}
         for e, (a, _b) in ends.items():
@@ -143,7 +143,7 @@ class FreeCategoryMonad:
         layer = [(v, v, ()) for v in vertices]
         for length in range(self.cap + 1):
             for a, b, edges in layer:
-                if len(decode) >= budget:
+                if len(decode) >= DEFAULT_GUARD:
                     raise GuardExceeded(f"{self.name} enumeration exceeded the guard")
                 label = path_label(a, edges)
                 if label in decode:

@@ -178,34 +178,22 @@ def nerve(category: FiniteCategory, cap: int) -> PresheafObject:
     identities.
     """
     cells = {0: tuple(category.objects)}
-    chains = {0: [()]}
-    level = [(obj, obj, ()) for obj in category.objects]
-    by_dim = {0: level}
+    decode = {0: {obj: (obj, obj, ()) for obj in category.objects}}
+    chains = [(category.src[g], category.tgt[g], (g,)) for g in category.morphisms]
     for m in range(1, cap + 1):
-        nxt = []
-        for src, tgt, chain in by_dim[m - 1]:
-            for g in category.morphisms:
-                if m == 1:
-                    nxt.append((category.src[g], category.tgt[g], (g,)))
-                elif category.src[g] == tgt:
-                    nxt.append((src, category.tgt[g], chain + (g,)))
-        if m == 1:
-            # the loop above would add each morphism once per object
-            nxt = [
-                (category.src[g], category.tgt[g], (g,))
+        if m > 1:
+            chains = [
+                (src, category.tgt[g], chain + (g,))
+                for src, tgt, chain in chains
                 for g in category.morphisms
+                if category.src[g] == tgt
             ]
-        by_dim[m] = nxt
-        labels = tuple(_chain_label(chain) for _, _, chain in nxt)
+        labels = tuple(_chain_label(chain) for _, _, chain in chains)
         if len(set(labels)) != len(labels):
             raise ValidationError("nerve labels collide; rename the morphisms")
         cells[m] = labels
+        decode[m] = dict(zip(labels, chains))
     faces, degens = {}, {}
-    decode = {0: {obj: (obj, obj, ()) for obj in category.objects}}
-    for m in range(1, cap + 1):
-        decode[m] = {
-            _chain_label(chain): (src, tgt, chain) for src, tgt, chain in by_dim[m]
-        }
     for m in range(1, cap + 1):
         for i in range(m + 1):
             table = {}

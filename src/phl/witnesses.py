@@ -2,8 +2,8 @@
 
 Every witness is verified structurally before it is returned; the
 constructors refuse to hand back anything whose identities fail.  Each
-construction step carries a saturation-rule tag (generator, coproduct,
-pushout, composite, retract) with enough evidence to re-check the step.
+construction step carries a saturation-rule tag (coproduct, pushout,
+composite, retract) with enough evidence to re-check the step.
 """
 
 from __future__ import annotations
@@ -50,7 +50,11 @@ class LiftConstructionError(Error):
     """The case-analysis lift has no data to build from on this input."""
 
 
-ALLOWED_RULES = ("generator", "coproduct", "pushout", "composite", "retract")
+#: The largest set whose retract witness is built: the middle map has one
+#: component per ordered subset, which is exponential in |X|.
+RETRACT_MAX_ELEMENTS = 4
+#: The largest graph, as (vertices, edges), whose tower witness is built.
+TOWER_MAX_SIZE = (2, 2)
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,6 @@ class SaturationStep:
     evidence: tuple = field(repr=False, default=())
 
     def verify(self) -> bool:
-        if self.rule not in ALLOWED_RULES:
-            return False
-        if self.rule == "generator":
-            (arrow, generator) = self.evidence
-            from .core import arrows_isomorphic
-
-            return arrows_isomorphic(arrow, generator)
         if self.rule == "coproduct":
             (arrow, components) = self.evidence
             return _verify_coproduct(arrow, components)
@@ -164,7 +161,7 @@ def finite_subset_pairs(x: PresheafObject):
     return pairs
 
 
-def m2_retract_set(x: PresheafObject, cap: int, size_guard: int = 4) -> RetractWitness:
+def m2_retract_set(x: PresheafObject, cap: int) -> RetractWitness:
     """The explicit retract exhibiting the free-monoid unit of X.
 
     The middle map is the coproduct, over all (S, sigma), of the units of
@@ -176,9 +173,10 @@ def m2_retract_set(x: PresheafObject, cap: int, size_guard: int = 4) -> RetractW
     if cap < 1:
         raise CapError("retract witness needs cap >= 1")
     letters = x.cells["element"]
-    if len(letters) > size_guard:
+    if len(letters) > RETRACT_MAX_ELEMENTS:
         raise ValidationError(
-            f"retract witness is exponential in |X|; {len(letters)} exceeds the guard {size_guard}"
+            f"retract witness is exponential in |X|; {len(letters)} exceeds the guard "
+            f"{RETRACT_MAX_ELEMENTS}"
         )
     monad = FreeMonoidMonad(cap)
     tx = monad.apply(x)
@@ -256,7 +254,6 @@ class TowerWitness:
     graph: PresheafObject
     n_max: int
     cap: int
-    glue: str
     stages: tuple            # G~(0) .. G~(n_max)
     h_maps: tuple            # G -> G~(0), then G~(i-1) -> G~(i)
     k_maps: tuple            # G~(i) -> T(G)
@@ -267,51 +264,31 @@ class TowerWitness:
     steps: tuple
 
 
-def _chain_vertices(g: PresheafObject, edges):
-    if not edges:
-        return None
-    verts = [g.op("src", edges[0])]
-    for e in edges:
-        verts.append(g.op("tgt", e))
-    return verts
-
-
-def _glue_maps(stage_obj, n, g, tg, glue, guard=None):
-    """Glue family for stage n: either the chain maps landing in the base
-    graph's image (every map the section needs) or all chain maps into the
-    current stage (exact but explosive)."""
+def _glue_maps(stage_obj, n, g, tg):
+    """Glue family for stage n: the length-n paths of the base graph read as
+    chain maps into the current stage, which are every map the section
+    needs."""
     chain = linear_chain(n)
     if n == 0:
         return [
             PresheafMap(chain, stage_obj, {"vertex": {"0": v}, "edge": {}})
             for v in g.cells["vertex"]
         ]
-    if glue == "base-paths":
-        maps = []
-        for label in tg.obj.cells["edge"]:
-            a, b, edges = tg.decode[label]
-            if len(edges) != n:
-                continue
-            verts = _chain_vertices(g, edges)
-            on = {
-                "vertex": {str(i): verts[i] for i in range(n + 1)},
-                "edge": {f"f{i}": edges[i - 1] for i in range(1, n + 1)},
-            }
-            maps.append(PresheafMap(chain, stage_obj, on))
-        return maps
-    from .core import enumerate_homs
-
-    return enumerate_homs(chain, stage_obj, guard=guard)
+    maps = []
+    for label in tg.obj.cells["edge"]:
+        _, _, edges = tg.decode[label]
+        if len(edges) != n:
+            continue
+        verts = [g.op("src", edges[0])] + [g.op("tgt", e) for e in edges]
+        on = {
+            "vertex": {str(i): verts[i] for i in range(n + 1)},
+            "edge": {f"f{i}": edges[i - 1] for i in range(1, n + 1)},
+        }
+        maps.append(PresheafMap(chain, stage_obj, on))
+    return maps
 
 
-def m2_tower_graph(
-    g: PresheafObject,
-    n_max: int,
-    cap: int,
-    glue: str = "base-paths",
-    size_guard=(2, 2),
-    guard=None,
-) -> TowerWitness:
+def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
     """Stage-wise tower exhibiting the free-category unit of a graph.
 
     Stage 0 glues the free category on a point onto every vertex; stage
@@ -319,18 +296,13 @@ def m2_tower_graph(
     k_{n+1}∘h_{n+1} = k_n read as maps into T(G); the section sends a path
     to the composite edge its own glued copy created.
     """
-    if glue not in ("base-paths", "full"):
-        raise ValidationError(f"unknown glue family {glue!r}")
     if n_max < 0:
         raise ValidationError("n_max must be nonnegative")
     if n_max > cap:
         raise CapError("n_max beyond the cap would create composites the comparison cannot name")
-    if size_guard is not None:
-        max_v, max_e = size_guard
-        if len(g.cells["vertex"]) > max_v or len(g.cells["edge"]) > max_e:
-            raise ValidationError(
-                f"tower guard: graph exceeds {max_v} vertices / {max_e} edges"
-            )
+    max_v, max_e = TOWER_MAX_SIZE
+    if len(g.cells["vertex"]) > max_v or len(g.cells["edge"]) > max_e:
+        raise ValidationError(f"tower guard: graph exceeds {max_v} vertices / {max_e} edges")
     monad = FreeCategoryMonad(cap)
     tg = monad.apply(g)
     eta = monad.unit(g)
@@ -343,7 +315,7 @@ def m2_tower_graph(
         chain = linear_chain(n)
         t_chain = monad.apply(chain)
         unit = monad.unit(chain)
-        glue_maps = _glue_maps(current, n, g, tg, glue, guard=guard)
+        glue_maps = _glue_maps(current, n, g, tg)
 
         # span: coproduct of chain copies -> current, and -> coproduct of T[n] copies
         tags = [f"{idx}/" for idx in range(len(glue_maps))]
@@ -382,8 +354,9 @@ def m2_tower_graph(
         )
 
         # k_n is k_{n-1} on the old stage and, on each glued copy of T[n],
-        # the free extension of the glue map read in T(G); composites
-        # recorded at earlier stages keep their labels (originals are stable)
+        # the free extension of the glue map read in T(G), whose full path
+        # is the composite cell of its glued copy; composites recorded at
+        # earlier stages keep their labels (originals are stable)
         legs = [(h_n, k_prev)]
         full_cell = t_chain.encode[("0", str(n), tuple(f"f{i}" for i in range(1, n + 1)))]
         for j, c_map in zip(into_b, glue_maps):
@@ -394,12 +367,7 @@ def m2_tower_graph(
                 )
             copy = j.then(glued)
             legs.append((copy, extended))
-            path_shaped = n == 0 or all(
-                c_map.on["edge"][f"f{i}"] in set(g.cells["edge"])
-                for i in range(1, n + 1)
-            )
-            if path_shaped:
-                composite_cell[extended.on["edge"][full_cell]] = copy.on["edge"][full_cell]
+            composite_cell[extended.on["edge"][full_cell]] = copy.on["edge"][full_cell]
         k_on = pin_along(legs)
         if k_on is None:
             raise WitnessError(f"k_{n} is not well defined on the stage-{n} pushout")
@@ -408,7 +376,7 @@ def m2_tower_graph(
         current = stage_obj
 
     # verify the tower compatibilities
-    if k_maps and h_maps[0].then(k_maps[0]) != eta:
+    if h_maps[0].then(k_maps[0]) != eta:
         raise WitnessError("k_0∘h_0 = eta failed")
     for n in range(1, n_max + 1):
         if h_maps[n].then(k_maps[n]) != k_maps[n - 1]:
@@ -475,7 +443,7 @@ def m2_tower_graph(
     if not validate_saturation(steps):
         raise WitnessError("saturation evidence failed to verify")
     return TowerWitness(
-        g, n_max, cap, glue, tuple(stages), tuple(h_maps), tuple(k_maps),
+        g, n_max, cap, tuple(stages), tuple(h_maps), tuple(k_maps),
         section, probe_incl, bound, shortfall, steps,
     )
 

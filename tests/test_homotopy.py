@@ -34,7 +34,7 @@ class TestFindHomotopy:
         found = find_homotopy(graph_instance, f, f)
         assert found is not None
         cyl = graph_instance.cylinder(loop)
-        assert found.theta == cyl.sigma.then(f)
+        assert found == cyl.sigma.then(f)
 
     def test_sets_always_homotopic(self, set_instance):
         x, y = fin_set(["a", "b"]), fin_set(["p", "q", "r"])

@@ -103,13 +103,6 @@ class TestTowerWitness:
         assert "composite" in rules and "retract" in rules
         assert validate_saturation(w.steps)
 
-    def test_full_glue_agrees_at_small_depth(self):
-        g = corpus_graphs()["loop"]
-        base = m2_tower_graph(g, n_max=2, cap=2)
-        full = m2_tower_graph(g, n_max=2, cap=2, glue="full")
-        for label in base.section.domain.cells["edge"]:
-            assert full.section.then(full.k_maps[-1]).on["edge"][label] == label
-
     def test_shortfall_is_reported_not_fatal(self):
         g = corpus_graphs()["loop"]
         w = m2_tower_graph(g, n_max=1, cap=3)
