@@ -106,12 +106,29 @@ def cmd_lift(args):
 
 
 def cmd_fibrant(args):
+    """The instance and depth are the family's: a flag may repeat them, and
+    the report echoes them either way."""
     a = _parse_expecting(
         args.object, OBJECT_KINDS + ALGEBRA_KINDS, "an object, monoid or category"
     )
     if not isinstance(a, PresheafObject):
         a = a.carrier()
     family = _parse_expecting(args.family, ("family",), "a family")
+    for flag, given, stated in (
+        ("--instance", args.instance, family.instance_name), ("--depth", args.depth, family.depth),
+    ):
+        if given is not None and given != stated:
+            raise ValidationError(
+                f"{flag} {given!r} contradicts the family {args.family}, which states {stated!r}"
+            )
+    args.instance, args.depth = family.instance_name, family.depth
+    if family.entries:
+        base = family.entries[0].arrow.domain.signature.name
+        if a.signature.name != base:
+            raise ValidationError(
+                f"{args.object} is over the base {a.signature.name!r}, "
+                f"but the family {args.family} is over {base!r}"
+            )
     verdict = lifting.is_naively_fibrant_upto(a, family, guard=args.guard)
     report = {
         "fibrant_upto_depth": verdict.ok,
@@ -201,6 +218,8 @@ def cmd_witness_m2(args):
         }
     else:
         x = _parse_expecting(args.object, ("graph",), "a graph")
+        if args.nmax is None:
+            raise ValidationError("witness-m2 --monad category needs an explicit --nmax")
         witness = witnesses.m2_tower_graph(x, n_max=args.nmax, cap=args.cap)
         document = {
             "kind": "tower-witness",
@@ -313,7 +332,9 @@ def cmd_verify(args):
 
 
 def cmd_fixtures(args):
-    written = fixtures.emit_fixture_corpus(args.out or "fixtures")
+    if args.out is None:
+        raise ValidationError("fixtures needs an explicit --out")
+    written = fixtures.emit_fixture_corpus(args.out)
     return 0, {"written": [p.name for p in sorted(written)]}
 
 
@@ -357,7 +378,7 @@ def build_parser():
     p.add_argument("object")
     p.add_argument("--family", required=True)
     common(p)
-    p.set_defaults(handler=cmd_fibrant)
+    p.set_defaults(handler=cmd_fibrant, instance=None, depth=None)
 
     p = sub.add_parser("anodyne", help="generate the depth-bounded family")
     p.add_argument("--seeds", default=None)
@@ -373,7 +394,7 @@ def build_parser():
     p = sub.add_parser("witness-m2", help="build and verify a unit witness")
     p.add_argument("object")
     p.add_argument("--monad", choices=["monoid", "category"], required=True)
-    p.add_argument("--nmax", type=int, default=2)
+    p.add_argument("--nmax", type=int, default=None)
     common(p, out=True)
     p.set_defaults(handler=cmd_witness_m2)
 
@@ -415,7 +436,7 @@ def run_command(argv):
     """Dispatch; returns (exit code, report dict)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap is None and args.instance.startswith("sset"):
+    if args.cap is None and (args.instance or "").startswith("sset"):
         raise ValidationError(f"instance {args.instance!r} needs an explicit --cap")
     started = time.monotonic()
     code, body = args.handler(args)

@@ -108,6 +108,15 @@ class TestRunCommand:
         )
         assert solve_lift(problem) is None
 
+    def test_fibrant_echoes_the_family_instance_and_depth(self, corpus_dir, tmp_path):
+        family = str(tmp_path / "family.json")
+        assert run_command(["anodyne", "--instance", "set2", "--depth", "1", "--out", family])[0] == 0
+        code, report = run_command(["fibrant", str(corpus_dir / "monoid_z2.json"),
+                                    "--family", family, "--instance", "set2"])
+        assert code == 0
+        assert report["parameters"]["instance"] == "set2"
+        assert report["parameters"]["depth"] == report["report"]["depth"] == 1
+
     def test_homotopy_exit_codes(self, corpus_dir, tmp_path):
         loop = core.fin_graph(["a"], [("l", "a", "a")])
         pair = parse_document(corpus_dir / "graph_looped_pair.json")
@@ -351,6 +360,37 @@ class TestRefusals:
         ) == (2, (
             f"{corpus / first} is an algebra over the base {other!r}, "
             f"not over the instance base {base!r}"
+        ))
+
+    def test_fixtures_needs_an_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _refusal(["fixtures"], capsys) == (2, "fixtures needs an explicit --out")
+        assert not any(tmp_path.iterdir())
+
+    def test_tower_witness_needs_an_nmax(self, corpus_dir, capsys):
+        argv = ["witness-m2", str(corpus_dir / "graph_loop.json"), "--monad", "category",
+                "--cap", "2"]
+        assert _refusal(argv, capsys) == (
+            2, "witness-m2 --monad category needs an explicit --nmax"
+        )
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--instance", "graphI"], "--instance 'graphI' contradicts the family {}, which states 'set2'"),
+        (["--depth", "5"], "--depth 5 contradicts the family {}, which states 1"),
+    ], ids=["instance", "depth"])
+    def test_fibrant_refuses_flags_that_contradict_the_family(
+        self, corpus_dir, tmp_path, capsys, flags, message,
+    ):
+        family = str(tmp_path / "family.json")
+        assert main(["anodyne", "--instance", "set2", "--depth", "1", "--out", family]) == 0
+        capsys.readouterr()
+        argv = ["fibrant", str(corpus_dir / "monoid_z2.json"), "--family", family, *flags]
+        assert _refusal(argv, capsys) == (2, message.format(family))
+
+    def test_fibrant_refuses_an_object_over_another_base(self, corpus_dir, capsys):
+        obj, family = str(corpus_dir / "set1.json"), str(corpus_dir / "family_graphI_d1.json")
+        assert _refusal(["fibrant", obj, "--family", family], capsys) == (2, (
+            f"{obj} is over the base 'set', but the family {family} is over 'graph'"
         ))
 
     def test_sset_instance_needs_a_cap(self, capsys):
