@@ -231,6 +231,9 @@ def cases():
         "homotopy", "hom_graph_vertex__graph_edge_0.json", "hom_graph_vertex__graph_edge_1.json",
         "--instance", "set2", "--guard", GUARD,
     ]))
+    # Each square is solved by search and by the explicit lift its corner
+    # admits.  The loopless two_vertices corners and the monoid lift of one
+    # graph square are there for their refusals, so one square each does.
     for name, stem, algebra, _ in _lift_squares():
         square = ["lift", "--square", f"square_{name}.json"]
         if not stem.startswith("two_vertices"):
