@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import equivalence, fixtures, homotopy, lifting, simplicial, witnesses
-from .core import Error, GuardExceeded, PresheafObject, ValidationError
+from .core import CapError, Error, GuardExceeded, PresheafObject, ValidationError
 from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
     canonical_json,
@@ -31,6 +31,12 @@ ALGEBRA_KINDS = ("monoid", "category")
 
 
 def _instance(args):
+    """The instance the flags name; only an sset instance reads ``--cap``."""
+    sset = args.instance.startswith("sset")
+    if sset and args.cap is None:
+        raise ValidationError(f"instance {args.instance!r} needs an explicit --cap")
+    if not sset and args.cap is not None:
+        raise ValidationError(f"instance {args.instance!r} reads no --cap")
     return get_instance(args.instance, cap=args.cap)
 
 
@@ -82,10 +88,11 @@ def cmd_lift(args):
         corner_info = square.get("corner")
         if not corner_info:
             raise ValidationError("explicit lifts need corner provenance in the square document")
-        instance = get_instance(corner_info["instance"], cap=args.cap)
+        if "endpoint" not in corner_info:
+            raise ValidationError(f"the corner provenance in {args.square} has no endpoint")
+        instance = get_instance(corner_info["instance"])
         j = parse_document(corner_info["j"])
-        endpoint = corner_info.get("endpoint", args.endpoint)
-        corner = corner_endpoint(instance, j, endpoint)
+        corner = corner_endpoint(instance, j, corner_info["endpoint"])
         if corner.arrow != square["left"]:
             raise witnesses.ProvenanceError(
                 "the square's left map is not the stated endpoint corner"
@@ -263,6 +270,9 @@ def cmd_check_ehd(args):
 
 def cmd_horn_fill(args):
     x = _parse_expecting(args.object, ("sset",), "an sset")
+    cap = simplicial.sset_cap(x)
+    if args.cap not in (None, cap):
+        raise CapError(f"--cap {args.cap} is not the object's cap {cap}")
     report_obj = simplicial.horn_filler(x, args.n, args.k, guard=args.guard)
     report = {
         "n": args.n,
@@ -338,6 +348,17 @@ def cmd_fixtures(args):
     return 0, {"written": [p.name for p in sorted(written)]}
 
 
+#: The argparse spec of each flag that several subcommands share.  A
+#: subcommand declares the ones its handler reads, and its report's
+#: ``parameters`` echo exactly those.
+SHARED_FLAGS = {
+    "instance": {"default": "graphI"},
+    "cap": {"type": int, "default": None},
+    "depth": {"type": int, "default": 0},
+    "guard": {"type": int, "default": None},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phl",
@@ -345,109 +366,89 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=False):
-        p.add_argument("--instance", default="graphI")
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--depth", type=int, default=0)
-        p.add_argument("--guard", type=int, default=None)
+    def subcommand(name, handler, help, shared=(), out=False):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         p.add_argument("--timing", action="store_true")
         if out:
             p.add_argument("--out", default=None)
+        p.set_defaults(handler=handler, shared=shared)
+        return p
 
-    p = sub.add_parser("classes", help="homotopy classes of Hom(X, Y)")
+    p = subcommand("classes", cmd_classes, "homotopy classes of Hom(X, Y)",
+                   ("instance", "cap", "guard"))
     p.add_argument("x")
     p.add_argument("y")
-    common(p)
-    p.set_defaults(handler=cmd_classes)
 
-    p = sub.add_parser("homotopy", help="search a one-step homotopy between two maps")
+    p = subcommand("homotopy", cmd_homotopy, "search a one-step homotopy between two maps",
+                   ("instance", "cap", "guard"))
     p.add_argument("f")
     p.add_argument("g")
-    common(p)
-    p.set_defaults(handler=cmd_homotopy)
 
-    p = sub.add_parser("lift", help="solve a lifting square")
+    p = subcommand("lift", cmd_lift, "solve a lifting square", ("guard",))
     p.add_argument("--square", required=True)
     p.add_argument("--explicit", choices=["monoid", "category"], default=None)
-    p.add_argument("--endpoint", type=int, default=0)
     p.add_argument("--algebra", default=None)
-    common(p)
-    p.set_defaults(handler=cmd_lift)
 
-    p = sub.add_parser("fibrant", help="RLP of A -> 1 against a family")
+    p = subcommand("fibrant", cmd_fibrant, "RLP of A -> 1 against a family",
+                   ("instance", "depth", "guard"))
     p.add_argument("object")
     p.add_argument("--family", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_fibrant, instance=None, depth=None)
+    p.set_defaults(instance=None, depth=None)
 
-    p = sub.add_parser("anodyne", help="generate the depth-bounded family")
+    p = subcommand("anodyne", cmd_anodyne, "generate the depth-bounded family",
+                   ("instance", "cap", "depth", "guard"), out=True)
     p.add_argument("--seeds", default=None)
-    common(p, out=True)
-    p.set_defaults(handler=cmd_anodyne)
 
-    p = sub.add_parser("tweq", help="weak-equivalence verdict against an algebra directory")
+    p = subcommand("tweq", cmd_tweq, "weak-equivalence verdict against an algebra directory",
+                   ("instance", "cap", "guard"))
     p.add_argument("f")
     p.add_argument("--algebras", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_tweq)
 
-    p = sub.add_parser("witness-m2", help="build and verify a unit witness")
+    p = subcommand("witness-m2", cmd_witness_m2, "build and verify a unit witness",
+                   ("cap",), out=True)
     p.add_argument("object")
     p.add_argument("--monad", choices=["monoid", "category"], required=True)
     p.add_argument("--nmax", type=int, default=None)
-    common(p, out=True)
-    p.set_defaults(handler=cmd_witness_m2)
+    # bench/workloads.py and the golden cases pass --guard; nothing reads it
+    p.add_argument("--guard", type=int, default=None)
 
-    p = sub.add_parser("check-ehd", help="verify the homotopy-data axioms on the corpus")
-    common(p)
-    p.set_defaults(handler=cmd_check_ehd)
+    subcommand("check-ehd", cmd_check_ehd, "verify the homotopy-data axioms on the corpus",
+               ("instance", "cap"))
 
-    p = sub.add_parser("horn-fill", help="horn filling verdicts")
+    p = subcommand("horn-fill", cmd_horn_fill, "horn filling verdicts", ("cap", "guard"))
     p.add_argument("object")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_horn_fill)
 
-    p = sub.add_parser("nerve", help="nerve of a category, truncated")
+    p = subcommand("nerve", cmd_nerve, "nerve of a category, truncated", ("cap",), out=True)
     p.add_argument("category")
-    common(p, out=True)
-    p.set_defaults(handler=cmd_nerve)
+    # bench/workloads.py passes --guard; nothing reads it
+    p.add_argument("--guard", type=int, default=None)
 
-    p = sub.add_parser("tau0", help="interval-quotient classes of Hom(X, A)")
+    p = subcommand("tau0", cmd_tau0, "interval-quotient classes of Hom(X, A)", ("cap", "guard"))
     p.add_argument("x")
     p.add_argument("a")
-    common(p)
-    p.set_defaults(handler=cmd_tau0)
 
-    p = sub.add_parser("verify", help="run a built-in invariant suite")
+    p = subcommand("verify", cmd_verify, "run a built-in invariant suite")
     p.add_argument("--suite", default="core")
-    common(p)
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("fixtures", help="write the fixture corpus")
-    common(p, out=True)
-    p.set_defaults(handler=cmd_fixtures)
+    subcommand("fixtures", cmd_fixtures, "write the fixture corpus", out=True)
 
     return parser
 
 
 def run_command(argv):
-    """Dispatch; returns (exit code, report dict)."""
+    """Dispatch; returns (exit code, report dict).  The report's
+    ``parameters`` are the shared flags the subcommand declares."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap is None and (args.instance or "").startswith("sset"):
-        raise ValidationError(f"instance {args.instance!r} needs an explicit --cap")
     started = time.monotonic()
     code, body = args.handler(args)
     report = {
         "command": args.command,
-        "parameters": {
-            "instance": args.instance,
-            "cap": args.cap,
-            "depth": args.depth,
-            "guard": args.guard,
-        },
+        "parameters": {flag: getattr(args, flag) for flag in args.shared},
         "report": body,
     }
     if args.timing:

@@ -115,15 +115,18 @@ def _parse_map(doc):
 
 
 def _parse_family(doc):
+    for key in ("instance", "depth"):
+        if key not in doc:
+            raise ValidationError(f"family document has no {key!r}")
     entries = []
     for entry in doc.get("entries", []):
         entries.append(
             FamilyEntry(_parse_map(entry["arrow"]), entry["depth"], entry["provenance"])
         )
     return AnodyneFamily(
-        doc.get("instance", "?"),
+        doc["instance"],
         tuple(entries),
-        doc.get("depth", 0),
+        doc["depth"],
         doc.get("seed_count", 0),
         doc.get("generator_count", 0),
         {int(k): v for k, v in doc.get("pre_dedup_counts", {}).items()},

@@ -12,7 +12,7 @@ from typing import Optional
 from .core import PresheafMap, bang, identity, search_maps
 from .cylinder import CylinderData
 from .homotopy import find_homotopy, homotopy_classes, induced_class_map
-from .lifting import AnodyneFamily, FibrancyVerdict, LiftingProblem, is_naively_fibrant_upto, solve_lift
+from .lifting import AnodyneFamily, LiftingProblem, RlpVerdict, is_naively_fibrant_upto, solve_lift
 from .monads import extend_to_free
 
 
@@ -95,7 +95,7 @@ def alternative_we_check(instance: CylinderData, monad, f: PresheafMap,
 @dataclass(frozen=True)
 class M3Row:
     name: str
-    verdict: FibrancyVerdict
+    verdict: RlpVerdict
 
 
 @dataclass(frozen=True)

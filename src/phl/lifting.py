@@ -182,9 +182,17 @@ def generate_anodyne(instance: CylinderData, seeds, generators=None, depth=0,
 
 @dataclass(frozen=True)
 class RlpVerdict:
+    """A verdict against a family bounded at ``depth``: a necessary
+    condition there, never a claim about the full saturated class."""
+
     ok: bool
+    depth: int
     squares_checked: int
     counterexample: Optional[tuple] = None  # (entry provenance, top, bottom)
+
+    @property
+    def caveat(self) -> str:
+        return f"necessary-condition at depth {self.depth}"
 
 
 def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
@@ -202,28 +210,11 @@ def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
                 checked += 1
                 problem = LiftingProblem(i, p, top, bottom)
                 if solve_lift(problem, guard=guard) is None:
-                    return RlpVerdict(False, checked, (entry.provenance, top, bottom))
-    return RlpVerdict(True, checked)
-
-
-@dataclass(frozen=True)
-class FibrancyVerdict:
-    ok: bool
-    depth: int
-    caveat: str
-    squares_checked: int
-    counterexample: Optional[tuple] = None
+                    return RlpVerdict(False, family.depth, checked, (entry.provenance, top, bottom))
+    return RlpVerdict(True, family.depth, checked)
 
 
 def is_naively_fibrant_upto(a: PresheafObject, family: AnodyneFamily,
-                            guard=None) -> FibrancyVerdict:
-    """RLP of A -> 1 against the family; a necessary condition at the
-    family's depth, never a claim about the full saturated class."""
-    verdict = has_rlp(bang(a), family, guard=guard)
-    return FibrancyVerdict(
-        verdict.ok,
-        family.depth,
-        f"necessary-condition at depth {family.depth}",
-        verdict.squares_checked,
-        verdict.counterexample,
-    )
+                            guard=None) -> RlpVerdict:
+    """RLP of A -> 1 against the family."""
+    return has_rlp(bang(a), family, guard=guard)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import phl
 from phl import core
 from phl.cli import main, run_command
 from phl.documents import (
@@ -435,12 +438,137 @@ class TestRefusals:
         code, error = _refusal(["fibrant", str(path), "--family", str(path)], capsys)
         assert code == 2 and "'z'" in error
 
+    @pytest.mark.parametrize("key", ["instance", "depth"])
+    def test_family_needs_its_instance_and_depth(self, corpus_dir, tmp_path, capsys, key):
+        doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))
+        del doc[key]
+        family = tmp_path / "family.json"
+        family.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(corpus_dir / "cat_terminal.json"), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"family document has no {key!r}")
+
+    def test_explicit_lift_needs_the_corner_endpoint(self, tmp_path, capsys):
+        from phl.cylinder import corner_endpoint, set_instance
+
+        j = core.PresheafMap(core.fin_set(["p"]), core.fin_set(["p", "q"]), {"element": {"p": "p"}})
+        corner = corner_endpoint(set_instance(), j, 0)
+        carrier = core.fin_set(["0", "1"])
+        square = tmp_path / "square.json"
+        square.write_text(canonical_json({
+            "kind": "square",
+            "left": map_to_document(corner.arrow),
+            "right": map_to_document(core.bang(carrier)),
+            "top": map_to_document(core.enumerate_homs(corner.domain, carrier)[0]),
+            "bottom": map_to_document(core.bang(corner.codomain)),
+            "corner": {"instance": "set2", "j": map_to_document(j)},
+        }), encoding="utf-8")
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        assert _refusal(argv, capsys) == (2, f"the corner provenance in {square} has no endpoint")
+
+
+#: The shared flags each subcommand reads: it declares them, and its
+#: report's ``parameters`` echo them.
+SHARED_FLAGS = {
+    "classes": {"instance", "cap", "guard"},
+    "homotopy": {"instance", "cap", "guard"},
+    "tweq": {"instance", "cap", "guard"},
+    "anodyne": {"instance", "cap", "depth", "guard"},
+    "check-ehd": {"instance", "cap"},
+    "fibrant": {"instance", "depth", "guard"},
+    "lift": {"guard"},
+    "horn-fill": {"cap", "guard"},
+    "tau0": {"cap", "guard"},
+    "witness-m2": {"cap"},
+    "nerve": {"cap"},
+    "verify": set(),
+    "fixtures": set(),
+}
+
+
+def test_parameters_are_the_declared_shared_flags(corpus_dir, tmp_path, capsys):
+    """Every report echoes exactly the shared flags its subcommand declares;
+    a flag that a subcommand does not declare is refused by argparse, and a
+    --cap that the instance or object contradicts or never reads is refused."""
+    import argparse
+
+    from phl.cli import build_parser
+    from phl.simplicial import delta
+
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {name: set(p.get_default("shared")) for name, p in subparsers.choices.items()} == (
+        SHARED_FLAGS
+    )
+
+    def write(name, doc):
+        (tmp_path / name).write_text(canonical_json(doc), encoding="utf-8")
+        return str(tmp_path / name)
+
+    corpus = {p.stem: str(p) for p in corpus_dir.glob("*.json")}
+    point = parse_document(corpus["set1"])
+    identity = write("id.json", map_to_document(core.identity(point)))
+    square = write("square.json", {
+        "kind": "square", "left": map_to_document(core.identity(point)),
+        "right": map_to_document(core.bang(point)), "top": map_to_document(core.identity(point)),
+        "bottom": map_to_document(core.bang(point)),
+    })
+    algebras = tmp_path / "algebras"
+    algebras.mkdir()
+    write("algebras/z2.json", monoid_to_document(corpus_monoids()[0]))
+    nerve = str(tmp_path / "nerve.json")
+    d0 = write("d0.json", object_to_document(delta(0, 2)))
+    runs = [
+        ["classes", corpus["set1"], corpus["set2"], "--instance", "set2"],
+        ["homotopy", identity, identity, "--instance", "set2"],
+        ["tweq", identity, "--algebras", str(algebras), "--instance", "set2"],
+        ["anodyne", "--instance", "set2", "--depth", "0"],
+        ["check-ehd", "--instance", "set2"],
+        ["fibrant", corpus["set1"], "--family", write("family.json", {
+            "kind": "family", "instance": "set2", "depth": 0, "entries": [],
+        })],
+        ["lift", "--square", square],
+        ["nerve", corpus["cat_chain2"], "--cap", "2", "--out", nerve],
+        ["horn-fill", nerve, "--n", "1", "--k", "0", "--cap", "2"],
+        ["tau0", d0, nerve, "--cap", "2"],
+        ["witness-m2", corpus["set1"], "--monad", "monoid", "--cap", "1"],
+        ["verify"],
+        ["fixtures", "--out", str(tmp_path / "fixtures")],
+    ]
+    assert {argv[0] for argv in runs} == set(SHARED_FLAGS)
+    for argv in runs:
+        code, report = run_command(argv)
+        assert code in (0, 1), argv
+        assert set(report["parameters"]) == SHARED_FLAGS[argv[0]], argv
+
+    for argv in (
+        ["nerve", corpus["cat_chain2"], "--cap", "2", "--depth", "1"],
+        ["verify", "--instance", "set2"],
+        ["lift", "--square", square, "--endpoint", "0"],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    assert _refusal(["horn-fill", nerve, "--n", "1", "--k", "0", "--cap", "3"], capsys) == (
+        2, "--cap 3 is not the object's cap 2"
+    )
+    assert _refusal(
+        ["classes", corpus["graph_loop"], corpus["graph_loop"], "--instance", "graphI",
+         "--cap", "2"], capsys,
+    ) == (2, "instance 'graphI' reads no --cap")
+
 
 class TestDeterminism:
     def run_cli(self, args):
+        """``python -m phl.cli`` in a child that imports the phl under test."""
+        import_path = [str(Path(phl.__file__).resolve().parent.parent)]
+        import_path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
         return subprocess.run(
             [sys.executable, "-m", "phl.cli", *args],
             capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(import_path)},
         )
 
     def test_reports_are_byte_identical(self, corpus_dir, tmp_path):
