@@ -17,6 +17,7 @@ from . import equivalence, fixtures, homotopy, lifting, simplicial, witnesses
 from .core import CapError, Error, GuardExceeded, PresheafObject, ValidationError
 from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
+    MissingKeyError,
     canonical_json,
     family_to_document,
     load_document,
@@ -50,7 +51,10 @@ def _parse_expecting(path, kinds, expected, refusal=None):
     doc = load_document(Path(path))
     if isinstance(doc, dict) and doc.get("kind") not in kinds:
         raise ValidationError(refusal or f"{path} is not {expected} document")
-    return parse_document(doc)
+    try:
+        return parse_document(doc)
+    except MissingKeyError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def cmd_classes(args):
@@ -88,8 +92,9 @@ def cmd_lift(args):
         corner_info = square.get("corner")
         if not corner_info:
             raise ValidationError("explicit lifts need corner provenance in the square document")
-        if "endpoint" not in corner_info:
-            raise ValidationError(f"the corner provenance in {args.square} has no endpoint")
+        for key in ("instance", "j", "endpoint"):
+            if key not in corner_info:
+                raise ValidationError(f"the corner provenance in {args.square} has no {key}")
         instance = get_instance(corner_info["instance"])
         j = parse_document(corner_info["j"])
         corner = corner_endpoint(instance, j, corner_info["endpoint"])

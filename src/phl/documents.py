@@ -21,6 +21,17 @@ from .lifting import AnodyneFamily, FamilyEntry
 from .monads import FiniteCategory, FiniteMonoid
 
 
+class MissingKeyError(ValidationError):
+    """A document lacks a key that its parser reads."""
+
+
+def _required(doc, key, where):
+    """``doc[key]``, refused when the document has no such key."""
+    if key not in doc:
+        raise MissingKeyError(f"{where} has no {key!r}")
+    return doc[key]
+
+
 def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -75,13 +86,12 @@ def parse_document(source):
     if kind == "family":
         return _parse_family(doc)
     if kind == "square":
-        return {
-            "left": _parse_map(doc["left"]),
-            "right": _parse_map(doc["right"]),
-            "top": _parse_map(doc["top"]),
-            "bottom": _parse_map(doc["bottom"]),
-            "corner": doc.get("corner"),
+        square = {
+            side: _parse_map(_required(doc, side, "square document"))
+            for side in ("left", "right", "top", "bottom")
         }
+        square["corner"] = doc.get("corner")
+        return square
     raise ValidationError(f"unknown sort {kind!r}")
 
 
@@ -109,24 +119,24 @@ def _parse_sset(doc):
 def _parse_map(doc):
     if doc.get("kind") != "map":
         raise ValidationError("expected a map document")
-    domain = parse_document(doc["domain"])
-    codomain = parse_document(doc["codomain"])
+    domain = parse_document(_required(doc, "domain", "map document"))
+    codomain = parse_document(_required(doc, "codomain", "map document"))
     return PresheafMap(domain, codomain, doc.get("on", {}))
 
 
 def _parse_family(doc):
-    for key in ("instance", "depth"):
-        if key not in doc:
-            raise ValidationError(f"family document has no {key!r}")
+    instance = _required(doc, "instance", "family document")
+    depth = _required(doc, "depth", "family document")
     entries = []
-    for entry in doc.get("entries", []):
-        entries.append(
-            FamilyEntry(_parse_map(entry["arrow"]), entry["depth"], entry["provenance"])
+    for k, entry in enumerate(doc.get("entries", [])):
+        arrow, entry_depth, provenance = (
+            _required(entry, key, f"family entry {k}") for key in ("arrow", "depth", "provenance")
         )
+        entries.append(FamilyEntry(_parse_map(arrow), entry_depth, provenance))
     return AnodyneFamily(
-        doc["instance"],
+        instance,
         tuple(entries),
-        doc["depth"],
+        depth,
         doc.get("seed_count", 0),
         doc.get("generator_count", 0),
         {int(k): v for k, v in doc.get("pre_dedup_counts", {}).items()},

@@ -14,7 +14,7 @@ from typing import Optional
 from .core import (
     MismatchError, PresheafMap, PresheafObject, _UnionFind, first_map, pin_along, search_maps,
 )
-from .cylinder import CylinderData
+from .cylinder import Cylinder, CylinderData
 
 
 def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
@@ -23,15 +23,15 @@ def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
     theta : X⊗I -> Y with theta∘d0 = f and theta∘d1 = g, or None."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise MismatchError("homotopy endpoints must be parallel maps")
-    cyl = instance.cylinder(f.domain)
+    return _homotopy_off(instance.cylinder(f.domain), f, g, guard)
+
+
+def _homotopy_off(cyl: Cylinder, f: PresheafMap, g: PresheafMap, guard) -> Optional[PresheafMap]:
+    """The least homotopy from f to g off a cylinder built on their domain."""
     pin = pin_along([(cyl.d0, f), (cyl.d1, g)])  # theta on the two ends
     if pin is None:
         return None
     return first_map(cyl.obj, f.codomain, pin=pin, guard=guard)
-
-
-def homotopic(instance, f, g, guard=None) -> bool:
-    return find_homotopy(instance, f, g, guard=guard) is not None
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,11 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     """Classes of Hom(X, Y) under the generated equivalence relation.
 
     One-step homotopies are searched exhaustively in both directions; the
-    zig-zag closure is the union-find of those edges.
+    zig-zag closure is the union-find of those edges.  One cylinder X⊗I,
+    with its compiled search plan, serves every pair.
     """
     homs = tuple(search_maps(x, y, guard=guard))
+    cyl = instance.cylinder(x) if len(homs) > 1 else None
     linked = _UnionFind()
     for i in range(len(homs)):
         linked.add(i)
@@ -79,9 +81,8 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
         for j in range(i + 1, len(homs)):
             if linked.find(i) == linked.find(j):
                 continue
-            if homotopic(instance, homs[i], homs[j], guard=guard) or homotopic(
-                instance, homs[j], homs[i], guard=guard
-            ):
+            if (_homotopy_off(cyl, homs[i], homs[j], guard) is not None
+                    or _homotopy_off(cyl, homs[j], homs[i], guard) is not None):
                 linked.union(i, j)
     buckets = {}
     for i in range(len(homs)):
@@ -149,11 +150,13 @@ def check_equivalence_relation(instance: CylinderData, x: PresheafObject,
     """Full one-step relation matrix on Hom(X, A) plus the three scans.
 
     The counterexample names the property and the offending map indices.
+    One cylinder X⊗I serves every pair.
     """
     homs = tuple(search_maps(x, a, guard=guard))
     n = len(homs)
+    cyl = instance.cylinder(x) if homs else None
     matrix = [
-        [homotopic(instance, homs[i], homs[j], guard=guard) for j in range(n)]
+        [_homotopy_off(cyl, homs[i], homs[j], guard) is not None for j in range(n)]
         for i in range(n)
     ]
     reflexive = all(matrix[i][i] for i in range(n))

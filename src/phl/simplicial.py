@@ -46,51 +46,67 @@ def sset_cap(obj: PresheafObject) -> int:
 
 
 def _check_simplicial_identities(obj: PresheafObject, cap: int):
-    def d(n, i, cell):
-        return obj.op(f"d{n}_{i}", cell)
+    """Every simplicial identity on every cell below the cap.
 
-    def s(n, i, cell):
-        return obj.op(f"s{n}_{i}", cell)
+    Each identity is compared across all cells of its dimension at once, as
+    two image lists.  A failure names the first cell at which any identity
+    of its family (d∘d, then s∘s, then d∘s) fails, dimensions in order and
+    cells in their stored order, and at that cell the first identity in the
+    order (j, then i) of the loops below.
+    """
+    d = {(n, i): obj.ops[f"d{n}_{i}"].__getitem__ for n in range(1, cap + 1) for i in range(n + 1)}
+    s = {(n, i): obj.ops[f"s{n}_{i}"].__getitem__ for n in range(cap) for i in range(n + 1)}
+
+    def first_failure(n, cells, identities):
+        worst = None  # (cell position, identity name)
+        for name, lhs, rhs in identities:
+            if lhs != rhs:
+                at = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                if worst is None or at < worst[0]:
+                    worst = (at, name)
+        if worst is not None:
+            raise ValidationError(
+                f"simplicial identity {worst[1]} fails at {cells[worst[0]]!r} in dimension {n}"
+            )
 
     for n in range(2, cap + 1):
-        for cell in obj.cells[str(n)]:
-            for j in range(n + 1):
-                for i in range(j):
-                    if d(n - 1, i, d(n, j, cell)) != d(n - 1, j - 1, d(n, i, cell)):
-                        raise ValidationError(
-                            f"simplicial identity d{i} d{j} fails at {cell!r} in dimension {n}"
-                        )
+        cells = list(obj.cells[str(n)])
+        faces = [list(map(d[n, i], cells)) for i in range(n + 1)]
+        first_failure(n, cells, (
+            (f"d{i} d{j}", list(map(d[n - 1, i], faces[j])), list(map(d[n - 1, j - 1], faces[i])))
+            for j in range(n + 1) for i in range(j)
+        ))
     for n in range(cap - 1):
-        for cell in obj.cells[str(n)]:
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    if s(n + 1, i, s(n, j, cell)) != s(n + 1, j + 1, s(n, i, cell)):
-                        raise ValidationError(
-                            f"simplicial identity s{i} s{j} fails at {cell!r} in dimension {n}"
-                        )
+        cells = list(obj.cells[str(n)])
+        degens = [list(map(s[n, i], cells)) for i in range(n + 1)]
+        first_failure(n, cells, (
+            (f"s{i} s{j}", list(map(s[n + 1, i], degens[j])), list(map(s[n + 1, j + 1], degens[i])))
+            for j in range(n + 1) for i in range(j + 1)
+        ))
     for n in range(cap):
-        for cell in obj.cells[str(n)]:
-            for j in range(n + 1):
-                up = s(n, j, cell)
-                for i in range(n + 2):
-                    value = d(n + 1, i, up)
-                    if i == j or i == j + 1:
-                        expected = cell
-                    elif i < j:
-                        expected = s(n - 1, j - 1, d(n, i, cell))
-                    else:
-                        expected = s(n - 1, j, d(n, i - 1, cell))
-                    if value != expected:
-                        raise ValidationError(
-                            f"simplicial identity d{i} s{j} fails at {cell!r} in dimension {n}"
-                        )
+        cells = list(obj.cells[str(n)])
+        faces = [list(map(d[n, i], cells)) for i in range(n + 1)] if n else []
+        degens = [list(map(s[n, j], cells)) for j in range(n + 1)]
+
+        def expected(i, j):
+            if i == j or i == j + 1:
+                return cells
+            if i < j:
+                return list(map(s[n - 1, j - 1], faces[i]))
+            return list(map(s[n - 1, j], faces[i - 1]))
+
+        first_failure(n, cells, (
+            (f"d{i} s{j}", list(map(d[n + 1, i], degens[j])), expected(i, j))
+            for j in range(n + 1) for i in range(n + 2)
+        ))
 
 
 def trunc_sset(cap: int, cells, faces, degeneracies) -> PresheafObject:
     """A truncated simplicial set from per-dimension cell lists and tables.
 
-    ``faces[(n, i)]`` and ``degeneracies[(n, i)]`` are cell dictionaries;
-    the simplicial identities are checked at construction.
+    ``faces[(n, i)]`` and ``degeneracies[(n, i)]`` are cell dictionaries.
+    Every simplicial identity is checked on every object at construction,
+    program-built ones (Δⁿ, nerves) included.
     """
     sig = sset_signature(cap)
     ops = {}

@@ -445,25 +445,67 @@ class TestRefusals:
         family = tmp_path / "family.json"
         family.write_text(canonical_json(doc), encoding="utf-8")
         argv = ["fibrant", str(corpus_dir / "cat_terminal.json"), "--family", str(family)]
-        assert _refusal(argv, capsys) == (2, f"family document has no {key!r}")
+        assert _refusal(argv, capsys) == (2, f"{family}: family document has no {key!r}")
 
-    def test_explicit_lift_needs_the_corner_endpoint(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["arrow", "depth", "provenance"])
+    def test_family_entry_needs_each_key(self, corpus_dir, tmp_path, capsys, key):
+        doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))
+        del doc["entries"][1][key]
+        family = tmp_path / "family.json"
+        family.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(corpus_dir / "cat_terminal.json"), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"{family}: family entry 1 has no {key!r}")
+
+    @staticmethod
+    def _corner_square(tmp_path, drop=None):
+        """A square on the e=0 corner of {p} -> {p, q} under set2, its
+        document without the key ``drop``: a side or a corner key."""
         from phl.cylinder import corner_endpoint, set_instance
 
         j = core.PresheafMap(core.fin_set(["p"]), core.fin_set(["p", "q"]), {"element": {"p": "p"}})
         corner = corner_endpoint(set_instance(), j, 0)
         carrier = core.fin_set(["0", "1"])
-        square = tmp_path / "square.json"
-        square.write_text(canonical_json({
+        doc = {
             "kind": "square",
             "left": map_to_document(corner.arrow),
             "right": map_to_document(core.bang(carrier)),
             "top": map_to_document(core.enumerate_homs(corner.domain, carrier)[0]),
             "bottom": map_to_document(core.bang(corner.codomain)),
-            "corner": {"instance": "set2", "j": map_to_document(j)},
-        }), encoding="utf-8")
+            "corner": {"instance": "set2", "j": map_to_document(j), "endpoint": 0},
+        }
+        doc.pop(drop, None)
+        doc["corner"].pop(drop, None)
+        square = tmp_path / "square.json"
+        square.write_text(canonical_json(doc), encoding="utf-8")
+        return square
+
+    def test_explicit_lift_needs_the_corner_endpoint(self, tmp_path, capsys):
+        square = self._corner_square(tmp_path, drop="endpoint")
         argv = ["lift", "--square", str(square), "--explicit", "monoid"]
         assert _refusal(argv, capsys) == (2, f"the corner provenance in {square} has no endpoint")
+
+    @pytest.mark.parametrize("key", ["instance", "j"])
+    def test_explicit_lift_needs_each_corner_key(self, tmp_path, capsys, key):
+        square = self._corner_square(tmp_path, drop=key)
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        assert _refusal(argv, capsys) == (2, f"the corner provenance in {square} has no {key}")
+
+    @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+    def test_square_needs_each_side(self, tmp_path, capsys, side):
+        square = self._corner_square(tmp_path, drop=side)
+        assert _refusal(["lift", "--square", str(square)], capsys) == (
+            2, f"{square}: square document has no {side!r}"
+        )
+
+    @pytest.mark.parametrize("key", ["domain", "codomain"])
+    def test_map_needs_its_domain_and_codomain(self, tmp_path, capsys, key):
+        point = core.fin_set(["p"])
+        doc = map_to_document(core.identity(point))
+        del doc[key]
+        path = tmp_path / "map.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["homotopy", str(path), str(path), "--instance", "set2"]
+        assert _refusal(argv, capsys) == (2, f"{path}: map document has no {key!r}")
 
 
 #: The shared flags each subcommand reads: it declares them, and its

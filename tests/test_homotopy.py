@@ -1,13 +1,15 @@
+import pytest
+
 from phl.core import PresheafMap, enumerate_homs, fin_graph, fin_set, identity
-from phl.cylinder import get_instance
+from phl.cylinder import CylinderData, get_instance
 from phl.homotopy import (
     check_equivalence_relation,
     find_homotopy,
-    homotopic,
     homotopy_classes,
     induced_class_map,
 )
-from phl.fixtures import chain2_category, corpus_graphs, groupoid_interval
+from phl.fixtures import chain2_category, corpus_categories, corpus_graphs, groupoid_interval
+from phl.simplicial import delta, nerve
 
 from conftest import brute_force_homs
 
@@ -59,7 +61,7 @@ class TestFindHomotopy:
         homs, matrix = one_step_matrix(graph_instance, x, a)
         for f in homs:
             for g in homs:
-                assert homotopic(graph_instance, f, g) == matrix[(f, g)]
+                assert (find_homotopy(graph_instance, f, g) is not None) == matrix[(f, g)]
 
 
 class TestHomotopyClasses:
@@ -188,3 +190,92 @@ class TestCongruence:
                 for h in enumerate_homs(y, z):
                     classes_xz = homotopy_classes(graph_instance, x, z)
                     assert classes_xz.class_of(f.then(h)) == classes_xz.class_of(g.then(h))
+
+
+def pairwise_oracle(instance, x, a):
+    """The homs X -> A and the one-step relation between them, one
+    ``find_homotopy`` (and so one cylinder) per ordered pair."""
+    homs = enumerate_homs(x, a)
+    related = [[find_homotopy(instance, f, g) is not None for g in homs] for f in homs]
+    return homs, related
+
+
+def closure_classes(related):
+    """Classes of the equivalence the relation generates, by graph search:
+    index tuples ordered by least member."""
+    n = len(related)
+    seen, classes = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if (related[i][j] or related[j][i]) and j not in component:
+                    component.add(j)
+                    frontier.append(j)
+        seen |= component
+        classes.append(tuple(sorted(component)))
+    return tuple(classes)
+
+
+
+
+class TestSharedCylinder:
+    """One cylinder per class computation agrees with a cylinder per pair."""
+
+    def _agree(self, instance, x, a):
+        homs, related = pairwise_oracle(instance, x, a)
+        classes = homotopy_classes(instance, x, a)
+        assert classes.homs == tuple(homs)
+        assert classes.classes == closure_classes(related)
+        report = check_equivalence_relation(instance, x, a)
+        n = len(homs)
+        assert report.hom_count == n
+        assert report.reflexive == all(related[i][i] for i in range(n))
+        assert report.symmetric == all(
+            related[j][i] for i in range(n) for j in range(n) if related[i][j]
+        )
+        assert report.transitive == all(
+            related[i][k]
+            for i in range(n) for j in range(n) for k in range(n)
+            if related[i][j] and related[j][k]
+        )
+        if report.counterexample is not None:
+            kind, *at = report.counterexample
+            if kind == "reflexive":
+                assert not related[at[0]][at[0]]
+            elif kind == "symmetric":
+                assert related[at[0]][at[1]] and not related[at[1]][at[0]]
+            else:
+                i, j, k = at
+                assert related[i][j] and related[j][k] and not related[i][k]
+
+    @pytest.mark.parametrize("x", sorted(corpus_graphs()))
+    def test_corpus_graphs_under_graph_interval(self, graph_instance, x):
+        graphs = corpus_graphs()
+        for a in graphs.values():
+            self._agree(graph_instance, graphs[x], a)
+
+    # the directed sset-delta1 gives relations that are not symmetric
+    @pytest.mark.parametrize("name", ["sset-jinf", "sset-delta1"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_cap2_nerves(self, name, k):
+        instance = get_instance(name, cap=2)
+        for category in corpus_categories():
+            self._agree(instance, delta(k, 2), nerve(category, 2))
+
+    def test_one_cylinder_per_class_computation(self, graph_instance, monkeypatch):
+        built = []
+        make = CylinderData.cylinder
+
+        def counted(self, x):
+            built.append(x)
+            return make(self, x)
+
+        monkeypatch.setattr(CylinderData, "cylinder", counted)
+        x, a = corpus_graphs()["edge"], corpus_graphs()["looped_edge"]
+        classes = homotopy_classes(graph_instance, x, a)
+        assert len(classes.homs) > 2
+        assert built == [x]

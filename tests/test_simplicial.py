@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -69,6 +70,42 @@ class TestStandardShapes:
                 assert is_mono(horn_inclusion(n, k, 2))
 
 
+def identity_failure(obj, cap):
+    """Reference for the identity check: one cell at a time, each identity
+    in turn; the message of the first failure, or None."""
+    def d(n, i, cell):
+        return obj.op(f"d{n}_{i}", cell)
+
+    def s(n, i, cell):
+        return obj.op(f"s{n}_{i}", cell)
+
+    for n in range(2, cap + 1):
+        for cell in obj.cells[str(n)]:
+            for j in range(n + 1):
+                for i in range(j):
+                    if d(n - 1, i, d(n, j, cell)) != d(n - 1, j - 1, d(n, i, cell)):
+                        return f"simplicial identity d{i} d{j} fails at {cell!r} in dimension {n}"
+    for n in range(cap - 1):
+        for cell in obj.cells[str(n)]:
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    if s(n + 1, i, s(n, j, cell)) != s(n + 1, j + 1, s(n, i, cell)):
+                        return f"simplicial identity s{i} s{j} fails at {cell!r} in dimension {n}"
+    for n in range(cap):
+        for cell in obj.cells[str(n)]:
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    if i == j or i == j + 1:
+                        expected = cell
+                    elif i < j:
+                        expected = s(n - 1, j - 1, d(n, i, cell))
+                    else:
+                        expected = s(n - 1, j, d(n, i - 1, cell))
+                    if d(n + 1, i, s(n, j, cell)) != expected:
+                        return f"simplicial identity d{i} s{j} fails at {cell!r} in dimension {n}"
+    return None
+
+
 class TestTruncSSet:
     def test_identities_are_enforced(self):
         cells = {0: ("x", "y"), 1: ("e",)}
@@ -78,6 +115,68 @@ class TestTruncSSet:
         # same edge that fails
         with pytest.raises(ValidationError, match="simplicial identity"):
             trunc_sset(1, cells, faces, degens)
+
+    @staticmethod
+    def _edited_simplex(n, cap, edits):
+        """Δⁿ at the cap rebuilt by trunc_sset from its own tables, with
+        each ``(operator, cell, image)`` edit applied."""
+        simplex = delta(n, cap)
+        tables = {name: dict(table) for name, table in simplex.ops.items()}
+        for name, cell, image in edits:
+            tables[name][cell] = image
+        cells = {m: simplex.cells[str(m)] for m in range(cap + 1)}
+        faces = {(m, i): tables[f"d{m}_{i}"] for m in range(1, cap + 1) for i in range(m + 1)}
+        degens = {(m, i): tables[f"s{m}_{i}"] for m in range(cap) for i in range(m + 1)}
+        return trunc_sset(cap, cells, faces, degens)
+
+    @pytest.mark.parametrize("n, cap, edits, failure", [
+        # d∘d: d0 d1 = d0 d0 breaks at 022
+        (2, 2, [("d2_1", "022", "00")], "d0 d1 fails at '022' in dimension 2"),
+        # two failing cells: the earlier cell 012 is named, although only a
+        # later identity (d0 d2) fails there and d0 d1 fails at 022
+        (2, 2, [("d2_1", "022", "00"), ("d2_2", "012", "00")],
+         "d0 d2 fails at '012' in dimension 2"),
+        # s∘s: s1_0 s0_0 = s1_1 s0_0 breaks at the vertex 0
+        (1, 2, [("s1_0", "00", "001")], "s0 s0 fails at '0' in dimension 0"),
+        # d∘s at dimension 1: d2_0 s1_0 is no longer the identity on 01
+        (1, 2, [("s1_0", "01", "011")], "d0 s0 fails at '01' in dimension 1"),
+        # two failing cells: d1 s0 at the vertex 0 comes before d0 s0 at 1
+        (1, 1, [("d1_0", "11", "0"), ("d1_1", "00", "1")], "d1 s0 fails at '0' in dimension 0"),
+    ], ids=["dd", "dd-two-cells", "ss", "ds-dim1", "ds-two-cells"])
+    def test_first_failing_identity_is_named(self, n, cap, edits, failure):
+        with pytest.raises(ValidationError) as refused:
+            self._edited_simplex(n, cap, edits)
+        assert str(refused.value) == f"simplicial identity {failure}"
+
+    def test_agrees_with_the_reference_on_random_edits(self):
+        rng = random.Random(0)
+        shapes = [(delta(n, cap), cap) for n in (1, 2, 3) for cap in (1, 2, 3)]
+        shapes += [(nerve(category, 2), 2) for category in corpus_categories()]
+        failures = 0
+        for shape, cap in shapes:
+            targets = {name: t for name, _, t in shape.signature.ops}
+            for _ in range(25):
+                ops = {name: dict(table) for name, table in shape.ops.items()}
+                for _ in range(rng.randint(1, 3)):
+                    name = rng.choice([name for name in ops if ops[name]])
+                    cell = rng.choice(sorted(ops[name]))
+                    ops[name][cell] = rng.choice(shape.cells[targets[name]])
+                edited = core.PresheafObject(shape.signature, shape.cells, ops)
+                expected = identity_failure(edited, cap)
+                faces = {(m, i): ops[f"d{m}_{i}"] for m in range(1, cap + 1) for i in range(m + 1)}
+                degens = {(m, i): ops[f"s{m}_{i}"] for m in range(cap) for i in range(m + 1)}
+                cells = {m: shape.cells[str(m)] for m in range(cap + 1)}
+                try:
+                    trunc_sset(cap, cells, faces, degens)
+                    found = None
+                except ValidationError as exc:
+                    found = str(exc)
+                assert found == expected
+                failures += expected is not None
+        assert failures > 100
+
+    def test_unedited_tables_rebuild(self):
+        assert self._edited_simplex(2, 3, []) == delta(2, 3)
 
     def test_delta_validates(self):
         for n in (0, 1, 2):
