@@ -101,7 +101,8 @@ def main(argv=None):
         "command": "python3 scripts/bench_pairs.py " + " ".join(
             f"--{k} {v}" for k, v in (
                 ("base", args.base), ("change", args.change), ("pairs", args.pairs),
-                ("seconds", f"{args.seconds:g}"), ("workdir", "<scratch dir>"), ("out", args.out),
+                ("seconds", f"{args.seconds:g}"), ("workdir", "<scratch dir>"),
+                ("out", Path(args.out).name),
             )
         ),
         "base": commits["base"],
