@@ -18,6 +18,7 @@ empty path is ``[]@v`` at a vertex v but ``[]`` on the unlabelled vertex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -423,7 +424,10 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     checked on every triple-nested element for which both evaluation orders
     are defined at the cap; elements where either side overflows (attempted
     up to one letter past the cap) are reported as skipped rather than
-    silently ignored.
+    silently ignored.  The skip sample holds the first 20 skipped elements
+    in walk order.  Once it is full, a nesting whose outer two levels
+    already flatten past the cap is not visited: it and its extensions,
+    which overflow the same way, are counted into ``skipped_count``.
     """
     cap = monad.cap
     failures = []
@@ -469,28 +473,51 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     leaving = {}
     for label in tt_cells:
         leaving.setdefault(tt_path[label][0], []).append(label)
+    skipped_count = 0
+    skipped = []
 
-    def grow(prefix, total, choices):
+    @functools.cache
+    def below(vertex, room, entries):
+        """How many sequences extend a prefix ending at ``vertex`` by one to
+        ``entries`` more T(T(X))-cells of total expansion at most ``room``."""
+        if entries == 0:
+            return 0
+        return sum(
+            1 + below(tt_path[label][1], room - expansion[label], entries - 1)
+            for label in leaving.get(vertex, ()) if expansion[label] <= room
+        )
+
+    def grow(prefix, total, size, choices):
+        # ``size`` counts the T(X)-cells that path one flattens the prefix
+        # to.  Past the cap, path one is undefined on the prefix and on every
+        # extension of it, whatever the multiplication holds; once the skip
+        # sample is full, that subtree is counted rather than walked.  The
+        # loop below has classified every earlier element by the time the
+        # walk resumes, so ``skipped`` is current here.
+        nonlocal skipped_count
         for label in choices:
             extra = expansion[label]
             if total + extra > cap:
                 continue
             outer = prefix + (label,)
+            _, end, entries = tt_path[label]
+            cells = size + len(entries)
+            if cells > cap and len(skipped) == _SKIP_SAMPLE:
+                skipped_count += 1 + below(end, cap - total - extra, cap - len(outer))
+                continue
             yield tt_path[outer[0]][0], outer
             if len(outer) < cap:
-                yield from grow(outer, total + extra, leaving.get(tt_path[label][1], ()))
+                yield from grow(outer, total + extra, cells, leaving.get(end, ()))
 
     def nested():
         """Each vertex with the empty sequence, then the sequences
         depth-first in T(T(X)) decode order."""
         for vertex in monad._graph(tx.obj)[0]:
             yield vertex, ()
-        yield from grow((), 0, tt_cells)
+        yield from grow((), 0, 0, tt_cells)
 
     assoc_ok = True
     checked = 0
-    skipped_count = 0
-    skipped = []
     for anchor, outer in nested():
         # path one: flatten the outer two levels, then multiply
         concat = []

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from phl.monads import (
     FiniteMonoid,
     FreeCategoryMonad,
     FreeMonoidMonad,
+    LawReport,
     algebra_extend,
     check_monad_laws,
     extend_to_free,
@@ -29,6 +31,122 @@ from phl.monads import (
 )
 
 from conftest import mono_unit
+
+
+def _reference_laws(monad, x):
+    """The exhaustive law check that ``check_monad_laws`` replaced: every
+    nested element is visited and classified, none is counted in bulk."""
+    cap = monad.cap
+    failures = []
+    tx = monad.apply(x)
+    mu = monad.mult(x)
+    ttx = monad.apply(tx.obj)
+
+    unit_left_ok = True
+    unit_right_ok = True
+    if cap >= 1:
+        eta_tx = monad.unit(tx.obj)
+        t_eta = monad.on_map(monad.unit(x))
+        for sort, cell in tx.obj.cell_items():
+            if mu.defined[sort].get(eta_tx.on[sort][cell]) != cell:
+                unit_left_ok = False
+                failures.append(("mu∘etaT", sort, cell))
+            if mu.defined[sort].get(t_eta.on[sort][cell]) != cell:
+                unit_right_ok = False
+                failures.append(("mu∘Teta", sort, cell))
+
+    t_path = {label: monad._path(element) for label, element in tx.decode.items()}
+    tt_path = {label: monad._path(element) for label, element in ttx.decode.items()}
+    tt_label = {path: label for label, path in tt_path.items()}
+    _, mu_on = monad._tables(mu.defined)
+
+    def tt_encode(entries, vertex):
+        if entries:
+            path = (t_path[entries[0]][0], t_path[entries[-1]][1], tuple(entries))
+        else:
+            path = (vertex, vertex, ())
+        return tt_label.get(path)
+
+    expansion = {
+        label: sum(len(t_path[entry][2]) for entry in path[2])
+        for label, path in tt_path.items()
+    }
+    tt_cells = [label for label in tt_path if expansion[label] <= cap]
+    leaving = {}
+    for label in tt_cells:
+        leaving.setdefault(tt_path[label][0], []).append(label)
+
+    def grow(prefix, total, choices):
+        for label in choices:
+            extra = expansion[label]
+            if total + extra > cap:
+                continue
+            outer = prefix + (label,)
+            yield tt_path[outer[0]][0], outer
+            if len(outer) < cap:
+                yield from grow(outer, total + extra, leaving.get(tt_path[label][1], ()))
+
+    def nested():
+        for vertex in monad._graph(tx.obj)[0]:
+            yield vertex, ()
+        yield from grow((), 0, tt_cells)
+
+    assoc_ok = True
+    checked = 0
+    skipped_count = 0
+    skipped = []
+    for anchor, outer in nested():
+        concat = []
+        for label in outer:
+            concat.extend(tt_path[label][2])
+        first = None
+        if len(concat) <= cap:
+            middle = tt_encode(concat, anchor)
+            if middle is not None:
+                first = mu_on.get(middle)
+        second = None
+        inner = []
+        for label in outer:
+            value = mu_on.get(label)
+            if value is None:
+                inner = None
+                break
+            inner.append(value)
+        if inner is not None:
+            middle = tt_encode(inner, anchor)
+            if middle is not None:
+                second = mu_on.get(middle)
+        if first is None or second is None:
+            skipped_count += 1
+            if len(skipped) < 20:
+                skipped.append((anchor, outer, "mu∘muT" if first is None else "mu∘Tmu"))
+            continue
+        checked += 1
+        if first != second:
+            assoc_ok = False
+            failures.append(("assoc", anchor, outer))
+    return LawReport(
+        unit_left_ok, unit_right_ok, assoc_ok, checked, skipped_count,
+        tuple(skipped), tuple(failures)
+    )
+
+
+def _corrupt(monad, x, seed):
+    """Corrupt the multiplication of this ``monad`` instance at ``x`` in one
+    to three seeded places among its first 40 entries, which the walk meets
+    early: each is either dropped or sent to a random T(X)-cell."""
+    rng = random.Random(seed)
+    good = monad.mult(x)
+    vertex_on, table = monad._tables(good.defined)
+    broken = dict(table)
+    targets = sorted(set(table.values()))
+    for label in rng.sample(list(table)[:40], rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            del broken[label]
+        else:
+            broken[label] = rng.choice(targets)
+    bad = type(good)(good.domain, good.codomain, monad._on(vertex_on, broken), good.skipped)
+    monad.mult = lambda obj: bad if obj == x else type(monad).mult(monad, obj)
 
 
 class TestFreeMonoid:
@@ -220,6 +338,64 @@ class TestMonadLaws:
         report = check_monad_laws(monad, x)
         assert not report.ok
         assert report.failures
+
+
+LAW_CASES = {  # the law checks of the benchmark's algebra workload
+    "loop cap4": (FreeCategoryMonad, corpus_graphs()["loop"], 4),
+    "cycle2 cap4": (FreeCategoryMonad, corpus_graphs()["cycle2"], 4),
+    "{a} cap4": (FreeMonoidMonad, fin_set(["a"]), 4),
+    "{a,b} cap3": (FreeMonoidMonad, fin_set(["a", "b"]), 3),
+}
+
+
+def _agrees_with_reference(monad, x):
+    report = check_monad_laws(monad, x)
+    assert report == _reference_laws(monad, x)
+    return report
+
+
+class TestLawsAgainstReference:
+    """Counting the subtrees that overflow leaves every report, sample and
+    failure order included, as the exhaustive walk gives it."""
+
+    @pytest.mark.parametrize("cap", range(4))
+    def test_corpus(self, cap):
+        for x in corpus_sets():
+            _agrees_with_reference(FreeMonoidMonad(cap), x)
+        for g in corpus_graphs().values():
+            _agrees_with_reference(FreeCategoryMonad(cap), g)
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_benchmark_law_cases(self, case):
+        cls, x, cap = LAW_CASES[case]
+        assert _agrees_with_reference(cls(cap), x).ok
+
+    def test_corrupted_multiplications(self):
+        cases = [
+            (FreeCategoryMonad, corpus_graphs()["loop"], 3),
+            (FreeCategoryMonad, corpus_graphs()["cycle2"], 3),
+            (FreeCategoryMonad, corpus_graphs()["two_loops"], 2),
+            (FreeCategoryMonad, corpus_graphs()["looped_edge"], 2),
+            (FreeMonoidMonad, fin_set(["a"]), 3),
+            (FreeMonoidMonad, fin_set(["a", "b"]), 2),
+        ]
+        tmu_samples = failing = 0
+        for cls, x, cap in cases:
+            for seed in range(20):
+                monad = cls(cap)
+                _corrupt(monad, x, seed)
+                report = _agrees_with_reference(monad, x)
+                tmu_samples += any(label == "mu∘Tmu" for *_, label in report.skipped)
+                failing += not report.ok
+        # both kinds of corruption show in the reports being compared
+        assert tmu_samples and failing
+
+    def test_one_letter_cap_five(self):
+        # 102,004,596 nested elements, almost all counted below an overflow
+        report = check_monad_laws(FreeMonoidMonad(5), fin_set(["a"]))
+        assert (report.ok, report.assoc_checked, report.skipped_count) == (
+            True, 73547, 101931049
+        )
 
 
 class TestAlgebras:

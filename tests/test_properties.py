@@ -22,6 +22,7 @@ from phl.monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 from phl.simplicial import boundary_inclusion, delta, groupoid_interval, horn_inclusion, nerve
 
 from conftest import brute_force_homs
+from test_monads import _reference_laws
 
 GRAPHI = graph_instance()
 SET2 = set_instance()
@@ -118,6 +119,12 @@ def test_homotopy_is_reflexive_and_symmetric(x, y):
 @given(small_graphs(2, 2))
 def test_category_monad_laws_hold(g):
     assert check_monad_laws(FreeCategoryMonad(2), g).ok
+
+
+@given(small_graphs(2, 2), st.integers(2, 3))
+def test_monad_laws_agree_with_the_exhaustive_walk(g, cap):
+    monad = FreeCategoryMonad(cap)
+    assert check_monad_laws(monad, g) == _reference_laws(monad, g)
 
 
 @given(st.integers(0, 3), st.integers(1, 3))
