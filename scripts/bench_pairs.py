@@ -6,7 +6,9 @@ their committed files.  A pair runs the two sides back to back on one seed,
 and the side that goes first alternates from pair to pair.  The file keeps
 the last-line JSON of every run and, per workload and side, the median and
 quartiles of each end-to-end metric of ``BENCHMARK.json``, plus the number
-of pairs in which the change did better.
+of pairs in which the change did better, the signed relative change of the
+median, (change - base) / base, and the metric's bound, so the regression
+check reads off the file.
 
     python3 scripts/bench_pairs.py --base <parent> --change HEAD \\
         --pairs horns=10,fibrancy=3,algebra=3 --seconds 30 \\
@@ -57,7 +59,7 @@ def summarize(runs, metrics):
         by_side = {side: {r["pair"]: r["result"]["metrics"] for r in mine if r["side"] == side}
                    for side in ("base", "change")}
         summary[workload] = {}
-        for name, better in metrics:
+        for name, better, bound in metrics:
             value = {side: {p: m[name]["value"] for p, m in pairs.items()}
                      for side, pairs in by_side.items()}
             wins = sum(
@@ -65,10 +67,15 @@ def summarize(runs, metrics):
                 and value["change"][p] != value["base"][p]
                 for p in value["base"]
             )
+            base, change = (spread(list(value[side].values())) for side in ("base", "change"))
             summary[workload][name] = {
-                "base": spread(list(value["base"].values())),
-                "change": spread(list(value["change"].values())),
+                "base": base,
+                "change": change,
                 "change_better_pairs": f"{wins}/{len(value['base'])}",
+                "median_change": (
+                    (change["median"] - base["median"]) / base["median"] if base["median"] else None
+                ),
+                "bound": bound,
             }
     return summary
 
@@ -86,7 +93,7 @@ def main(argv=None):
     trees = {"base": workdir / "base", "change": workdir / "change"}
     commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs = []
     for item in args.pairs.split(","):
         workload, count = item.split("=")

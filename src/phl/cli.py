@@ -14,7 +14,9 @@ import time
 from pathlib import Path
 
 from . import equivalence, fixtures, homotopy, lifting, simplicial, witnesses
-from .core import CapError, Error, GuardExceeded, PresheafObject, ValidationError
+from .core import (
+    CapError, Error, GuardExceeded, PresheafObject, ValidationError, fin_graph, fin_set,
+)
 from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
     MissingKeyError,
@@ -25,7 +27,7 @@ from .documents import (
     object_to_document,
     parse_document,
 )
-from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad
+from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 
 OBJECT_KINDS = ("set", "graph", "sset")
 ALGEBRA_KINDS = ("monoid", "category")
@@ -249,14 +251,17 @@ def cmd_witness_m2(args):
     return 0, {"witness": document["kind"], "verified": True}
 
 
+def _ehd_corpus(base):
+    """The corpus monos and spans that the EHD check runs on a set or graph base."""
+    if base == "set":
+        return fixtures.corpus_monos_set(), fixtures.corpus_spans_set()
+    return fixtures.corpus_monos_graph(), fixtures.corpus_spans_graph()
+
+
 def cmd_check_ehd(args):
     instance = _instance(args)
-    if instance.base == "set":
-        monos = fixtures.corpus_monos_set()
-        spans = fixtures.corpus_spans_set()
-    elif instance.base == "graph":
-        monos = fixtures.corpus_monos_graph()
-        spans = fixtures.corpus_spans_graph()
+    if instance.base in ("set", "graph"):
+        monos, spans = _ehd_corpus(instance.base)
     else:
         cap = args.cap
         monos = [simplicial.boundary_inclusion(n, cap) for n in range(min(cap, 2) + 1)]
@@ -314,19 +319,13 @@ def cmd_verify(args):
         raise ValidationError(f"unknown suite {args.suite!r}")
     for name in ("set2", "graphI"):
         instance = get_instance(name)
-        if instance.base == "set":
-            monos, spans = fixtures.corpus_monos_set(), fixtures.corpus_spans_set()
-        else:
-            monos, spans = fixtures.corpus_monos_graph(), fixtures.corpus_spans_graph()
-        report = verify_ehd(instance, monos, spans)
+        report = verify_ehd(instance, *_ehd_corpus(instance.base))
         checks.append({"check": f"ehd[{name}]", "ok": report.ok})
     family = lifting.generate_anodyne(get_instance("graphI"), [], depth=0)
     expected = 2 * family.generator_count
     checks.append(
         {"check": "anodyne depth-0 count", "ok": family.pre_dedup_counts[0] == expected}
     )
-    from .monads import check_monad_laws
-    from .core import fin_set, fin_graph
 
     checks.append(
         {

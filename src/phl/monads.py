@@ -10,10 +10,17 @@ finite monoid is a one-object finite category.  That vertex, like the one
 object of a monoid, carries no label: it is ``None``.  Every construction
 below has one body; the monads differ only in how they read an object or a
 map of their base as a graph and write the result back (``_graph``,
-``_tables``, ``_object``, ``_on``), and in the shape of a decoded element:
-a word, or a ``(source, target, edges)`` path.  Labels follow the same
-rule for both: a word or path is named by its letters, ``[a,b]``, and the
-empty path is ``[]@v`` at a vertex v but ``[]`` on the unlabelled vertex.
+``_tables``, ``_object``, ``_on``).  A decoded element has one shape for
+both, the path ``(source, target, edges)``; a word is the path
+``(None, None, letters)``.  Labels follow one rule too: a path is named by
+its letters, ``[a,b]``, and the empty path is ``[]@v`` at a vertex v but
+``[]`` on the unlabelled vertex.
+
+A map X -> T(Y) extends uniquely along the unit to an algebra map
+T(X) -> T(Y), and T(f) and the multiplication are such extensions: of
+eta∘f, and of the identity of T(X).  One body, ``_extend``, builds them
+and ``extend_to_free``; ``algebra_extend`` folds the same paths through an
+algebra's composition.
 """
 
 from __future__ import annotations
@@ -76,10 +83,6 @@ class MultData:
     defined: dict
     skipped: tuple
 
-    @property
-    def total(self) -> bool:
-        return not self.skipped
-
     def as_map(self) -> PresheafMap:
         if self.skipped:
             raise CapError(
@@ -112,20 +115,12 @@ class FreeCategoryMonad:
         return on["vertex"], on["edge"]
 
     @staticmethod
-    def _object(vertices, ends) -> PresheafObject:
-        return fin_graph(vertices, [(e, a, b) for e, (a, b) in ends.items()])
+    def _object(vertices, paths) -> PresheafObject:
+        return fin_graph(vertices, [(label, a, b) for label, (a, b, _) in paths.items()])
 
     @staticmethod
     def _on(vertex_on, edge_on):
         return {"vertex": vertex_on, "edge": edge_on}
-
-    @staticmethod
-    def _element(a, b, edges):
-        return a, b, edges
-
-    @staticmethod
-    def _path(element):
-        return element
 
     # -- the monad ---------------------------------------------------------
 
@@ -140,7 +135,7 @@ class FreeCategoryMonad:
         leaving = {v: [] for v in vertices}
         for e, (a, _b) in ends.items():
             leaving[a].append(e)
-        decode, encode, path_ends = {}, {}, {}
+        decode, encode = {}, {}
         layer = [(v, v, ()) for v in vertices]
         for length in range(self.cap + 1):
             for a, b, edges in layer:
@@ -151,17 +146,15 @@ class FreeCategoryMonad:
                     raise ValidationError(
                         f"{self.noun} labels collide; rename input {self.cell_noun}"
                     )
-                element = self._element(a, b, edges)
-                decode[label] = element
-                encode[element] = label
-                path_ends[label] = (a, b)
+                decode[label] = (a, b, edges)
+                encode[a, b, edges] = label
             if length == 0:  # every edge in label order, not grouped by source
                 layer = [(a, b, (e,)) for e, (a, b) in ends.items()]
             elif length < self.cap:
                 layer = [
                     (a, ends[e][1], edges + (e,)) for a, b, edges in layer for e in leaving[b]
                 ]
-        result = TObject(self._object(vertices, path_ends), decode, encode)
+        result = TObject(self._object(vertices, decode), decode, encode)
         self._cache[x._key] = result
         return result
 
@@ -170,34 +163,42 @@ class FreeCategoryMonad:
             raise CapError(f"unit needs cap >= 1 to form singleton {self.noun}s")
         tx = self.apply(x)
         vertices, ends = self._graph(x)
-        edge_on = {e: tx.encode[self._element(a, b, (e,))] for e, (a, b) in ends.items()}
+        edge_on = {e: tx.encode[a, b, (e,)] for e, (a, b) in ends.items()}
         return PresheafMap(x, tx.obj, self._on({v: v for v in vertices}, edge_on))
 
+    def _extend(self, source: TObject, target: TObject, vertex_on, words, stop=False):
+        """The algebra map out of ``source`` that sends each edge e to the
+        path of edges ``words[e]`` in ``target``: every path is replaced
+        edge by edge and flattened.  Returns its table and the labels whose
+        flattening passes the cap, which stay out of the table; with
+        ``stop`` the walk ends at the first of them."""
+        image, overflow = {}, []
+        for label, (a, b, edges) in source.decode.items():
+            flat = tuple(itertools.chain.from_iterable(words[e] for e in edges))
+            if len(flat) > self.cap:
+                overflow.append(label)
+                if stop:
+                    break
+            else:
+                image[label] = target.encode[vertex_on[a], vertex_on[b], flat]
+        return image, overflow
+
     def on_map(self, f: PresheafMap) -> PresheafMap:
+        """T(f), the extension of the unit after f."""
         tx, ty = self.apply(f.domain), self.apply(f.codomain)
         vertex_on, edge_on = self._tables(f.on)
-        image = {}
-        for label, element in tx.decode.items():
-            a, b, edges = self._path(element)
-            path = (vertex_on[a], vertex_on[b], tuple(edge_on[e] for e in edges))
-            image[label] = ty.encode[self._element(*path)]
+        words = {e: (image,) for e, image in edge_on.items()}
+        image, _ = self._extend(tx, ty, vertex_on, words)
         return PresheafMap(tx.obj, ty.obj, self._on(dict(vertex_on), image), _validated=True)
 
     def mult(self, x: PresheafObject) -> MultData:
+        """The extension of the identity of T(X), partial past the cap."""
         tx = self.apply(x)
         ttx = self.apply(tx.obj)
-        edges_of = {label: self._path(element)[2] for label, element in tx.decode.items()}
-        defined, skipped = {}, []
-        for label, element in ttx.decode.items():
-            a, b, inner = self._path(element)
-            flat = tuple(itertools.chain.from_iterable(edges_of[p] for p in inner))
-            if len(flat) <= self.cap:
-                defined[label] = tx.encode[self._element(a, b, flat)]
-            else:
-                skipped.append(label)
-        vertices, _ = self._graph(tx.obj)
-        on = self._on({v: v for v in vertices}, defined)
-        return MultData(ttx.obj, tx.obj, on, tuple(skipped))
+        vertex_on = {v: v for v in self._graph(tx.obj)[0]}
+        words = {label: edges for label, (_, _, edges) in tx.decode.items()}
+        defined, skipped = self._extend(ttx, tx, vertex_on, words)
+        return MultData(ttx.obj, tx.obj, self._on(vertex_on, defined), tuple(skipped))
 
 
 class FreeMonoidMonad(FreeCategoryMonad):
@@ -221,20 +222,12 @@ class FreeMonoidMonad(FreeCategoryMonad):
         return {None: None}, on["element"]
 
     @staticmethod
-    def _object(vertices, ends) -> PresheafObject:
-        return fin_set(ends)
+    def _object(vertices, paths) -> PresheafObject:
+        return fin_set(paths)
 
     @staticmethod
     def _on(vertex_on, edge_on):
         return {"element": edge_on}
-
-    @staticmethod
-    def _element(a, b, edges):
-        return edges
-
-    @staticmethod
-    def _path(word):
-        return None, None, word
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +357,12 @@ def algebra_extend(algebra, f: PresheafMap, monad) -> PresheafMap:
         raise ValidationError("map must land in the algebra carrier")
     tx = monad.apply(f.domain)
     vertex_on, edge_on = monad._tables(f.on)
-    on = {}
-    for label, element in tx.decode.items():
-        a, _b, edges = monad._path(element)
-        value = algebra.identity(vertex_on[a])
-        for edge in edges:
-            value = algebra.then(value, edge_on[edge])
-        on[label] = value
+    on = {
+        label: functools.reduce(
+            algebra.then, (edge_on[e] for e in edges), algebra.identity(vertex_on[a])
+        )
+        for label, (a, _, edges) in tx.decode.items()
+    }
     return PresheafMap(tx.obj, carrier, monad._on(dict(vertex_on), on))
 
 
@@ -383,15 +375,10 @@ def extend_to_free(monad, h: PresheafMap, source_t: TObject, target_t: TObject
     so totality is exactly the cap condition.
     """
     vertex_on, edge_on = monad._tables(h.on)
-    on = {}
-    for label, element in source_t.decode.items():
-        a, b, edges = monad._path(element)
-        flat = []
-        for edge in edges:
-            flat.extend(monad._path(target_t.decode[edge_on[edge]])[2])
-        if len(flat) > monad.cap:
-            return None
-        on[label] = target_t.encode[monad._element(vertex_on[a], vertex_on[b], tuple(flat))]
+    words = {e: target_t.decode[image][2] for e, image in edge_on.items()}
+    on, overflow = monad._extend(source_t, target_t, vertex_on, words, stop=True)
+    if overflow:
+        return None
     return PresheafMap(source_t.obj, target_t.obj, monad._on(dict(vertex_on), on))
 
 
@@ -448,31 +435,26 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
                 unit_right_ok = False
                 failures.append(("mu∘Teta", sort, cell))
 
-    # T(X)-cells as paths, T(T(X))-cells as paths of T(X)-cells
-    t_path = {label: monad._path(element) for label, element in tx.decode.items()}
-    tt_path = {label: monad._path(element) for label, element in ttx.decode.items()}
-    tt_label = {path: label for label, path in tt_path.items()}
     _, mu_on = monad._tables(mu.defined)
 
     def tt_encode(entries, vertex):
-        if entries:
-            path = (t_path[entries[0]][0], t_path[entries[-1]][1], tuple(entries))
-        else:
-            path = (vertex, vertex, ())
-        return tt_label.get(path)
+        """The T(T(X))-cell of a sequence of T(X)-cells, or None."""
+        a = tx.decode[entries[0]][0] if entries else vertex
+        b = tx.decode[entries[-1]][1] if entries else vertex
+        return ttx.encode.get((a, b, tuple(entries)))
 
     # triple-nested elements: composable sequences of T(T(X))-cells, outer
     # length <= cap, total expansion <= cap.  Inside that domain a side can
     # still overflow (empty-word padding inflates intermediate lengths);
     # those elements land in the skip list instead of being checked.
     expansion = {
-        label: sum(len(t_path[entry][2]) for entry in path[2])
-        for label, path in tt_path.items()
+        label: sum(len(tx.decode[entry][2]) for entry in entries)
+        for label, (_, _, entries) in ttx.decode.items()
     }
-    tt_cells = [label for label in tt_path if expansion[label] <= cap]
+    tt_cells = [label for label in ttx.decode if expansion[label] <= cap]
     leaving = {}
     for label in tt_cells:
-        leaving.setdefault(tt_path[label][0], []).append(label)
+        leaving.setdefault(ttx.decode[label][0], []).append(label)
     skipped_count = 0
     skipped = []
 
@@ -483,7 +465,7 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         if entries == 0:
             return 0
         return sum(
-            1 + below(tt_path[label][1], room - expansion[label], entries - 1)
+            1 + below(ttx.decode[label][1], room - expansion[label], entries - 1)
             for label in leaving.get(vertex, ()) if expansion[label] <= room
         )
 
@@ -500,12 +482,12 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
             if total + extra > cap:
                 continue
             outer = prefix + (label,)
-            _, end, entries = tt_path[label]
+            _, end, entries = ttx.decode[label]
             cells = size + len(entries)
             if cells > cap and len(skipped) == _SKIP_SAMPLE:
                 skipped_count += 1 + below(end, cap - total - extra, cap - len(outer))
                 continue
-            yield tt_path[outer[0]][0], outer
+            yield ttx.decode[outer[0]][0], outer
             if len(outer) < cap:
                 yield from grow(outer, total + extra, cells, leaving.get(end, ()))
 
@@ -522,7 +504,7 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         # path one: flatten the outer two levels, then multiply
         concat = []
         for label in outer:
-            concat.extend(tt_path[label][2])
+            concat.extend(ttx.decode[label][2])
         first = None
         if len(concat) <= cap:
             middle = tt_encode(concat, anchor)

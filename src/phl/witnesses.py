@@ -27,7 +27,7 @@ from .core import (
     relabel,
     subobject_from_cells,
 )
-from .cylinder import CornerMap
+from .cylinder import CornerMap, graph_instance
 from .monads import (
     FiniteCategory,
     FreeCategoryMonad,
@@ -209,7 +209,7 @@ def m2_retract_set(x: PresheafObject, cap: int) -> RetractWitness:
     s = PresheafMap(x, p, {"element": s_on})
 
     u_on = {}
-    for wlabel, word in tx.decode.items():
+    for wlabel, (_, _, word) in tx.decode.items():
         subset = tuple(sorted(set(word)))
         sigma = subset  # the order-induced bijection
         tag = _component_tag(subset, sigma)
@@ -265,21 +265,16 @@ class TowerWitness:
 
 
 def _glue_maps(stage_obj, n, g, tg):
-    """Glue family for stage n: the length-n paths of the base graph read as
-    chain maps into the current stage, which are every map the section
-    needs."""
+    """Glue family for stage n: the length-n paths of the base graph, the
+    empty path at each vertex for n = 0, read as chain maps into the
+    current stage, which are every map the section needs."""
     chain = linear_chain(n)
-    if n == 0:
-        return [
-            PresheafMap(chain, stage_obj, {"vertex": {"0": v}, "edge": {}})
-            for v in g.cells["vertex"]
-        ]
     maps = []
     for label in tg.obj.cells["edge"]:
-        _, _, edges = tg.decode[label]
+        a, _, edges = tg.decode[label]
         if len(edges) != n:
             continue
-        verts = [g.op("src", edges[0])] + [g.op("tgt", e) for e in edges]
+        verts = [a] + [g.op("tgt", e) for e in edges]
         on = {
             "vertex": {str(i): verts[i] for i in range(n + 1)},
             "edge": {f"f{i}": edges[i - 1] for i in range(1, n + 1)},
@@ -483,14 +478,16 @@ def explicit_lift_monoid(corner: CornerMap, top: PresheafMap) -> PresheafMap:
 
 def explicit_lift_category(corner: CornerMap, top: PresheafMap,
                            category: FiniteCategory) -> PresheafMap:
-    """The case-analysis diagonal for a graph endpoint corner into a category.
+    """The diagonal for a graph endpoint corner into a category.
 
-    Edges already in the corner are copied.  A missing edge composes the
-    given-level image with connector morphisms read off the interval
-    threads of its endpoints; a vertex of K contributes connectors only if
-    it carries a loop in K, and the construction refuses otherwise.  Loops
-    at vertices outside K go to identities, other missing edges copy the
-    given level.
+    Cells in the corner are copied and a vertex outside it copies its
+    given-level twin.  An edge outside it, from level s to level t, takes
+    the image of its given-level copy, preceded by the thread connector at
+    its source when s is the other level and the source lies in K, and
+    followed by the connector at its target when t is the other level and
+    the target lies in K; a loop at a vertex outside K goes to the
+    identity instead.  A connector at x is the image of the thread of the
+    least loop of K at x, and a vertex of K without one is refused.
     """
     if corner.kind != "endpoint" or corner.instance_name != "graphI":
         raise ProvenanceError("category lift needs an endpoint corner in the graph instance")
@@ -498,14 +495,14 @@ def explicit_lift_category(corner: CornerMap, top: PresheafMap,
         raise ProvenanceError("top map does not start at the corner object")
     if top.codomain != category.underlying_graph():
         raise ProvenanceError("top map does not land in the category's underlying graph")
-    e = corner.endpoint
-    given, other = ("0", "1") if e == 0 else ("1", "0")
-    level_given, level_other = ("l0", "l1") if e == 0 else ("l1", "l0")
+    given, other = str(corner.endpoint), str(1 - corner.endpoint)
+    interval = graph_instance().interval
+    levels = {i: (interval.op("src", i), interval.op("tgt", i)) for i in ("u", "d", "l0", "l1")}
+    between = {ends: i for i, ends in levels.items()}
     j = corner.j
-    k_obj, l_obj = j.domain, j.codomain
+    l_obj = j.codomain
     kv = set(j.on["vertex"].values())
     ke = set(j.on["edge"].values())
-    cyl = corner.codomain
 
     def fval(sort, cell):
         return top.on[sort][corner.preimage[sort][cell]]
@@ -518,81 +515,36 @@ def explicit_lift_category(corner: CornerMap, top: PresheafMap,
                 f"composition lookup failure on ({f!r},{g!r}); the table is not a category"
             )
 
-    # connectors: images of the lexicographically least K-loop thread
-    toward_given, toward_other = {}, {}
-    for x in sorted(kv):
-        loops = sorted(l for l in ke if l_obj.op("src", l) == x and l_obj.op("tgt", l) == x)
+    def connector(x, s, t):
+        loops = sorted(l for l in ke if l_obj.op("src", l) == x == l_obj.op("tgt", l))
         if not loops:
-            continue
-        loop = loops[0]
-        if e == 0:
-            toward_given[x] = fval("edge", pair_label(loop, "d"))   # level 1 -> 0
-            toward_other[x] = fval("edge", pair_label(loop, "u"))   # level 0 -> 1
-        else:
-            toward_given[x] = fval("edge", pair_label(loop, "u"))   # level 0 -> 1
-            toward_other[x] = fval("edge", pair_label(loop, "d"))   # level 1 -> 0
-
-    def connector_in(x):
-        # morphism f(x, other) -> f(x, given)
-        if x not in toward_given:
             raise LiftConstructionError(
                 f"vertex {x!r} of K carries no loop; the thread connector is unavailable"
             )
-        return toward_given[x]
-
-    def connector_out(x):
-        # morphism f(x, given) -> f(x, other)
-        if x not in toward_other:
-            raise LiftConstructionError(
-                f"vertex {x!r} of K carries no loop; the thread connector is unavailable"
-            )
-        return toward_other[x]
+        return fval("edge", pair_label(loops[0], between[s, t]))
 
     on = {"vertex": {}, "edge": {}}
     for x in l_obj.cells["vertex"]:
         for t in ("0", "1"):
             cell = pair_label(x, t)
-            if corner.contains("vertex", cell):
-                on["vertex"][cell] = fval("vertex", cell)
-            else:
-                on["vertex"][cell] = fval("vertex", pair_label(x, given))
-
-    crossing_up = "u" if e == 0 else "d"      # given level -> other level
-    crossing_down = "d" if e == 0 else "u"    # other level -> given level
+            source = cell if corner.contains("vertex", cell) else pair_label(x, given)
+            on["vertex"][cell] = fval("vertex", source)
     for edge in l_obj.cells["edge"]:
-        a = l_obj.op("src", edge)
-        b = l_obj.op("tgt", edge)
-        for jj in ("u", "d", "l0", "l1"):
-            cell = pair_label(edge, jj)
+        a, b = l_obj.op("src", edge), l_obj.op("tgt", edge)
+        for i, (s, t) in levels.items():
+            cell = pair_label(edge, i)
             if corner.contains("edge", cell):
-                on["edge"][cell] = fval("edge", cell)
-                continue
-            base = fval("edge", pair_label(edge, level_given))
-            a_in, b_in = a in kv, b in kv
-            if not a_in and not b_in:
-                if a == b:
-                    anchor = fval("vertex", pair_label(a, given))
-                    on["edge"][cell] = category.identity(anchor)
-                else:
-                    on["edge"][cell] = base
-            elif a_in and not b_in:
-                if jj in (level_other, crossing_down):
-                    on["edge"][cell] = compose(connector_in(a), base)
-                else:  # the crossing edge leaving the given level
-                    on["edge"][cell] = base
-            elif not a_in and b_in:
-                if jj in (level_other, crossing_up):
-                    on["edge"][cell] = compose(base, connector_out(b))
-                else:
-                    on["edge"][cell] = base
+                value = fval("edge", cell)
+            elif a == b and a not in kv:
+                value = category.identity(fval("vertex", pair_label(a, given)))
             else:
-                if jj == level_other:
-                    on["edge"][cell] = compose(compose(connector_in(a), base), connector_out(b))
-                elif jj == crossing_down:
-                    on["edge"][cell] = compose(connector_in(a), base)
-                else:
-                    on["edge"][cell] = compose(base, connector_out(b))
-    diagonal = PresheafMap(cyl, top.codomain, on)
+                value = fval("edge", pair_label(edge, between[given, given]))
+                if s == other and a in kv:
+                    value = compose(connector(a, other, given), value)
+                if t == other and b in kv:
+                    value = compose(value, connector(b, given, other))
+            on["edge"][cell] = value
+    diagonal = PresheafMap(corner.codomain, top.codomain, on)
     if corner.arrow.then(diagonal) != top:
         raise WitnessError("category lift failed its triangle")
     return diagonal

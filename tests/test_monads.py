@@ -15,7 +15,8 @@ from phl.core import (
 )
 from phl.cylinder import graph_instance as make_graph_instance
 from phl.fixtures import (
-    corpus_graphs, corpus_monoids, corpus_sets, groupoid_interval, loop_complete_graphs,
+    corpus_categories, corpus_graphs, corpus_monoids, corpus_sets, groupoid_interval,
+    loop_complete_graphs,
 )
 from phl.homotopy import find_homotopy
 from phl.monads import (
@@ -55,8 +56,7 @@ def _reference_laws(monad, x):
                 unit_right_ok = False
                 failures.append(("mu∘Teta", sort, cell))
 
-    t_path = {label: monad._path(element) for label, element in tx.decode.items()}
-    tt_path = {label: monad._path(element) for label, element in ttx.decode.items()}
+    t_path, tt_path = tx.decode, ttx.decode
     tt_label = {path: label for label, path in tt_path.items()}
     _, mu_on = monad._tables(mu.defined)
 
@@ -179,9 +179,10 @@ class TestOneVertexGraphs:
                 word for n in range(cap + 1) for word in itertools.product(letters, repeat=n)
             ]
             labels = ["[" + ",".join(word) + "]" for word in words]
+            paths = [(None, None, word) for word in words]
             tx = FreeMonoidMonad(cap).apply(x)
-            assert list(tx.decode.items()) == list(zip(labels, words))
-            assert tx.encode == dict(zip(words, labels))
+            assert list(tx.decode.items()) == list(zip(labels, paths))
+            assert tx.encode == dict(zip(paths, labels))
             assert tx.obj == fin_set(labels)
 
     @pytest.mark.parametrize("letters, cap", [("ab", 3), ("a", 3), ("xyz", 2)])
@@ -283,8 +284,9 @@ class TestMapAndMult:
         tx = monad.apply(x)
         mu = monad.mult(x)
         ttx = monad.apply(tx.obj)
-        outer = ttx.encode[(tx.encode[("a",)], tx.encode[("b",)])]
-        assert mu.defined["element"][outer] == tx.encode[("a", "b")]
+        a, b = tx.encode[None, None, ("a",)], tx.encode[None, None, ("b",)]
+        outer = ttx.encode[None, None, (a, b)]
+        assert mu.defined["element"][outer] == tx.encode[None, None, ("a", "b")]
 
     def test_mult_is_partial_at_cap(self):
         monad = FreeMonoidMonad(2)
@@ -329,8 +331,9 @@ class TestMonadLaws:
             if obj == x:
                 tx = monad.apply(x)
                 broken = dict(good.defined["element"])
-                outer = monad.apply(tx.obj).encode[(tx.encode[("a",)], tx.encode[("a",)])]
-                broken[outer] = tx.encode[("a",)]  # should be [a,a]
+                a = tx.encode[None, None, ("a",)]
+                outer = monad.apply(tx.obj).encode[None, None, (a, a)]
+                broken[outer] = a  # should be [a,a]
                 return type(good)(good.domain, good.codomain, {"element": broken}, good.skipped)
             return FreeMonoidMonad.mult(self, obj)
 
@@ -398,6 +401,54 @@ class TestLawsAgainstReference:
         )
 
 
+def _corpus(cap):
+    """The corpus sets and graphs, each with its monad at ``cap``."""
+    return [(FreeMonoidMonad(cap), x) for x in corpus_sets()] + [
+        (FreeCategoryMonad(cap), g) for g in corpus_graphs().values()
+    ]
+
+
+class TestUniversalProperty:
+    """Every map into an algebra extends uniquely along the unit: T(f)
+    extends eta∘f, mu extends the identity of T(X), and an algebra map
+    restricts to the map it extends."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_on_map_extends_unit_after_map(self, cap):
+        cases = _corpus(cap)
+        for monad, x in cases:
+            for other, y in cases:
+                if type(other) is not type(monad) or x.total_cells() + y.total_cells() > 6:
+                    continue
+                ty = monad.apply(y)
+                for f in itertools.islice(enumerate_homs(x, y), 12):
+                    extended = extend_to_free(monad, f.then(monad.unit(y)), monad.apply(x), ty)
+                    assert monad.on_map(f) == extended
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_mult_extends_the_identity(self, cap):
+        for monad, x in _corpus(cap):
+            tx = monad.apply(x)
+            mu = monad.mult(x)
+            extended = extend_to_free(monad, identity(tx.obj), monad.apply(tx.obj), tx)
+            assert (extended is None) == bool(mu.skipped)
+            if extended is not None:
+                assert extended == mu.as_map()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_algebra_extension_restricts_along_the_unit(self, cap):
+        algebras = [(FreeMonoidMonad, a) for a in corpus_monoids()] + [
+            (FreeCategoryMonad, c) for c in corpus_categories()
+        ]
+        for cls, algebra in algebras:
+            monad = cls(cap)
+            for other, x in _corpus(cap):
+                if type(other) is not cls or x.total_cells() > 4:
+                    continue
+                for f in itertools.islice(enumerate_homs(x, algebra.carrier()), 12):
+                    assert monad.unit(x).then(algebra_extend(algebra, f, monad)) == f
+
+
 class TestAlgebras:
     def test_monoid_validation_names_triple(self):
         with pytest.raises(ValidationError, match=r"\('a'.*'a'.*'b'\)|triple"):
@@ -424,8 +475,8 @@ class TestAlgebras:
         f = PresheafMap(x, z2.carrier(), {"element": {"x": "1"}})
         fp = algebra_extend(z2, f, monad)
         tx = monad.apply(x)
-        assert fp.on["element"][tx.encode[()]] == "0"        # empty product
-        assert fp.on["element"][tx.encode[("x", "x")]] == "0"  # x*x = 0 in z2
+        assert fp.on["element"][tx.encode[None, None, ()]] == "0"  # empty product
+        assert fp.on["element"][tx.encode[None, None, ("x", "x")]] == "0"  # x*x = 0 in z2
         assert mono_unit(monad, x).then(fp) == f
 
     def test_extend_category_empty_path(self):
@@ -455,14 +506,15 @@ class TestAlgebras:
         for g in enumerate_homs(tx.obj, z2.carrier()):
             if eta.then(g) != f:
                 continue
-            is_hom = g.on["element"][tx.encode[()]] == z2.unit
-            for w1 in tx.decode.values():
-                for w2 in tx.decode.values():
+            is_hom = g.on["element"][tx.encode[None, None, ()]] == z2.unit
+            for _, _, w1 in tx.decode.values():
+                for _, _, w2 in tx.decode.values():
                     if len(w1) + len(w2) > monad.cap:
                         continue
-                    lhs = g.on["element"][tx.encode[w1 + w2]]
+                    lhs = g.on["element"][tx.encode[None, None, w1 + w2]]
                     rhs = z2.mul(
-                        g.on["element"][tx.encode[w1]], g.on["element"][tx.encode[w2]]
+                        g.on["element"][tx.encode[None, None, w1]],
+                        g.on["element"][tx.encode[None, None, w2]],
                     )
                     if lhs != rhs:
                         is_hom = False

@@ -47,7 +47,7 @@ class TestRetractWitness:
         w = m2_retract_set(x, cap=2)
         monad = FreeMonoidMonad(2)
         tx = monad.apply(x)
-        label = tx.encode[("x", "y")]
+        label = tx.encode[None, None, ("x", "y")]
         assert w.u.on["element"][label] == "{x,y}|x,y/[0,1]"
         assert w.v.on["element"][w.u.on["element"][label]] == label
 
