@@ -251,22 +251,19 @@ def cmd_witness_m2(args):
     return 0, {"witness": document["kind"], "verified": True}
 
 
-def _ehd_corpus(base):
-    """The corpus monos and spans that the EHD check runs on a set or graph base."""
+def _ehd_corpus(base, cap=None):
+    """The monos and spans that the EHD check runs on a base; an sset base
+    at ``cap`` gets boundary inclusions and no spans."""
     if base == "set":
         return fixtures.corpus_monos_set(), fixtures.corpus_spans_set()
-    return fixtures.corpus_monos_graph(), fixtures.corpus_spans_graph()
+    if base == "graph":
+        return fixtures.corpus_monos_graph(), fixtures.corpus_spans_graph()
+    return [simplicial.boundary_inclusion(n, cap) for n in range(min(cap, 2) + 1)], []
 
 
 def cmd_check_ehd(args):
     instance = _instance(args)
-    if instance.base in ("set", "graph"):
-        monos, spans = _ehd_corpus(instance.base)
-    else:
-        cap = args.cap
-        monos = [simplicial.boundary_inclusion(n, cap) for n in range(min(cap, 2) + 1)]
-        spans = []
-    report_obj = verify_ehd(instance, monos, spans)
+    report_obj = verify_ehd(instance, *_ehd_corpus(instance.base, args.cap))
     report = {
         "instance": report_obj.instance_name,
         "ok": report_obj.ok,

@@ -138,16 +138,16 @@ class FreeCategoryMonad:
         decode, encode = {}, {}
         layer = [(v, v, ()) for v in vertices]
         for length in range(self.cap + 1):
-            for a, b, edges in layer:
+            for path in layer:
                 if len(decode) >= DEFAULT_GUARD:
                     raise GuardExceeded(f"{self.name} enumeration exceeded the guard")
-                label = path_label(a, edges)
+                label = path_label(path[0], path[2])
                 if label in decode:
                     raise ValidationError(
                         f"{self.noun} labels collide; rename input {self.cell_noun}"
                     )
-                decode[label] = (a, b, edges)
-                encode[a, b, edges] = label
+                decode[label] = path
+                encode[path] = label
             if length == 0:  # every edge in label order, not grouped by source
                 layer = [(a, b, (e,)) for e, (a, b) in ends.items()]
             elif length < self.cap:

@@ -1,4 +1,4 @@
-"""Explicit retract and tower witnesses, and the case-analysis lifts.
+"""Explicit retract and tower witnesses, and the explicit lifts.
 
 Every witness is verified structurally before it is returned; the
 constructors refuse to hand back anything whose identities fail.  Each
@@ -47,7 +47,7 @@ class ProvenanceError(Error):
 
 
 class LiftConstructionError(Error):
-    """The case-analysis lift has no data to build from on this input."""
+    """The explicit lift has no data to build from on this input."""
 
 
 #: The largest set whose retract witness is built: the middle map has one
@@ -497,6 +497,7 @@ def explicit_lift_category(corner: CornerMap, top: PresheafMap,
         raise ProvenanceError("top map does not land in the category's underlying graph")
     given, other = str(corner.endpoint), str(1 - corner.endpoint)
     interval = graph_instance().interval
+    # edges are visited in this order, so a refusal names the same vertex
     levels = {i: (interval.op("src", i), interval.op("tgt", i)) for i in ("u", "d", "l0", "l1")}
     between = {ends: i for i, ends in levels.items()}
     j = corner.j

@@ -402,9 +402,10 @@ class TestLawsAgainstReference:
 
 
 def _corpus(cap):
-    """The corpus sets and graphs, each with its monad at ``cap``."""
-    return [(FreeMonoidMonad(cap), x) for x in corpus_sets()] + [
-        (FreeCategoryMonad(cap), g) for g in corpus_graphs().values()
+    """Each monad at ``cap`` with the corpus objects of its base."""
+    return [
+        (FreeMonoidMonad(cap), corpus_sets()),
+        (FreeCategoryMonad(cap), list(corpus_graphs().values())),
     ]
 
 
@@ -415,35 +416,33 @@ class TestUniversalProperty:
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_on_map_extends_unit_after_map(self, cap):
-        cases = _corpus(cap)
-        for monad, x in cases:
-            for other, y in cases:
-                if type(other) is not type(monad) or x.total_cells() + y.total_cells() > 6:
+        for monad, objects in _corpus(cap):
+            for x, y in itertools.product(objects, repeat=2):
+                if x.total_cells() + y.total_cells() > 6:
                     continue
-                ty = monad.apply(y)
+                tx, ty = monad.apply(x), monad.apply(y)
                 for f in itertools.islice(enumerate_homs(x, y), 12):
-                    extended = extend_to_free(monad, f.then(monad.unit(y)), monad.apply(x), ty)
-                    assert monad.on_map(f) == extended
+                    assert monad.on_map(f) == extend_to_free(monad, f.then(monad.unit(y)), tx, ty)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_mult_extends_the_identity(self, cap):
-        for monad, x in _corpus(cap):
-            tx = monad.apply(x)
-            mu = monad.mult(x)
-            extended = extend_to_free(monad, identity(tx.obj), monad.apply(tx.obj), tx)
-            assert (extended is None) == bool(mu.skipped)
-            if extended is not None:
-                assert extended == mu.as_map()
+        for monad, objects in _corpus(cap):
+            for x in objects:
+                tx = monad.apply(x)
+                mu = monad.mult(x)
+                extended = extend_to_free(monad, identity(tx.obj), monad.apply(tx.obj), tx)
+                assert (extended is None) == bool(mu.skipped)
+                if extended is not None:
+                    assert extended == mu.as_map()
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_algebra_extension_restricts_along_the_unit(self, cap):
-        algebras = [(FreeMonoidMonad, a) for a in corpus_monoids()] + [
-            (FreeCategoryMonad, c) for c in corpus_categories()
-        ]
-        for cls, algebra in algebras:
-            monad = cls(cap)
-            for other, x in _corpus(cap):
-                if type(other) is not cls or x.total_cells() > 4:
+        (smonad, sets), (gmonad, graphs) = _corpus(cap)
+        cases = [(smonad, sets, a) for a in corpus_monoids()]
+        cases += [(gmonad, graphs, c) for c in corpus_categories()]
+        for monad, objects, algebra in cases:
+            for x in objects:
+                if x.total_cells() > 4:
                     continue
                 for f in itertools.islice(enumerate_homs(x, algebra.carrier()), 12):
                     assert monad.unit(x).then(algebra_extend(algebra, f, monad)) == f
