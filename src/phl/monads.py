@@ -66,8 +66,8 @@ class TObject:
     """A truncated free object together with its decode tables."""
 
     obj: PresheafObject
-    decode: dict = field(repr=False)    # cell label -> structured element
-    encode: dict = field(repr=False)    # structured element -> cell label
+    decode: dict = field(repr=False)    # cell label -> (source, target, edges) path
+    encode: dict = field(repr=False)    # path -> cell label
 
 
 @dataclass(frozen=True)
