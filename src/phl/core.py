@@ -662,13 +662,53 @@ def search_maps(
     return _walk(dom, cod, plan, pinned, cell_filter, injective, budget)
 
 
-def _walk(dom, cod, plan, pinned, cell_filter, injective, budget):
+def extensions_by_prefix(dom: PresheafObject, cod: PresheafObject, stop: int,
+                         guard: Optional[int] = None) -> Iterator[tuple]:
+    """The maps dom -> cod grouped by their values on the first ``stop``
+    cells of dom's search order: one ``(count, least)`` pair per prefix
+    assignment that extends, in lexicographic order, with the number of its
+    extensions and the least of them.
+
+    Every operator constraint of a later cell must lead to a cell before
+    ``stop`` or to itself, so each later cell's candidates depend on the
+    prefix alone and the extensions number the product of their counts.
+    The guard counts the prefix walk's candidates and, per prefix
+    assignment, every candidate of every later cell.
+    """
+    if dom.signature.name != cod.signature.name:
+        raise MismatchError("hom enumeration between different bases")
+    plan = _SearchPlan.of(dom)
+    budget = DEFAULT_GUARD if guard is None else guard
+    for extensions, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget,
+                                  stop):
+        yield extensions, _assemble(dom, cod, plan, vals)
+
+
+def _assemble(dom, cod, plan, vals):
+    on = {sort: dict(zip(cells, vals[lo:hi])) for sort, cells, lo, hi in plan.spans}
+    return PresheafMap(dom, cod, on, _validated=True)
+
+
+def _exceeded(budget):
+    return GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
+
+
+def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
+    """Depth-first walk of the search plan, yielding every map in order.
+
+    With ``stop`` (and no filter or injectivity) the walk ends at that
+    step: per prefix assignment it counts the admitted candidates of each
+    later step, which must read only the prefix and themselves, and yields
+    ``(product, values)`` with each later step at its least candidate,
+    unless the product is 0.  The value vector is the walk's own and
+    changes as the walk goes on.
+    """
     steps = plan.steps
-    n = len(steps)
+    n = len(steps) if stop is None else stop
     cod_ops, cod_cells = cod.ops, cod.cells
     buckets = [None] * len(plan.bucket_keys)
     used = {sort: set() for sort in dom.signature.sorts}
-    vals = [None] * n
+    vals = [None] * len(steps)
     pending = [None] * n
     count = 0
 
@@ -686,12 +726,38 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget):
             return iter(buckets[kid].get(getter(vals), ())), own
         return iter(cod_cells[sort]), own
 
-    def build():
-        on = {sort: dict(zip(cells, vals[lo:hi])) for sort, cells, lo, hi in plan.spans}
-        return PresheafMap(dom, cod, on, _validated=True)
+    def extend(count):
+        # ``count`` is passed in and handed back rather than shared, so that
+        # it stays a fast local of the per-candidate loop below
+        product = 1
+        for j in range(n, len(steps)):
+            it, checks = candidates(j)
+            least, admitted = None, 0
+            for value in it:
+                count += 1
+                if count > budget:
+                    raise _exceeded(budget)
+                vals[j] = value
+                for name, s, t in checks:
+                    if cod_ops[name][vals[s]] != vals[t]:
+                        break
+                else:
+                    if not admitted:
+                        least = value
+                    admitted += 1
+            if not admitted:
+                return count, 0
+            vals[j] = least
+            product *= admitted
+        return count, product
 
     if n == 0:
-        yield build()
+        if stop is None:
+            yield _assemble(dom, cod, plan, vals)
+        else:
+            product = extend(count)[1]
+            if product:
+                yield product, vals
         return
     i = 0
     it, checks = candidates(0)
@@ -700,7 +766,7 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget):
         for value in it:
             count += 1
             if count > budget:
-                raise GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
+                raise _exceeded(budget)
             if injective and value in used[sort]:
                 continue
             if cell_filter is not None and not cell_filter(sort, cell, value):
@@ -722,7 +788,12 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget):
                 used[steps[i][0]].discard(vals[i])
             continue
         if i + 1 == n:
-            yield build()
+            if stop is None:
+                yield _assemble(dom, cod, plan, vals)
+            else:
+                count, product = extend(count)
+                if product:
+                    yield product, vals
             continue
         if injective:
             used[sort].add(value)

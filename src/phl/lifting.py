@@ -1,4 +1,11 @@
-"""Brute-force lifting oracle and depth-bounded anodyne generation.
+"""Lifting verdicts and depth-bounded anodyne generation.
+
+``has_rlp`` decides the right lifting property of a general map by walking
+every commuting square.  ``is_naively_fibrant_upto``, the case A -> 1,
+counts the squares instead: a lift exists or not depending only on a prefix
+of the top map's values, so it solves one lift per prefix assignment and
+adds the number of its extensions.  Both return the same verdict, count and
+counterexample.
 
 Membership in the full saturated anodyne class is out of reach at this
 scale, so every verdict here is a necessary condition at an explicit depth
@@ -16,11 +23,14 @@ from .core import (
     PresheafObject,
     ValidationError,
     arrows_isomorphic,
+    _SearchPlan,
     bang,
     empty_object,
+    extensions_by_prefix,
     fin_graph,
     fin_set,
     first_map,
+    image_cells,
     is_mono,
     pin_along,
     search_maps,
@@ -198,7 +208,9 @@ class RlpVerdict:
 def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
     """Whether p lifts against every family entry, over every commuting
     square, enumerated exhaustively; the first failure in enumeration order
-    is returned as the counterexample."""
+    is returned as the counterexample.  Each top, bottom and lift search
+    gets the guard afresh.  This is the reference for the counted verdict
+    of :func:`is_naively_fibrant_upto`."""
     checked = 0
     for entry in family.entries:
         i = entry.arrow
@@ -214,7 +226,54 @@ def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
     return RlpVerdict(True, family.depth, checked)
 
 
+def prefix_split(i: PresheafMap) -> int:
+    """Length of the shortest prefix of K's search order, for i: K -> L,
+    after which every cell of K is constrained only by prefix cells or by
+    itself, and maps into L onto no face of a cell outside the image of i.
+
+    A diagonal L -> A reads the top map only on the faces of the cells it
+    chooses, so over A -> 1 whether a square lifts depends on the prefix
+    alone.  Sets split at 0 and graphs after their last vertex that bounds
+    an edge or whose image does.
+    """
+    k, l = i.domain, i.codomain
+    image = image_cells(i)
+    faces = {
+        (t_sort, l.op(name, cell))
+        for name, s_sort, t_sort in l.signature.ops
+        for cell in l.cells[s_sort]
+        if cell not in image[s_sort]
+    }
+    plan = _SearchPlan.of(k)
+    split = 0
+    for at, (sort, cell, _, _, _, checks) in enumerate(plan.steps):
+        if (sort, i.on[sort][cell]) in faces:
+            split = at + 1
+        for _, s, t in checks:
+            if s != t:
+                split = max(split, min(s, t) + 1)
+    return split
+
+
 def is_naively_fibrant_upto(a: PresheafObject, family: AnodyneFamily,
                             guard=None) -> RlpVerdict:
-    """RLP of A -> 1 against the family."""
-    return has_rlp(bang(a), family, guard=guard)
+    """RLP of A -> 1 against the family, with the verdict, square count and
+    counterexample of :func:`has_rlp`.
+
+    The tops of each entry are walked only up to :func:`prefix_split`.  Per
+    prefix assignment the lift is solved once, from its least extension:
+    if it lifts, all of its extensions count as checked squares; if not,
+    that least top and its unique bottom are the first failing square in
+    enumeration order.  The guard bounds each entry's prefix walk together
+    with the suffix candidates it counts, and each lift search.
+    """
+    p = bang(a)
+    checked = 0
+    for entry in family.entries:
+        i = entry.arrow
+        bottom = bang(i.codomain)
+        for extensions, top in extensions_by_prefix(i.domain, a, prefix_split(i), guard=guard):
+            if solve_lift(LiftingProblem(i, p, top, bottom), guard=guard) is None:
+                return RlpVerdict(False, family.depth, checked + 1, (entry.provenance, top, bottom))
+            checked += extensions
+    return RlpVerdict(True, family.depth, checked)

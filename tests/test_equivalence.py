@@ -10,6 +10,7 @@ from phl.equivalence import (
 )
 from phl.fixtures import (
     chain2_category,
+    corpus_categories,
     corpus_graphs,
     corpus_monoids,
     discrete2_category,
@@ -18,7 +19,7 @@ from phl.fixtures import (
     we_algebras,
     z2_category,
 )
-from phl.lifting import generate_anodyne
+from phl.lifting import generate_anodyne, has_rlp
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad
 
 from conftest import mono_unit
@@ -144,6 +145,22 @@ class TestM3Sample:
                 explicit = explicit_lift_category(corner, top, algebra)
                 oracle = solve_lift(LiftingProblem.to_terminal(corner.arrow, top))
                 assert (explicit is not None) == (oracle is not None)
+
+    def test_corpus_categories_at_depth_one(self, graph_instance):
+        # every row but z2_loop's is also in reach of the exhaustive walk,
+        # which never finishes the 67,109,924 squares of z2_loop
+        family = generate_anodyne(graph_instance, [], depth=1)
+        report = check_m3_sample(corpus_categories(), family)
+        rows = {row.name: row.verdict for row in report.rows}
+        assert list(rows) == [c.name for c in corpus_categories()]
+        assert rows["z2_loop"].ok
+        assert rows["z2_loop"].squares_checked == 67_109_924
+        for category in corpus_categories():
+            if category.name != "z2_loop":
+                assert rows[category.name] == has_rlp(core.bang(category.carrier()), family)
+        assert {name for name, verdict in rows.items() if not verdict.ok} == {
+            "chain2", "parallel_pair", "discrete2",
+        }
 
     def test_non_algebra_probe_fails(self, graph_instance):
         from phl.lifting import is_naively_fibrant_upto

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from phl import core
@@ -14,22 +16,30 @@ from phl.core import (
     inverse,
     is_mono,
 )
-from phl.cylinder import corner_endpoint, corner_full
+from phl.cylinder import corner_endpoint, corner_full, get_instance
 from phl.fixtures import (
+    all_small_graphs,
+    corpus_categories,
     corpus_graphs,
+    corpus_monoids,
+    corpus_sets,
     discrete2_category,
     groupoid_interval,
     terminal_category,
     z2_category,
 )
 from phl.lifting import (
+    AnodyneFamily,
+    FamilyEntry,
     LiftingProblem,
     default_generating_monos,
     generate_anodyne,
     has_rlp,
     is_naively_fibrant_upto,
+    prefix_split,
     solve_lift,
 )
+from phl.simplicial import nerve
 
 from conftest import brute_force_homs
 
@@ -164,6 +174,94 @@ class TestGenerateAnodyne:
             generate_anodyne(set_instance, [collapse], depth=0)
 
 
+@lru_cache(maxsize=None)
+def family_of(instance, depth, cap=None):
+    return generate_anodyne(get_instance(instance, cap), [], depth=depth)
+
+
+def assert_agrees_with_reference(a, family):
+    assert is_naively_fibrant_upto(a, family) == has_rlp(bang(a), family)
+
+
+class TestCountedVerdict:
+    """The counted verdict against the exhaustive square walk of has_rlp:
+    the same ok, count, entry, top and bottom."""
+
+    @pytest.mark.parametrize("depth", range(3))
+    def test_sets_and_monoid_carriers(self, depth):
+        family = family_of("set2", depth)
+        for a in corpus_sets() + [m.carrier() for m in corpus_monoids()]:
+            assert_agrees_with_reference(a, family)
+
+    @pytest.mark.parametrize("depth", range(2))
+    def test_corpus_categories(self, depth):
+        family = family_of("graphI", depth)
+        for category in corpus_categories():
+            if (category.name, depth) != ("z2_loop", 1):
+                assert_agrees_with_reference(category.underlying_graph(), family)
+
+    @pytest.mark.parametrize("depth", range(2))
+    def test_small_graphs(self, depth):
+        family = family_of("graphI", depth)
+        for a in all_small_graphs(3, 3):
+            if len(a.cells["vertex"]) >= 2:
+                assert_agrees_with_reference(a, family)
+
+    @pytest.mark.parametrize("instance", ["sset-jinf", "sset-delta1"])
+    @pytest.mark.parametrize("depth", range(2))
+    def test_cap_one_nerves(self, instance, depth):
+        family = family_of(instance, depth, cap=1)
+        for category in corpus_categories():
+            if (category.name, depth) != ("z2_loop", 1):
+                assert_agrees_with_reference(nerve(category, 1), family)
+
+    def test_split_of_each_base(self):
+        # sets split before their first cell and cap-1 nerves after their
+        # 0-simplices.  Graphs split after their vertices, except where
+        # neither K nor L has an edge (the corners of the point), so that
+        # no vertex bounds anything and K is counted whole
+        for entry in family_of("set2", 1).entries:
+            assert prefix_split(entry.arrow) == 0
+        for entry in family_of("graphI", 1).entries:
+            k, l = entry.arrow.domain, entry.arrow.codomain
+            edges = len(k.cells["edge"]) + len(l.cells["edge"])
+            assert prefix_split(entry.arrow) == (len(k.cells["vertex"]) if edges else 0)
+        for entry in family_of("sset-jinf", 1, cap=1).entries:
+            assert prefix_split(entry.arrow) == len(entry.arrow.domain.cells["0"])
+
+    def test_isolated_vertex_bounding_an_unpinned_edge_stays_in_the_prefix(self):
+        # K is a lone vertex whose image in L bounds the edge outside it:
+        # a lift exists for some vertices of A and not for others, so the
+        # vertex must be walked, not counted
+        k = fin_graph(["a"], [])
+        l = fin_graph(["a", "b"], [("e", "a", "b")])
+        i = PresheafMap(k, l, {"vertex": {"a": "a"}, "edge": {}})
+        assert prefix_split(i) == 1
+        family = AnodyneFamily("hand", (FamilyEntry(i, 0, "vertex-into-edge"),), 0, 0, 0, {})
+        a = fin_graph(["p", "q"], [("e", "p", "q")])
+        verdict = is_naively_fibrant_upto(a, family)
+        assert verdict == has_rlp(bang(a), family)
+        assert (verdict.ok, verdict.squares_checked) == (False, 2)
+
+    def test_residual_checks_bound_the_suffix_counts(self):
+        # sets with an endomap: a fixed point of K is constrained only by
+        # itself, so it joins the suffix and may take only fixed points of A
+        sig = core.Signature("endo", ("element",), (("f", "element", "element"),))
+
+        def endo(table):
+            return core.PresheafObject(sig, {"element": tuple(table)}, {"f": table})
+
+        k = endo({"x": "x"})
+        l = endo({"x": "x", "y": "y"})
+        i = PresheafMap(k, l, {"element": {"x": "x"}})
+        assert prefix_split(i) == 0
+        family = AnodyneFamily("hand", (FamilyEntry(i, 0, "fixed-point"),), 0, 0, 0, {})
+        for a in (endo({"p": "p", "q": "p", "r": "r"}), endo({"p": "q", "q": "p"})):
+            assert_agrees_with_reference(a, family)
+        verdict = is_naively_fibrant_upto(endo({"p": "p", "q": "p", "r": "r"}), family)
+        assert (verdict.ok, verdict.squares_checked) == (True, 2)
+
+
 class TestFibrancy:
     def test_terminal_always_fibrant(self, graph_instance):
         one = core.terminal_object(core.GRAPH_SIGNATURE)
@@ -186,9 +284,40 @@ class TestFibrancy:
 
     def test_z2_fibrant_at_depth_zero(self, graph_instance):
         # parallel loops blow up the square count at depth 1 (every corner
-        # edge is unconstrained), so the exhaustive check stays at depth 0
+        # edge is unconstrained); the exhaustive walk of has_rlp reaches
+        # only depth 0, the counted verdict also the siblings below
         family = generate_anodyne(graph_instance, [], depth=0)
         assert is_naively_fibrant_upto(z2_category().underlying_graph(), family).ok
+
+    @pytest.mark.parametrize("depth, squares", [
+        (1, 67_109_924),
+        (2, 83_076_749_736_557_242_060_991_540_962_001_957),
+    ])
+    def test_z2_fibrant_at_depth(self, depth, squares):
+        # one vertex with two loops: each top map is constant on vertices
+        # and picks either loop for every edge of the entry's domain
+        family = family_of("graphI", depth)
+        verdict = is_naively_fibrant_upto(z2_category().underlying_graph(), family)
+        assert verdict.ok
+        assert verdict.squares_checked == squares == sum(
+            2 ** len(entry.arrow.domain.cells["edge"]) for entry in family.entries
+        )
+
+    @pytest.mark.parametrize("instance, squares", [
+        ("sset-delta1", 262_162),
+        ("sset-jinf", 17_179_869_281),
+    ])
+    def test_z2_nerve_fibrant_at_depth_one(self, instance, squares):
+        # the cap-1 nerve has one vertex, its degeneracy and the loop g:
+        # a top map sends each degenerate 1-simplex to the degeneracy and
+        # picks either 1-simplex for every other one
+        family = family_of(instance, 1, cap=1)
+        verdict = is_naively_fibrant_upto(nerve(z2_category(), 1), family)
+        assert verdict.ok
+        assert verdict.squares_checked == squares == sum(
+            2 ** (len(k.cells["1"]) - len(set(k.ops["s0_0"].values())))
+            for k in (entry.arrow.domain for entry in family.entries)
+        )
 
     def test_discrete_category_fails_thread_corner(self, graph_instance):
         # the corner over the discrete pair demands connector morphisms the
