@@ -36,6 +36,11 @@ CAPS = (3, 4)
 FAMILY_DEPTHS = {"set2": range(3), "graphI": range(3)}
 FIBRANT_DEPTHS = range(2)
 WITNESS_CAPS = (1, 2, 3)
+#: the simplicial instances whose families (written out, so that their
+#: corners are pinned) and EHD checks have cases, at these caps and depths
+SSET_INSTANCES = ("sset-delta1", "sset-jinf")
+SSET_CAPS = (1, 2)
+SSET_DEPTHS = range(2)
 #: instance -> base of the algebras and corpus monos its ``tweq`` cases use
 TWEQ_INSTANCES = {"set2": "set", "graphI": "graph"}
 #: (instance, corpus stem of X, corpus stem of Y): every ordered pair of maps
@@ -185,6 +190,14 @@ def cases():
             out.append(("anodyne", f"{instance}_d{depth}", [
                 "anodyne", "--instance", instance, "--depth", str(depth), "--guard", GUARD,
             ]))
+    for instance in SSET_INSTANCES:
+        for cap in SSET_CAPS:
+            for depth in SSET_DEPTHS:
+                name = f"{instance}_cap{cap}_d{depth}"
+                out.append(("anodyne", name, [
+                    "anodyne", "--instance", instance, "--cap", str(cap), "--depth", str(depth),
+                    "--guard", GUARD, "--out", f"out/anodyne_{name}.json",
+                ]))
     graphs = list(fixtures.corpus_graphs())
     for x in graphs:
         for y in graphs:
@@ -216,6 +229,11 @@ def cases():
     out.append(("verify", "core", ["verify", "--suite", "core"]))
     for instance in ("set2", "graphI"):
         out.append(("check-ehd", instance, ["check-ehd", "--instance", instance]))
+    for instance in SSET_INSTANCES:
+        for cap in SSET_CAPS:
+            out.append(("check-ehd", f"{instance}_cap{cap}", [
+                "check-ehd", "--instance", instance, "--cap", str(cap),
+            ]))
     for instance, base in TWEQ_INSTANCES.items():
         for i in range(len(_corpus_monos(base))):
             out.append(("tweq", f"{base}{i}_{instance}", [
