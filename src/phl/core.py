@@ -504,12 +504,10 @@ def product(x: PresheafObject, y: PresheafObject):
     return obj, p1, p2
 
 
-def product_map(f: PresheafMap, g: PresheafMap, dom=None, cod=None) -> PresheafMap:
+def product_map(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     """The map f x g between the corresponding products."""
-    if dom is None:
-        dom = product(f.domain, g.domain)[0]
-    if cod is None:
-        cod = product(f.codomain, g.codomain)[0]
+    dom = product(f.domain, g.domain)[0]
+    cod = product(f.codomain, g.codomain)[0]
     on = {}
     for sort in dom.signature.sorts:
         on[sort] = {
@@ -520,12 +518,10 @@ def product_map(f: PresheafMap, g: PresheafMap, dom=None, cod=None) -> PresheafM
     return PresheafMap(dom, cod, on, _validated=True)
 
 
-def pairing(f: PresheafMap, g: PresheafMap, cod=None) -> PresheafMap:
+def pairing(f: PresheafMap, g: PresheafMap, cod: PresheafObject) -> PresheafMap:
     """The map <f, g> : X -> A x B induced by f : X -> A and g : X -> B."""
     if f.domain != g.domain:
         raise MismatchError("pairing legs must share their domain")
-    if cod is None:
-        cod = product(f.codomain, g.codomain)[0]
     on = {
         sort: {
             cell: pair_label(f.on[sort][cell], g.on[sort][cell])
@@ -829,11 +825,16 @@ def pin_along(legs, then=None) -> Optional[dict]:
     return pin
 
 
-def first_map(dom, cod, pin=None, cell_filter=None, guard=None) -> Optional[PresheafMap]:
-    """Lexicographically least map subject to the constraints, or None."""
-    for f in search_maps(dom, cod, pin=pin, cell_filter=cell_filter, guard=guard):
-        return f
-    return None
+def extend_along(legs, cod: PresheafObject, cell_filter=None, guard=None) -> Optional[PresheafMap]:
+    """The lexicographically least map to ``cod`` from the common codomain
+    of the legs' inclusions that restricts to each leg's map along its
+    inclusion (see :func:`pin_along`) and passes ``cell_filter``, or None,
+    also when the legs conflict.  A lift against A -> 1 is one leg's."""
+    pin = pin_along(legs)
+    if pin is None:
+        return None
+    return next(search_maps(legs[0][0].codomain, cod, pin=pin, cell_filter=cell_filter,
+                            guard=guard), None)
 
 
 def refine_colors(obj: PresheafObject, init=None):

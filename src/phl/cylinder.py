@@ -20,12 +20,15 @@ from .core import (
     fin_set,
     identity,
     image_cells,
+    inverse,
     is_iso,
     is_mono,
+    pair_label,
     pairing,
     product,
     product_map,
     pushout,
+    relabel,
     subobject_from_cells,
 )
 
@@ -128,8 +131,8 @@ def get_instance(name: str, cap: Optional[int] = None) -> CylinderData:
 class CornerMap:
     """The inclusion K⊗I ∪ L⊗∂I -> L⊗I (or the one-endpoint variant).
 
-    ``arrow`` is the carried mono; ``preimage`` inverts it on its image so
-    the explicit lift constructions can read values off the corner.
+    ``arrow`` is the carried mono; ``preimage`` names the corner cell over
+    each cell of its image, so the explicit lifts can read the corner.
     """
 
     arrow: PresheafMap
@@ -153,36 +156,37 @@ class CornerMap:
 
 
 def _corner(instance: CylinderData, j: PresheafMap, endpoint: Optional[int]) -> CornerMap:
-    """K⊗I ∪ L⊗S -> L⊗I, where S is the subobject of the interval on the
-    images of the endpoint inclusions at the terminal object: ∂I when
-    ``endpoint`` is None, else {endpoint}."""
+    """K⊗I ∪ L⊗S -> L⊗I for a mono j : K -> L, where S is the subobject of
+    the interval on the images of the endpoint inclusions at the terminal
+    object: ∂I when ``endpoint`` is None, else {endpoint}.
+
+    A union of subobjects is their pushout over the intersection, so the
+    corner is the subobject of L⊗I on the cells over j's image or over S,
+    named as the pushout of K⊗I <- K⊗S -> L⊗S names them: over j's image
+    ``l:`` and the K⊗I label, elsewhere ``r:`` and the cell's own label.
+    """
     if not is_mono(j):
         raise ValidationError("corner seeds must be monomorphisms")
-    ends = (0, 1) if endpoint is None else (endpoint,)
-    sub, incl = subobject_from_cells(instance.interval, {
-        sort: {instance.const_targets[e][sort] for e in ends}
-        for sort in instance.interval.signature.sorts
+    instance.check_base(j.domain)
+    ends = instance.const_targets if endpoint is None else (instance.const_targets[endpoint],)
+    l_cyl, over_l, over_i = product(j.codomain, instance.interval)
+    s_cells = {sort: {targets[sort] for targets in ends} for sort in l_cyl.signature.sorts}
+    k_of = {sort: {image: cell for cell, image in table.items()} for sort, table in j.on.items()}
+    sub, incl = subobject_from_cells(l_cyl, {
+        sort: [
+            cell for cell in l_cyl.cells[sort]
+            if over_l.on[sort][cell] in k_of[sort] or over_i.on[sort][cell] in s_cells[sort]
+        ]
+        for sort in l_cyl.signature.sorts
     })
-    k, l = j.domain, j.codomain
-    j_tensor = instance.tensor_map(j)  # K⊗I -> L⊗I
-    k_sub, _, _ = product(k, sub)
-    # legs of the union pushout: K⊗S -> K⊗I and K⊗S -> L⊗S
-    into_kcyl = product_map(identity(k), incl, dom=k_sub, cod=j_tensor.domain)
-    l_sub, _, _ = product(l, sub)
-    into_lsub = product_map(j, identity(sub), dom=k_sub, cod=l_sub)
-    po = pushout(into_kcyl, into_lsub)
-    l_incl = product_map(identity(l), incl, dom=l_sub, cod=j_tensor.codomain)
-    arrow = po.mediate(j_tensor, l_incl)
-    if arrow is None:
-        raise ValidationError("corner cocone failed to commute")
-    if not is_mono(arrow):
-        raise ValidationError("corner map is not a monomorphism")
-    preimage = {
-        sort: {value: cell for cell, value in arrow.on[sort].items()}
-        for sort in arrow.domain.signature.sorts
-    }
+
+    def name(sort, cell):
+        k = k_of[sort].get(over_l.on[sort][cell])
+        return "r:" + cell if k is None else "l:" + pair_label(k, over_i.on[sort][cell])
+
+    naming = relabel(sub, name)[1]
     kind = "full" if endpoint is None else "endpoint"
-    return CornerMap(arrow, instance.name, j, kind, endpoint, preimage)
+    return CornerMap(inverse(naming).then(incl), instance.name, j, kind, endpoint, naming.on)
 
 
 def corner_full(instance: CylinderData, j: PresheafMap) -> CornerMap:

@@ -9,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import PresheafMap, bang, identity, search_maps
+from .core import PresheafMap, extend_along, identity, search_maps
 from .cylinder import CylinderData
 from .homotopy import find_homotopy, homotopy_classes, induced_class_map
-from .lifting import AnodyneFamily, LiftingProblem, RlpVerdict, is_naively_fibrant_upto, solve_lift
+from .lifting import AnodyneFamily, RlpVerdict, is_naively_fibrant_upto
 from .monads import extend_to_free
 
 
@@ -117,12 +117,11 @@ def check_m3_sample(algebras, family: AnodyneFamily, guard=None) -> M3Report:
 
 
 def find_retraction(algebra, monad, guard=None) -> Optional[PresheafMap]:
-    """A map alpha : T(A) -> A with alpha∘eta = id, found by the lifting
-    oracle on the truncated free object."""
+    """The least map alpha : T(A) -> A with alpha∘eta = id, or None: the
+    lift of the identity of A along eta against A -> 1, on the truncated
+    free object."""
     carrier = algebra.carrier()
-    eta = monad.unit(carrier)
-    problem = LiftingProblem(eta, bang(carrier), identity(carrier), bang(eta.codomain))
-    return solve_lift(problem, guard=guard)
+    return extend_along([(monad.unit(carrier), identity(carrier))], carrier, guard=guard)
 
 
 def find_homotopy_inverse(instance: CylinderData, f: PresheafMap, guard=None

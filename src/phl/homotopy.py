@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    MismatchError, PresheafMap, PresheafObject, _UnionFind, first_map, pin_along, search_maps,
+    MismatchError, PresheafMap, PresheafObject, _UnionFind, extend_along, search_maps,
 )
 from .cylinder import Cylinder, CylinderData
 
@@ -28,10 +28,7 @@ def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
 
 def _homotopy_off(cyl: Cylinder, f: PresheafMap, g: PresheafMap, guard) -> Optional[PresheafMap]:
     """The least homotopy from f to g off a cylinder built on their domain."""
-    pin = pin_along([(cyl.d0, f), (cyl.d1, g)])  # theta on the two ends
-    if pin is None:
-        return None
-    return first_map(cyl.obj, f.codomain, pin=pin, guard=guard)
+    return extend_along([(cyl.d0, f), (cyl.d1, g)], f.codomain, guard=guard)
 
 
 @dataclass(frozen=True)

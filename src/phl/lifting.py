@@ -2,10 +2,10 @@
 
 ``has_rlp`` decides the right lifting property of a general map by walking
 every commuting square.  ``is_naively_fibrant_upto``, the case A -> 1,
-counts the squares instead: a lift exists or not depending only on a prefix
-of the top map's values, so it solves one lift per prefix assignment and
-adds the number of its extensions.  Both return the same verdict, count and
-counterexample.
+builds no squares: a lift there extends the top map along the entry, and
+whether it exists depends only on a prefix of the top's values, so one
+extension is searched per prefix assignment and the rest are counted.  Both
+return the same verdict, count and counterexample.
 
 Membership in the full saturated anodyne class is out of reach at this
 scale, so every verdict here is a necessary condition at an explicit depth
@@ -26,10 +26,10 @@ from .core import (
     _SearchPlan,
     bang,
     empty_object,
+    extend_along,
     extensions_by_prefix,
     fin_graph,
     fin_set,
-    first_map,
     image_cells,
     is_mono,
     pin_along,
@@ -71,20 +71,14 @@ class LiftingProblem:
 
 
 def solve_lift(problem: LiftingProblem, guard=None) -> Optional[PresheafMap]:
-    """Lexicographically least diagonal, or None; exhaustive search.
-
-    The diagonal is pinned on the image of the left map and filtered cell
-    by cell against the bottom triangle.
-    """
-    i, p, u, v = problem.left, problem.right, problem.top, problem.bottom
-    pin = pin_along([(i, u)])
-    if pin is None:
-        return None
+    """Lexicographically least diagonal, or None: the least extension of
+    the top map along the left map whose cells the bottom triangle admits."""
+    i, p, v = problem.left, problem.right, problem.bottom
 
     def triangle(sort, cell, value):
         return p.on[sort][value] == v.on[sort][cell]
 
-    return first_map(i.codomain, p.domain, pin=pin, cell_filter=triangle, guard=guard)
+    return extend_along([(i, problem.top)], p.domain, cell_filter=triangle, guard=guard)
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,8 @@ def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
     """Whether p lifts against every family entry, over every commuting
     square, enumerated exhaustively; the first failure in enumeration order
     is returned as the counterexample.  Each top, bottom and lift search
-    gets the guard afresh.  This is the reference for the counted verdict
-    of :func:`is_naively_fibrant_upto`."""
+    gets the guard afresh.  This is the reference for the squareless
+    verdict of :func:`is_naively_fibrant_upto`."""
     checked = 0
     for entry in family.entries:
         i = entry.arrow
@@ -260,20 +254,20 @@ def is_naively_fibrant_upto(a: PresheafObject, family: AnodyneFamily,
     """RLP of A -> 1 against the family, with the verdict, square count and
     counterexample of :func:`has_rlp`.
 
-    The tops of each entry are walked only up to :func:`prefix_split`.  Per
-    prefix assignment the lift is solved once, from its least extension:
-    if it lifts, all of its extensions count as checked squares; if not,
-    that least top and its unique bottom are the first failing square in
+    A square over A -> 1 is its top u : K -> A, and it lifts when u
+    extends along the entry K -> L.  The tops are walked only up to
+    :func:`prefix_split`; per prefix assignment the least top is extended
+    once.  If it extends, all of the assignment's tops count as checked
+    squares; if not, it and L -> 1 are the first failing square in
     enumeration order.  The guard bounds each entry's prefix walk together
-    with the suffix candidates it counts, and each lift search.
+    with the suffix candidates it counts, and each extension search.
     """
-    p = bang(a)
     checked = 0
     for entry in family.entries:
         i = entry.arrow
-        bottom = bang(i.codomain)
         for extensions, top in extensions_by_prefix(i.domain, a, prefix_split(i), guard=guard):
-            if solve_lift(LiftingProblem(i, p, top, bottom), guard=guard) is None:
-                return RlpVerdict(False, family.depth, checked + 1, (entry.provenance, top, bottom))
+            if extend_along([(i, top)], a, guard=guard) is None:
+                counterexample = (entry.provenance, top, bang(i.codomain))
+                return RlpVerdict(False, family.depth, checked + 1, counterexample)
             checked += extensions
     return RlpVerdict(True, family.depth, checked)

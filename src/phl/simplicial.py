@@ -17,8 +17,7 @@ from .core import (
     PresheafObject,
     Signature,
     ValidationError,
-    first_map,
-    pin_along,
+    extend_along,
     search_maps,
     subobject_from_cells,
 )
@@ -318,8 +317,7 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
     incl = horn_inclusion(n, k, cap)
     instances = []
     for top in search_maps(incl.domain, x, guard=guard):
-        filler = first_map(incl.codomain, x, pin=pin_along([(incl, top)]), guard=guard)
-        instances.append((top, filler))
+        instances.append((top, extend_along([(incl, top)], x, guard=guard)))
     return HornReport(n, k, tuple(instances), f"cells above dimension {cap} are not represented")
 
 

@@ -432,8 +432,6 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
                 (eta_probe, h_total, identity(g), section, identity(g), k_probe),
             )
         )
-    elif shortfall is None:
-        shortfall = "n_max too small to exhibit the unit as a retract"
     steps = tuple(steps)
     if not validate_saturation(steps):
         raise WitnessError("saturation evidence failed to verify")

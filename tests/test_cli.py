@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -490,6 +491,50 @@ class TestRefusals:
         argv = ["lift", "--square", str(square), "--explicit", "monoid"]
         assert _refusal(argv, capsys) == (2, f"the corner provenance in {square} has no {key}")
 
+    def test_explicit_lift_needs_corner_provenance(self, tmp_path, capsys):
+        square = self._corner_square(tmp_path)
+        doc = json.loads(square.read_text(encoding="utf-8"))
+        del doc["corner"]
+        square.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        assert _refusal(argv, capsys) == (
+            2, "explicit lifts need corner provenance in the square document"
+        )
+
+    # The e=0 corner of {p} -> {p, q} under set2, written out by hand: the
+    # cells over p are named by their cells of {p}⊗I, the other one by its
+    # own label.
+    STATED_CORNER = {"l:(p,0)": "(p,0)", "l:(p,1)": "(p,1)", "r:(q,0)": "(q,0)"}
+
+    @pytest.mark.parametrize("endpoint, renamed, refused", [
+        (0, {}, False),
+        (1, {}, True),
+        (0, {"r:(q,0)": "l:(q,0)"}, True),
+    ])
+    def test_explicit_lift_compares_the_rebuilt_corner_with_the_stated_one(
+        self, tmp_path, capsys, endpoint, renamed, refused
+    ):
+        square = self._corner_square(tmp_path)
+        doc = json.loads(square.read_text(encoding="utf-8"))
+        on = {renamed.get(label, label): cell for label, cell in self.STATED_CORNER.items()}
+        left = core.PresheafMap(
+            core.fin_set(on), core.fin_set(["(p,0)", "(p,1)", "(q,0)", "(q,1)"]),
+            {"element": on},
+        )
+        doc["left"] = map_to_document(left)
+        doc["top"] = map_to_document(core.enumerate_homs(left.domain, core.fin_set(["0", "1"]))[0])
+        doc["bottom"] = map_to_document(core.bang(left.codomain))
+        doc["corner"]["endpoint"] = endpoint
+        square.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        if refused:
+            assert _refusal(argv, capsys) == (
+                2, "the square's left map is not the stated endpoint corner"
+            )
+        else:
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["report"]["lift"]
+
     @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
     def test_square_needs_each_side(self, tmp_path, capsys, side):
         square = self._corner_square(tmp_path, drop=side)
@@ -600,6 +645,18 @@ def test_parameters_are_the_declared_shared_flags(corpus_dir, tmp_path, capsys):
         ["classes", corpus["graph_loop"], corpus["graph_loop"], "--instance", "graphI",
          "--cap", "2"], capsys,
     ) == (2, "instance 'graphI' reads no --cap")
+
+
+def test_timing_goes_to_stderr_and_leaves_the_report_alone(corpus_dir, capsys):
+    argv = ["classes", str(corpus_dir / "set1.json"), str(corpus_dir / "set2.json"),
+            "--instance", "set2"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timing"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    assert re.fullmatch(r"timing_ms=\d+\n", timed.err)
 
 
 class TestDeterminism:

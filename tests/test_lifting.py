@@ -261,6 +261,15 @@ class TestCountedVerdict:
         verdict = is_naively_fibrant_upto(endo({"p": "p", "q": "p", "r": "r"}), family)
         assert (verdict.ok, verdict.squares_checked) == (True, 2)
 
+    def test_guard_trips_inside_the_suffix_count(self):
+        # a set entry splits at 0, so its prefix walk draws no candidate and
+        # the guard trips while the suffix cells' candidates are counted
+        family = family_of("set2", 0)
+        assert prefix_split(family.entries[0].arrow) == 0
+        with pytest.raises(core.GuardExceeded) as raised:
+            is_naively_fibrant_upto(fin_set("abc"), family, guard=2)
+        assert str(raised.value) == "hom search exceeded the guard of 2 candidates"
+
 
 class TestFibrancy:
     def test_terminal_always_fibrant(self, graph_instance):

@@ -257,8 +257,57 @@ def test_pin_filter_injective_agree_with_filtered_brute_force(case):
     expected = [f for f in matching if not injective or is_mono(f)]
     found = list(core.search_maps(x, y, pin=pin, cell_filter=allowed, injective=injective))
     assert found == expected
-    first = core.first_map(x, y, pin=pin, cell_filter=allowed)
+    first = next(core.search_maps(x, y, pin=pin, cell_filter=allowed), None)
     assert first == (matching[0] if matching else None)
+
+
+@st.composite
+def subobjects(draw, l):
+    """The inclusion of a subgraph of ``l``, with a vertex if ``l`` has one."""
+    vertices = set()
+    if l.cells["vertex"]:
+        vertices = draw(st.sets(st.sampled_from(l.cells["vertex"]), min_size=1))
+    edges = {
+        e for e in l.cells["edge"]
+        if {l.op("src", e), l.op("tgt", e)} <= vertices and draw(st.booleans())
+    }
+    return core.subobject_from_cells(l, {"vertex": vertices, "edge": edges})[1]
+
+
+@st.composite
+def extension_problems(draw):
+    """Graphs L and Y with one or two legs (i, u): the inclusion i of a
+    subgraph of L, which the second leg may share with the first, and a
+    map u from it to Y, drawn as the restriction of a map L -> Y or as any
+    map, so that two legs may conflict."""
+    l = draw(small_graphs(3, 3))
+    y = draw(small_graphs(2, 3))
+    homs = brute_force_homs(l, y)
+    legs = []
+    for _ in range(draw(st.integers(1, 2))):
+        i = legs[0][0] if legs and draw(st.booleans()) else draw(subobjects(l))
+        if homs and draw(st.booleans()):
+            u = i.then(draw(st.sampled_from(homs)))
+        else:
+            tops = brute_force_homs(i.domain, y)
+            assume(tops)
+            u = draw(st.sampled_from(tops))
+        legs.append((i, u))
+    return legs, y
+
+
+@settings(max_examples=100)
+@given(extension_problems())
+def test_extend_along_is_the_least_restricting_hom(problem):
+    legs, y = problem
+    restricting = [
+        d for d in brute_force_homs(legs[0][0].codomain, y)
+        if all(i.then(d) == u for i, u in legs)
+    ]
+    found = core.extend_along(legs, y)
+    assert found == (restricting[0] if restricting else None)
+    if core.pin_along(legs) is None:
+        assert found is None
 
 
 @given(twice_pinned())
