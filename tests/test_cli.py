@@ -460,7 +460,7 @@ class TestRefusals:
     @staticmethod
     def _corner_square(tmp_path, drop=None):
         """A square on the e=0 corner of {p} -> {p, q} under set2, its
-        document without the key ``drop``: a side or a corner key."""
+        document without the key ``drop``: a side, the corner or a corner key."""
         from phl.cylinder import corner_endpoint, set_instance
 
         j = core.PresheafMap(core.fin_set(["p"]), core.fin_set(["p", "q"]), {"element": {"p": "p"}})
@@ -475,7 +475,7 @@ class TestRefusals:
             "corner": {"instance": "set2", "j": map_to_document(j), "endpoint": 0},
         }
         doc.pop(drop, None)
-        doc["corner"].pop(drop, None)
+        doc.get("corner", {}).pop(drop, None)
         square = tmp_path / "square.json"
         square.write_text(canonical_json(doc), encoding="utf-8")
         return square
@@ -492,10 +492,7 @@ class TestRefusals:
         assert _refusal(argv, capsys) == (2, f"the corner provenance in {square} has no {key}")
 
     def test_explicit_lift_needs_corner_provenance(self, tmp_path, capsys):
-        square = self._corner_square(tmp_path)
-        doc = json.loads(square.read_text(encoding="utf-8"))
-        del doc["corner"]
-        square.write_text(canonical_json(doc), encoding="utf-8")
+        square = self._corner_square(tmp_path, drop="corner")
         argv = ["lift", "--square", str(square), "--explicit", "monoid"]
         assert _refusal(argv, capsys) == (
             2, "explicit lifts need corner provenance in the square document"
