@@ -33,6 +33,9 @@ GUARD = "10000000"
 Z2_GUARD = "2000"
 Z2_FAILING_GUARD = "10"
 CAPS = (3, 4)
+#: nerve cap -> horn dimensions of the ``horn-fill`` cases, every k each; cap
+#: 5 has the dimensions of the ``horns`` benchmark's cap-5 cases
+HORN_DIMS = {3: range(1, 4), 4: range(1, 5), 5: range(2, 4)}
 FAMILY_DEPTHS = {"set2": range(3), "graphI": range(3)}
 FIBRANT_DEPTHS = range(2)
 WITNESS_CAPS = (1, 2, 3)
@@ -72,7 +75,7 @@ def prepare(workdir: Path):
 
     fixtures.emit_fixture_corpus(workdir / "corpus")
     for category in fixtures.corpus_categories():
-        for cap in CAPS:
+        for cap in HORN_DIMS:
             write(f"nerve_{category.name}_cap{cap}.json",
                   documents.object_to_document(simplicial.nerve(category, cap)))
     for n in (0, 1):
@@ -158,8 +161,8 @@ def cases():
     categories = [c.name for c in fixtures.corpus_categories()]
     out = []
     for name in categories:
-        for cap in CAPS:
-            for n in range(1, cap + 1):
+        for cap, dims in HORN_DIMS.items():
+            for n in dims:
                 for k in range(n + 1):
                     out.append(("horn-fill", f"{name}_cap{cap}_n{n}_k{k}", [
                         "horn-fill", f"nerve_{name}_cap{cap}.json", "--n", str(n),
