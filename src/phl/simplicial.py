@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -17,7 +18,7 @@ from .core import (
     PresheafObject,
     Signature,
     ValidationError,
-    extend_along,
+    _buckets,
     search_maps,
     subobject_from_cells,
 )
@@ -288,9 +289,14 @@ def jinf_instance(cap: int) -> CylinderData:
 
 @dataclass(frozen=True)
 class HornReport:
+    """Per horn instance Λⁿₖ -> X, in the search order of its tops, the pair
+    (top, filler): the filler is the n-simplex of X that the least
+    extension to Δⁿ sends the top cell to, or None.  By Yoneda that simplex
+    is the map."""
+
     n: int
     k: int
-    instances: tuple  # (horn map, filler or None)
+    instances: tuple  # (horn map, n-simplex label or None)
     caveat: str
 
     @property
@@ -306,19 +312,36 @@ class HornReport:
 
 
 def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
-    """Extension verdicts for every horn instance, enumerated exhaustively.
+    """Filling verdicts for every horn instance, enumerated exhaustively.
 
-    The filler search consults cells at dimension n and below only, in the
-    sense that higher cells of the simplex are degenerate and forced.
+    The guard bounds the one search, the walk over the horn tops.  A top
+    fills iff X has an n-simplex whose faces dᵢ, i ≠ k, are the top's
+    values on those faces of Δⁿ; X's n-simplices are grouped by these faces
+    once, in core's face index.  In Δⁿ's search order the free cells are
+    dₖ and then the top cell, and every higher cell is forced, so the least
+    extension takes the bucket member whose dₖ face comes first in X, ties
+    broken by X's cell order.
     """
     cap = sset_cap(x)
     if n > cap:
         raise CapError(f"horn dimension {n} exceeds the object's cap {cap}")
     incl = horn_inclusion(n, k, cap)
-    instances = []
-    for top in search_maps(incl.domain, x, guard=guard):
-        instances.append((top, extend_along([(incl, top)], x, guard=guard)))
-    return HornReport(n, k, tuple(instances), f"cells above dimension {cap} are not represented")
+    simplex = "".join(str(v) for v in range(n + 1))
+    faces = [i for i in range(n + 1) if i != k]
+    buckets = _buckets(x, str(n), tuple(f"d{n}_{i}" for i in faces))
+    if n:
+        rank = {cell: r for r, cell in enumerate(x.cells[str(n - 1)])}
+        missing = x.ops[f"d{n}_{k}"]
+        fill = {key: min(cells, key=lambda c: rank[missing[c]]) for key, cells in buckets.items()}
+        on_faces = itemgetter(*(simplex[:i] + simplex[i + 1:] for i in faces))
+        sort = str(n - 1)
+    else:
+        fill = {key: cells[0] for key, cells in buckets.items()}
+    instances = tuple(
+        (top, fill.get(on_faces(top.on[sort]) if n else ()))
+        for top in search_maps(incl.domain, x, guard=guard)
+    )
+    return HornReport(n, k, instances, f"cells above dimension {cap} are not represented")
 
 
 def tau0_classes(x: PresheafObject, a: PresheafObject, cap: Optional[int] = None,

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -248,6 +249,65 @@ class TestHornFilling:
         for top, filler in report.instances:
             oracle = solve_lift(LiftingProblem.to_terminal(incl, top))
             assert (filler is None) == (oracle is None)
+
+    @pytest.mark.parametrize("cap", range(1, 5))
+    def test_fillers_are_the_least_extensions(self, cap):
+        """Oracle: per top, the n-simplex of ``extend_along``'s least
+        extension to Δⁿ; the first failure is the least top with none."""
+        for category in corpus_categories():
+            x = nerve(category, cap)
+            for n in range(cap + 1):
+                top_cell = "".join(str(v) for v in range(n + 1))
+                for k in range(n + 1):
+                    incl = horn_inclusion(n, k, cap)
+                    report = horn_filler(x, n, k)
+                    expected = []
+                    for top in core.search_maps(incl.domain, x):
+                        extension = core.extend_along([(incl, top)], x)
+                        expected.append(
+                            (top, None if extension is None else extension.on[str(n)][top_cell]))
+                    assert list(report.instances) == expected, (category.name, n, k)
+                    assert report.first_failure == next(
+                        (top for top, filler in expected if filler is None), None)
+
+    def test_filler_has_the_least_missing_face_then_comes_first(self):
+        # Cells are kept in label order.  From c there are four edges: e to
+        # b, f and g to a, and the degenerate sc.  The horn of Δ¹ at 0 with
+        # c as its top misses d0, the target, so it fills with f: an edge
+        # to the least vertex, and of the two such the first.  The first
+        # edge from c, e, and the other edge to a, g, are wrong.
+        edges = {"e": ("c", "b"), "f": ("c", "a"), "g": ("c", "a"),
+                 "sa": ("a", "a"), "sb": ("b", "b"), "sc": ("c", "c")}
+        x = trunc_sset(
+            1, {0: ("a", "b", "c"), 1: tuple(edges)},
+            {(1, 0): {e: t for e, (_, t) in edges.items()},
+             (1, 1): {e: s for e, (s, _) in edges.items()}},
+            {(0, 0): {v: "s" + v for v in "abc"}},
+        )
+        incl = horn_inclusion(1, 0, 1)
+        report = horn_filler(x, 1, 0)
+        assert {top("0", "0"): filler for top, filler in report.instances} == {
+            "a": "sa", "b": "sb", "c": "f"}
+        for top, filler in report.instances:
+            assert core.extend_along([(incl, top)], x).on["1"]["01"] == filler
+
+    def test_guard_bounds_only_the_walk_over_the_tops(self):
+        x = nerve(chain2_category(), 3)
+        horn = horn_inclusion(2, 0, 3).domain
+
+        def walks(guard):
+            try:
+                list(core.search_maps(horn, x, guard=guard))
+            except core.GuardExceeded:
+                return False
+            return True
+
+        least = bisect.bisect_left(range(10**6), True, key=walks)
+        assert 0 < least < 10**6
+        assert len(horn_filler(x, 2, 0, guard=least).instances) == 14
+        with pytest.raises(core.GuardExceeded,
+                           match=f"exceeded the guard of {least - 1} candidates"):
+            horn_filler(x, 2, 0, guard=least - 1)
 
 
 class TestTau0:
