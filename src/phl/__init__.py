@@ -15,7 +15,6 @@ from .core import (
     PresheafMap,
     PresheafObject,
     ValidationError,
-    coproduct,
     enumerate_homs,
     fin_graph,
     fin_set,

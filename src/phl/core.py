@@ -372,15 +372,6 @@ def coproduct_of(signature: Signature, summands):
     return obj, [PresheafMap(x, obj, on, _validated=True) for x, on in tables]
 
 
-def coproduct(x: PresheafObject, y: PresheafObject):
-    """Disjoint union with the ``l:``/``r:`` label prefixing scheme.
-
-    Returns (object, left injection, right injection).
-    """
-    obj, (inl, inr) = coproduct_of(x.signature, [("l:", x), ("r:", y)])
-    return obj, inl, inr
-
-
 class _UnionFind:
     def __init__(self):
         self.parent = {}
@@ -437,7 +428,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
         raise MismatchError("pushout legs must share their domain")
     a = f.domain
     b, c = f.codomain, g.codomain
-    cop, inl, inr = coproduct(b, c)
+    cop, _ = coproduct_of(b.signature, [("l:", b), ("r:", c)])
     uf = {sort: _UnionFind() for sort in cop.signature.sorts}
     for sort in cop.signature.sorts:
         for cell in cop.cells[sort]:
@@ -658,26 +649,58 @@ def search_maps(
     return _walk(dom, cod, plan, pinned, cell_filter, injective, budget)
 
 
-def extensions_by_prefix(dom: PresheafObject, cod: PresheafObject, stop: int,
-                         guard: Optional[int] = None) -> Iterator[tuple]:
-    """The maps dom -> cod grouped by their values on the first ``stop``
-    cells of dom's search order: one ``(count, least)`` pair per prefix
-    assignment that extends, in lexicographic order, with the number of its
-    extensions and the least of them.
+def _prefix_split(i: PresheafMap) -> int:
+    """Length of the shortest prefix of K's search order, for i: K -> L,
+    after which every cell of K is constrained only by prefix cells or by
+    itself, and maps into L onto no face of a cell outside the image of i.
 
-    Every operator constraint of a later cell must lead to a cell before
-    ``stop`` or to itself, so each later cell's candidates depend on the
-    prefix alone and the extensions number the product of their counts.
-    The guard counts the prefix walk's candidates and, per prefix
-    assignment, every candidate of every later cell.
+    A diagonal L -> A reads a map K -> A only on the faces of the cells it
+    chooses, so whether the map extends along i depends on the prefix
+    alone.  Sets split at 0 and graphs after their last vertex that bounds
+    an edge or whose image does.
     """
+    k, l = i.domain, i.codomain
+    image = image_cells(i)
+    faces = {
+        (t_sort, l.op(name, cell))
+        for name, s_sort, t_sort in l.signature.ops
+        for cell in l.cells[s_sort]
+        if cell not in image[s_sort]
+    }
+    split = 0
+    for at, (sort, cell, _, _, _, checks) in enumerate(_SearchPlan.of(k).steps):
+        if (sort, i.on[sort][cell]) in faces:
+            split = at + 1
+        for _, s, t in checks:
+            if s != t:
+                split = max(split, min(s, t) + 1)
+    return split
+
+
+def extension_classes(i: PresheafMap, cod: PresheafObject,
+                      guard: Optional[int] = None) -> Iterator[tuple]:
+    """The maps K -> cod, for a mono i: K -> L, grouped by their values on
+    the prefix of K's search order that :func:`_prefix_split` computes from
+    i, so that all maps of a group extend along i or none does.
+
+    Yields ``(count, least, extends)`` per prefix assignment that extends to
+    a map K -> cod, in lexicographic order: the number of its maps, the
+    least of them, and the least extension of that one along i
+    (:func:`extend_along`), or None.  Every later cell reads only the prefix
+    and itself, so a group's maps number the product of the later cells'
+    candidate counts.  The guard counts the prefix walk's candidates and,
+    per prefix assignment, every candidate of every later cell; each
+    extension search gets the guard afresh.
+    """
+    dom = i.domain
     if dom.signature.name != cod.signature.name:
         raise MismatchError("hom enumeration between different bases")
     plan = _SearchPlan.of(dom)
     budget = DEFAULT_GUARD if guard is None else guard
-    for extensions, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget,
-                                  stop):
-        yield extensions, _assemble(dom, cod, plan, vals)
+    for count, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget,
+                             _prefix_split(i)):
+        least = _assemble(dom, cod, plan, vals)
+        yield count, least, extend_along([(i, least)], cod, guard=guard)
 
 
 def _assemble(dom, cod, plan, vals):

@@ -19,6 +19,7 @@ from .core import (
 )
 from .lifting import AnodyneFamily, FamilyEntry
 from .monads import FiniteCategory, FiniteMonoid
+from .simplicial import trunc_sset
 
 
 class MissingKeyError(ValidationError):
@@ -79,9 +80,11 @@ def parse_document(source):
         )
     if kind == "seeds":
         return {
-            "instance": doc.get("instance"),
-            "seeds": [_parse_map(m) for m in doc.get("seeds", [])],
-            "generators": [_parse_map(m) for m in doc.get("generators", [])] or None,
+            "instance": _required(doc, "instance", "seeds document"),
+            "seeds": [_parse_map(m) for m in _required(doc, "seeds", "seeds document")],
+            "generators": [
+                _parse_map(m) for m in _required(doc, "generators", "seeds document")
+            ],
         }
     if kind == "family":
         return _parse_family(doc)
@@ -96,8 +99,6 @@ def parse_document(source):
 
 
 def _parse_sset(doc):
-    from .simplicial import trunc_sset
-
     cap = doc.get("cap")
     if not isinstance(cap, int):
         raise ValidationError("sset document needs an integer cap")

@@ -6,6 +6,7 @@ writes them as documents so the CLI can round-trip them.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 from .core import PresheafMap, empty_object, fin_graph, fin_set, GRAPH_SIGNATURE, SET_SIGNATURE
@@ -225,8 +226,6 @@ def corpus_spans_graph():
 def all_small_graphs(max_vertices=3, max_edges=3):
     """Every multigraph on the fixed vertex labels up to the given size, up
     to edge labelling; the generator for exhaustive cylinder checks."""
-    import itertools
-
     out = []
     for nv in range(max_vertices + 1):
         vertices = [f"v{i}" for i in range(nv)]

@@ -23,19 +23,18 @@ from .core import (
     PresheafObject,
     ValidationError,
     arrows_isomorphic,
-    _SearchPlan,
     bang,
     empty_object,
     extend_along,
-    extensions_by_prefix,
+    extension_classes,
     fin_graph,
     fin_set,
-    image_cells,
     is_mono,
     pin_along,
     search_maps,
 )
 from .cylinder import CylinderData, corner_endpoint, corner_full
+from .simplicial import boundary_inclusion
 
 
 @dataclass(frozen=True)
@@ -128,12 +127,10 @@ def default_generating_monos(instance: CylinderData):
             PresheafMap(edge, parallel, {"vertex": {"a": "a", "b": "b"}, "edge": {"e": "e"}}),
         ]
     if instance.base.startswith("sset@"):
-        from . import simplicial
-
         cap = len(instance.interval.signature.sorts) - 1
         monos = []
         for n in range(cap + 1):
-            monos.append(simplicial.boundary_inclusion(n, cap))
+            monos.append(boundary_inclusion(n, cap))
         return monos
     raise ValidationError(f"no default generators for base {instance.base!r}")
 
@@ -220,54 +217,25 @@ def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
     return RlpVerdict(True, family.depth, checked)
 
 
-def prefix_split(i: PresheafMap) -> int:
-    """Length of the shortest prefix of K's search order, for i: K -> L,
-    after which every cell of K is constrained only by prefix cells or by
-    itself, and maps into L onto no face of a cell outside the image of i.
-
-    A diagonal L -> A reads the top map only on the faces of the cells it
-    chooses, so over A -> 1 whether a square lifts depends on the prefix
-    alone.  Sets split at 0 and graphs after their last vertex that bounds
-    an edge or whose image does.
-    """
-    k, l = i.domain, i.codomain
-    image = image_cells(i)
-    faces = {
-        (t_sort, l.op(name, cell))
-        for name, s_sort, t_sort in l.signature.ops
-        for cell in l.cells[s_sort]
-        if cell not in image[s_sort]
-    }
-    plan = _SearchPlan.of(k)
-    split = 0
-    for at, (sort, cell, _, _, _, checks) in enumerate(plan.steps):
-        if (sort, i.on[sort][cell]) in faces:
-            split = at + 1
-        for _, s, t in checks:
-            if s != t:
-                split = max(split, min(s, t) + 1)
-    return split
-
-
 def is_naively_fibrant_upto(a: PresheafObject, family: AnodyneFamily,
                             guard=None) -> RlpVerdict:
     """RLP of A -> 1 against the family, with the verdict, square count and
     counterexample of :func:`has_rlp`.
 
     A square over A -> 1 is its top u : K -> A, and it lifts when u
-    extends along the entry K -> L.  The tops are walked only up to
-    :func:`prefix_split`; per prefix assignment the least top is extended
-    once.  If it extends, all of the assignment's tops count as checked
+    extends along the entry K -> L.  :func:`core.extension_classes` groups
+    the tops into classes that lift together and extends the least top of
+    each once.  If it extends, all of the class's tops count as checked
     squares; if not, it and L -> 1 are the first failing square in
-    enumeration order.  The guard bounds each entry's prefix walk together
-    with the suffix candidates it counts, and each extension search.
+    enumeration order.  The guard bounds each entry's classes and each
+    extension search, as :func:`core.extension_classes` counts them.
     """
     checked = 0
     for entry in family.entries:
         i = entry.arrow
-        for extensions, top in extensions_by_prefix(i.domain, a, prefix_split(i), guard=guard):
-            if extend_along([(i, top)], a, guard=guard) is None:
+        for count, top, extends in extension_classes(i, a, guard=guard):
+            if extends is None:
                 counterexample = (entry.provenance, top, bang(i.codomain))
                 return RlpVerdict(False, family.depth, checked + 1, counterexample)
-            checked += extensions
+            checked += count
     return RlpVerdict(True, family.depth, checked)

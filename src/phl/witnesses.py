@@ -378,7 +378,7 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
             raise WitnessError(f"k_{n}∘h_{n} = k_{n - 1} failed")
 
     # section on paths up to the probed bound
-    bound = min(n_max, cap)
+    bound = n_max
     longest = max((len(tg.decode[e][2]) for e in tg.obj.cells["edge"]), default=0)
     shortfall = None
     if longest > bound:
@@ -391,20 +391,14 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
     )
     final = stages[-1]
     s_on = {"vertex": {}, "edge": {}}
-    carry = {"vertex": {}, "edge": {}}
     # cells of G keep their labels through every stage
     for v in g.cells["vertex"]:
         s_on["vertex"][v] = v
     for label in probe_edges:
-        a, b, edges = tg.decode[label]
-        if len(edges) == 1:
-            # the glued singleton is identified with the original edge
-            s_on["edge"][label] = edges[0]
-        else:
-            cell = composite_cell.get(label)
-            if cell is None:
-                raise WitnessError(f"no glued composite recorded for {label!r}")
-            s_on["edge"][label] = cell
+        cell = composite_cell.get(label)
+        if cell is None:
+            raise WitnessError(f"no glued composite recorded for {label!r}")
+        s_on["edge"][label] = cell
     section = PresheafMap(probe, final, s_on)
     if section.then(k_maps[-1]) != probe_incl:
         raise WitnessError("k∘s = id failed on the probed paths")

@@ -229,7 +229,7 @@ def cases():
                 "--out", f"out/nerve_{name}_cap{cap}.json",
             ]))
     out.append(("fixtures", "corpus", ["fixtures", "--out", "out/fixtures"]))
-    out.append(("verify", "core", ["verify", "--suite", "core"]))
+    out.append(("verify", "core", ["verify"]))
     for instance in ("set2", "graphI"):
         out.append(("check-ehd", instance, ["check-ehd", "--instance", instance]))
     for instance in SSET_INSTANCES:

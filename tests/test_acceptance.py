@@ -443,7 +443,7 @@ def test_c12_determinism(tmp_path):
     corpus = tmp_path / "corpus"
     emit_fixture_corpus(corpus)
     invocations = [
-        ["verify", "--suite", "core"],
+        ["verify"],
         ["anodyne", "--instance", "graphI", "--depth", "1"],
         ["classes", str(corpus / "graph_vertex.json"),
          str(corpus / "graph_looped_pair.json"), "--instance", "graphI"],

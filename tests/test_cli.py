@@ -191,6 +191,18 @@ class TestRunCommand:
         assert code == 0
         assert report["report"]["pre_dedup_counts"]["0"] == 6
 
+    def test_anodyne_with_an_empty_generator_list_has_no_generators(self, tmp_path):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(canonical_json(
+            {"kind": "seeds", "instance": "graphI", "seeds": [], "generators": []}
+        ), encoding="utf-8")
+        code, report = run_command(
+            ["anodyne", "--instance", "graphI", "--seeds", str(seeds), "--depth", "0"]
+        )
+        assert code == 0
+        assert report["report"]["entries"] == 0
+        assert report["report"]["pre_dedup_counts"] == {"0": 0}
+
     def test_lift_explicit_category(self, corpus_dir, tmp_path):
         from phl.cylinder import corner_endpoint, graph_instance
 
@@ -227,7 +239,7 @@ class TestRunCommand:
     def test_report_round_trips_canonically(self):
         import json
 
-        code, report = run_command(["verify", "--suite", "core"])
+        code, report = run_command(["verify"])
         text = canonical_json(report)
         assert canonical_json(json.loads(text)) == text
 
@@ -263,7 +275,7 @@ class TestRunCommand:
         assert corner.arrow.then(diagonal) == top
 
     def test_verify_suite(self):
-        code, report = run_command(["verify", "--suite", "core"])
+        code, report = run_command(["verify"])
         assert code == 0
         assert report["report"]["ok"]
 
@@ -390,6 +402,25 @@ class TestRefusals:
         capsys.readouterr()
         argv = ["fibrant", str(corpus_dir / "monoid_z2.json"), "--family", family, *flags]
         assert _refusal(argv, capsys) == (2, message.format(family))
+
+    def test_anodyne_refuses_seeds_of_another_instance(self, tmp_path, capsys):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(canonical_json(
+            {"kind": "seeds", "instance": "sset-jinf", "seeds": [], "generators": []}
+        ), encoding="utf-8")
+        argv = ["anodyne", "--instance", "graphI", "--seeds", str(seeds)]
+        assert _refusal(argv, capsys) == (2, (
+            f"--instance 'graphI' contradicts the seeds {seeds}, which states 'sset-jinf'"
+        ))
+
+    @pytest.mark.parametrize("key", ["instance", "seeds", "generators"])
+    def test_seeds_document_needs_each_key(self, corpus_dir, tmp_path, capsys, key):
+        doc = json.loads((corpus_dir / "seeds_graphI.json").read_text(encoding="utf-8"))
+        del doc[key]
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["anodyne", "--instance", "graphI", "--seeds", str(seeds)]
+        assert _refusal(argv, capsys) == (2, f"{seeds}: seeds document has no {key!r}")
 
     def test_fibrant_refuses_an_object_over_another_base(self, corpus_dir, capsys):
         obj, family = str(corpus_dir / "set1.json"), str(corpus_dir / "family_graphI_d1.json")
@@ -672,7 +703,7 @@ class TestDeterminism:
             ["classes", str(corpus_dir / "graph_vertex.json"),
              str(corpus_dir / "graph_looped_pair.json"), "--instance", "graphI"],
             ["anodyne", "--instance", "graphI", "--depth", "1"],
-            ["verify", "--suite", "core"],
+            ["verify"],
             ["check-ehd", "--instance", "set2"],
         ]
         for args in invocations:

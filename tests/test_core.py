@@ -5,7 +5,6 @@ from phl import core
 from phl.core import (
     PresheafMap,
     ValidationError,
-    coproduct,
     coproduct_of,
     enumerate_homs,
     fin_graph,
@@ -78,18 +77,19 @@ class TestIsMono:
 
 class TestCoproduct:
     def test_points(self):
-        obj, _, _ = coproduct(fin_set(["p"]), fin_set(["p"]))
+        obj, _ = coproduct_of(core.SET_SIGNATURE, [("l:", fin_set(["p"])), ("r:", fin_set(["p"]))])
         assert len(obj.cells["element"]) == 2
 
     def test_unit_law_up_to_relabelling(self):
         x = fin_graph(["a", "b"], [("e", "a", "b")])
         empty = core.empty_object(x.signature)
-        obj, inl, _ = coproduct(x, empty)
+        obj, (inl, _) = coproduct_of(x.signature, [("l:", x), ("r:", empty)])
         assert core.is_iso(inl)
 
     def test_loop_plus_vertex(self):
-        obj, _, _ = coproduct(
-            fin_graph(["a"], [("l", "a", "a")]), fin_graph(["b"], [])
+        obj, _ = coproduct_of(
+            core.GRAPH_SIGNATURE,
+            [("l:", fin_graph(["a"], [("l", "a", "a")])), ("r:", fin_graph(["b"], []))],
         )
         assert len(obj.cells["vertex"]) == 2
         assert len(obj.cells["edge"]) == 1
@@ -121,11 +121,6 @@ class TestCoproduct:
     def test_colliding_prefixes_are_refused(self):
         with pytest.raises(ValidationError):
             coproduct_of(core.SET_SIGNATURE, [("", fin_set(["a"])), ("", fin_set(["a"]))])
-
-    def test_binary_is_the_l_r_case(self):
-        x, y = fin_set(["a"]), fin_set(["a", "b"])
-        obj, inl, inr = coproduct(x, y)
-        assert (obj, [inl, inr]) == coproduct_of(x.signature, [("l:", x), ("r:", y)])
 
 
 class TestPushout:

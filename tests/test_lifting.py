@@ -36,7 +36,6 @@ from phl.lifting import (
     generate_anodyne,
     has_rlp,
     is_naively_fibrant_upto,
-    prefix_split,
     solve_lift,
 )
 from phl.simplicial import nerve
@@ -221,13 +220,13 @@ class TestCountedVerdict:
         # neither K nor L has an edge (the corners of the point), so that
         # no vertex bounds anything and K is counted whole
         for entry in family_of("set2", 1).entries:
-            assert prefix_split(entry.arrow) == 0
+            assert core._prefix_split(entry.arrow) == 0
         for entry in family_of("graphI", 1).entries:
             k, l = entry.arrow.domain, entry.arrow.codomain
             edges = len(k.cells["edge"]) + len(l.cells["edge"])
-            assert prefix_split(entry.arrow) == (len(k.cells["vertex"]) if edges else 0)
+            assert core._prefix_split(entry.arrow) == (len(k.cells["vertex"]) if edges else 0)
         for entry in family_of("sset-jinf", 1, cap=1).entries:
-            assert prefix_split(entry.arrow) == len(entry.arrow.domain.cells["0"])
+            assert core._prefix_split(entry.arrow) == len(entry.arrow.domain.cells["0"])
 
     def test_isolated_vertex_bounding_an_unpinned_edge_stays_in_the_prefix(self):
         # K is a lone vertex whose image in L bounds the edge outside it:
@@ -236,7 +235,7 @@ class TestCountedVerdict:
         k = fin_graph(["a"], [])
         l = fin_graph(["a", "b"], [("e", "a", "b")])
         i = PresheafMap(k, l, {"vertex": {"a": "a"}, "edge": {}})
-        assert prefix_split(i) == 1
+        assert core._prefix_split(i) == 1
         family = AnodyneFamily("hand", (FamilyEntry(i, 0, "vertex-into-edge"),), 0, 0, 0, {})
         a = fin_graph(["p", "q"], [("e", "p", "q")])
         verdict = is_naively_fibrant_upto(a, family)
@@ -254,7 +253,7 @@ class TestCountedVerdict:
         k = endo({"x": "x"})
         l = endo({"x": "x", "y": "y"})
         i = PresheafMap(k, l, {"element": {"x": "x"}})
-        assert prefix_split(i) == 0
+        assert core._prefix_split(i) == 0
         family = AnodyneFamily("hand", (FamilyEntry(i, 0, "fixed-point"),), 0, 0, 0, {})
         for a in (endo({"p": "p", "q": "p", "r": "r"}), endo({"p": "q", "q": "p"})):
             assert_agrees_with_reference(a, family)
@@ -265,7 +264,7 @@ class TestCountedVerdict:
         # a set entry splits at 0, so its prefix walk draws no candidate and
         # the guard trips while the suffix cells' candidates are counted
         family = family_of("set2", 0)
-        assert prefix_split(family.entries[0].arrow) == 0
+        assert core._prefix_split(family.entries[0].arrow) == 0
         with pytest.raises(core.GuardExceeded) as raised:
             is_naively_fibrant_upto(fin_set("abc"), family, guard=2)
         assert str(raised.value) == "hom search exceeded the guard of 2 candidates"

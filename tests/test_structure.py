@@ -1,0 +1,42 @@
+"""Module boundaries of ``src/phl``, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import phl
+
+SOURCES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(Path(phl.__file__).resolve().parent.glob("*.py"))
+}
+
+# the hom-search engine's internals: search plans, the walk, map assembly
+# from a value vector, and the cut of the split fibrancy verdict
+SEARCH_INTERNALS = {"_SearchPlan", "_walk", "_assemble", "_prefix_split"}
+
+
+def test_only_core_imports_the_search_internals():
+    importers = {
+        (module, alias.name)
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in SEARCH_INTERNALS
+    }
+    assert {(module, name) for module, name in importers if module != "core"} == set()
+
+
+def test_the_only_function_level_import_breaks_the_cylinder_cycle():
+    # simplicial imports cylinder, so cylinder.get_instance reaches the
+    # simplicial instances only at call time; every other import is at
+    # module level
+    local = {
+        (module, function.name)
+        for module, tree in SOURCES.items()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert local == {("cylinder", "get_instance")}
