@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,9 +39,12 @@ def export(rev, target):
 
 
 def run(tree, workload, seed, seconds):
+    """The last-line JSON of one run.  The run writes no bytecode, so that
+    no later run of the same tree imports what an earlier one compiled."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{workload} seed {seed} in {tree} failed:\n{done.stderr}")
@@ -91,6 +95,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     workdir = Path(args.workdir)
     trees = {"base": workdir / "base", "change": workdir / "change"}
+    taken = [str(tree) for tree in trees.values() if tree.exists()]
+    if taken:
+        raise SystemExit(f"--workdir already holds {' and '.join(taken)}; give an empty or absent one")
     commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]

@@ -161,17 +161,22 @@ def cmd_fibrant(args):
 
 
 def cmd_anodyne(args):
-    instance = _instance(args)
+    """The instance is the seeds document's: ``--instance`` may repeat it,
+    and without seeds it is required."""
     seeds, generators = [], None
     if args.seeds:
         seed_doc = _parse_expecting(args.seeds, ("seeds",), "a seeds")
-        if seed_doc["instance"] != args.instance:
+        if args.instance not in (None, seed_doc["instance"]):
             raise ValidationError(
                 f"--instance {args.instance!r} contradicts the seeds {args.seeds}, "
                 f"which states {seed_doc['instance']!r}"
             )
+        args.instance = seed_doc["instance"]
         seeds = seed_doc["seeds"]
         generators = seed_doc["generators"]
+    elif args.instance is None:
+        raise ValidationError("anodyne needs an explicit --instance or --seeds")
+    instance = _instance(args)
     family = lifting.generate_anodyne(
         instance, seeds, generators, depth=args.depth, guard=args.guard
     )
@@ -404,6 +409,7 @@ def build_parser():
     p = subcommand("anodyne", cmd_anodyne, "generate the depth-bounded family",
                    ("instance", "cap", "depth", "guard"), out=True)
     p.add_argument("--seeds", default=None)
+    p.set_defaults(instance=None)
 
     p = subcommand("tweq", cmd_tweq, "weak-equivalence verdict against an algebra directory",
                    ("instance", "cap", "guard"))

@@ -60,9 +60,11 @@ def parse_document(source):
         raise ValidationError("document must be a JSON object")
     kind = doc.get("kind")
     if kind == "set":
-        return fin_set(doc.get("elements", []))
+        return fin_set(_required(doc, "elements", "set document"))
     if kind == "graph":
-        return fin_graph(doc.get("vertices", []), doc.get("edges", []))
+        return fin_graph(
+            _required(doc, "vertices", "graph document"), _required(doc, "edges", "graph document")
+        )
     if kind == "sset":
         return _parse_sset(doc)
     if kind == "map":
@@ -129,7 +131,7 @@ def _parse_family(doc):
     instance = _required(doc, "instance", "family document")
     depth = _required(doc, "depth", "family document")
     entries = []
-    for k, entry in enumerate(doc.get("entries", [])):
+    for k, entry in enumerate(_required(doc, "entries", "family document")):
         arrow, entry_depth, provenance = (
             _required(entry, key, f"family entry {k}") for key in ("arrow", "depth", "provenance")
         )
@@ -138,9 +140,9 @@ def _parse_family(doc):
         instance,
         tuple(entries),
         depth,
-        doc.get("seed_count", 0),
-        doc.get("generator_count", 0),
-        {int(k): v for k, v in doc.get("pre_dedup_counts", {}).items()},
+        _required(doc, "seed_count", "family document"),
+        _required(doc, "generator_count", "family document"),
+        {int(k): v for k, v in _required(doc, "pre_dedup_counts", "family document").items()},
     )
 
 

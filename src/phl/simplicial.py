@@ -27,14 +27,15 @@ from .homotopy import HomClasses, homotopy_classes
 from .monads import FiniteCategory
 
 
+def _face_ops(top: int) -> list:
+    return [(f"d{n}_{i}", str(n), str(n - 1)) for n in range(1, top + 1) for i in range(n + 1)]
+
+
 def sset_signature(cap: int) -> Signature:
     if cap < 0:
         raise ValidationError("cap must be nonnegative")
     sorts = tuple(str(n) for n in range(cap + 1))
-    ops = []
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            ops.append((f"d{n}_{i}", str(n), str(n - 1)))
+    ops = _face_ops(cap)
     for n in range(cap):
         for i in range(n + 1):
             ops.append((f"s{n}_{i}", str(n), str(n + 1)))
@@ -287,45 +288,84 @@ def jinf_instance(cap: int) -> CylinderData:
 # Horn filling and class computations
 # ---------------------------------------------------------------------------
 
+def _face_signature(top: int) -> Signature:
+    """Dimensions 0..top with their face maps only."""
+    return Signature(f"faces@{top}", tuple(str(m) for m in range(top + 1)), tuple(_face_ops(top)))
+
+
+def _nondegenerate_horn(n: int, k: int) -> PresheafObject:
+    """The nondegenerate simplices of Λⁿₖ with their faces: the strictly
+    increasing digit strings of {0..n} below dimension max(n − 1, 0),
+    except those that contain every vertex but k; dᵢ drops the i-th digit."""
+    if not (0 <= k <= n):
+        raise ValidationError("horn index out of range")
+    if n > 9:
+        raise ValidationError("simplex dimension above 9 would break digit labels")
+    top = max(n - 1, 0)
+    others = {str(v) for v in range(n + 1) if v != k}
+    cells = {
+        str(m): [c for c in map("".join, itertools.combinations(
+            "0123456789"[:n + 1], m + 1)) if not others <= set(c)]
+        for m in range(top + 1)
+    }
+    ops = {
+        f"d{m}_{i}": {c: c[:i] + c[i + 1:] for c in cells[str(m)]}
+        for m in range(1, top + 1) for i in range(m + 1)
+    }
+    return PresheafObject(_face_signature(top), cells, ops)
+
+
+def _restrict(x: PresheafObject, sig: Signature) -> PresheafObject:
+    """X on the sorts and operators of ``sig`` only, from X's validated
+    tables."""
+    return PresheafObject(
+        sig, {sort: x.cells[sort] for sort in sig.sorts},
+        {name: x.ops[name] for name, _, _ in sig.ops}, _validated=True,
+    )
+
+
 @dataclass(frozen=True)
 class HornReport:
-    """Per horn instance Λⁿₖ -> X, in the search order of its tops, the pair
-    (top, filler): the filler is the n-simplex of X that the least
-    extension to Δⁿ sends the top cell to, or None.  By Yoneda that simplex
-    is the map."""
+    """Per horn instance, in the search order of its tops, the pair (top,
+    filler).  A top is a map from the nondegenerate simplices of Λⁿₖ into
+    X that commutes with the faces; by Eilenberg–Zilber it is the horn map
+    Λⁿₖ -> X.  The filler is the n-simplex of X that the least extension to
+    Δⁿ sends the top cell to, or None; by Yoneda that simplex is the map.
+    ``first_failure`` is the first top without a filler as the whole map
+    Λⁿₖ -> X up to the cap, or None."""
 
     n: int
     k: int
-    instances: tuple  # (horn map, n-simplex label or None)
+    instances: tuple  # (top, n-simplex label or None)
+    first_failure: Optional[PresheafMap]
     caveat: str
 
     @property
     def all_fill(self) -> bool:
         return all(filler is not None for _, filler in self.instances)
 
-    @property
-    def first_failure(self):
-        for top, filler in self.instances:
-            if filler is None:
-                return top
-        return None
-
 
 def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
     """Filling verdicts for every horn instance, enumerated exhaustively.
 
-    The guard bounds the one search, the walk over the horn tops.  A top
-    fills iff X has an n-simplex whose faces dᵢ, i ≠ k, are the top's
-    values on those faces of Δⁿ; X's n-simplices are grouped by these faces
-    once, in core's face index.  In Δⁿ's search order the free cells are
-    dₖ and then the top cell, and every higher cell is forced, so the least
-    extension takes the bucket member whose dₖ face comes first in X, ties
-    broken by X's cell order.
+    The tops are walked from the nondegenerate simplices of Λⁿₖ, all below
+    dimension n, into X's face tables: every higher cell of the horn is a
+    degeneracy and forced, so this walk meets the horn maps in the order of
+    the walk over the whole horn.  A top fills iff X has an n-simplex whose
+    faces dᵢ, i ≠ k, are the top's values on those faces of Δⁿ; X's
+    n-simplices are grouped by these faces once, in core's face index.  In
+    Δⁿ's search order the free cells are dₖ and then the top cell, and
+    every higher cell is forced, so the least extension takes the bucket
+    member whose dₖ face comes first in X, ties broken by X's cell order.
+
+    Only the first failing top is rebuilt as a map from the horn up to the
+    cap, by one search pinned to it.  The guard bounds the walk over the
+    tops and, on its own, that rebuild, which counts one candidate per cell.
     """
     cap = sset_cap(x)
     if n > cap:
         raise CapError(f"horn dimension {n} exceeds the object's cap {cap}")
-    incl = horn_inclusion(n, k, cap)
+    horn = _nondegenerate_horn(n, k)
     simplex = "".join(str(v) for v in range(n + 1))
     faces = [i for i in range(n + 1) if i != k]
     buckets = _buckets(x, str(n), tuple(f"d{n}_{i}" for i in faces))
@@ -339,9 +379,12 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
         fill = {key: cells[0] for key, cells in buckets.items()}
     instances = tuple(
         (top, fill.get(on_faces(top.on[sort]) if n else ()))
-        for top in search_maps(incl.domain, x, guard=guard)
+        for top in search_maps(horn, _restrict(x, horn.signature), guard=guard)
     )
-    return HornReport(n, k, instances, f"cells above dimension {cap} are not represented")
+    failing = next((top for top, filler in instances if filler is None), None)
+    if failing is not None:
+        failing = next(search_maps(horn_inclusion(n, k, cap).domain, x, pin=failing.on, guard=guard))
+    return HornReport(n, k, instances, failing, f"cells above dimension {cap} are not represented")
 
 
 def tau0_classes(x: PresheafObject, a: PresheafObject, cap: Optional[int] = None,

@@ -1,0 +1,41 @@
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("held", [("base",), ("change",), ("base", "change")])
+def test_refuses_a_workdir_that_holds_a_tree(bench_pairs, tmp_path, held):
+    for side in held:
+        (tmp_path / side).mkdir()
+    argv = ["--base", "HEAD", "--change", "HEAD", "--pairs", "horns=1", "--seconds", "1",
+            "--workdir", str(tmp_path), "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    taken = " and ".join(str(tmp_path / side) for side in held)
+    assert exc.value.code == f"--workdir already holds {taken}; give an empty or absent one"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(held)
+
+
+def test_runs_write_no_bytecode(bench_pairs, tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        seen.update(env=env, cwd=cwd)
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"metrics": {}}) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run(tmp_path, "horns", 1, 1) == {"metrics": {}}
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1" and seen["cwd"] == tmp_path

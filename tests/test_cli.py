@@ -203,6 +203,15 @@ class TestRunCommand:
         assert report["report"]["entries"] == 0
         assert report["report"]["pre_dedup_counts"] == {"0": 0}
 
+    def test_anodyne_takes_its_instance_from_the_seeds(self, corpus_dir):
+        seeds = str(corpus_dir / "seeds_set2.json")
+        code, report = run_command(["anodyne", "--seeds", seeds, "--depth", "1"])
+        assert code == 0
+        assert report["parameters"]["instance"] == "set2"
+        assert (code, report) == run_command(
+            ["anodyne", "--instance", "set2", "--seeds", seeds, "--depth", "1"]
+        )
+
     def test_lift_explicit_category(self, corpus_dir, tmp_path):
         from phl.cylinder import corner_endpoint, graph_instance
 
@@ -421,6 +430,33 @@ class TestRefusals:
         seeds.write_text(canonical_json(doc), encoding="utf-8")
         argv = ["anodyne", "--instance", "graphI", "--seeds", str(seeds)]
         assert _refusal(argv, capsys) == (2, f"{seeds}: seeds document has no {key!r}")
+
+    def test_anodyne_needs_an_instance_or_seeds(self, capsys):
+        assert _refusal(["anodyne", "--depth", "0"], capsys) == (
+            2, "anodyne needs an explicit --instance or --seeds"
+        )
+
+    @pytest.mark.parametrize("key", ["entries", "seed_count", "generator_count", "pre_dedup_counts"])
+    def test_family_document_needs_each_key(self, corpus_dir, tmp_path, capsys, key):
+        doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))
+        del doc[key]
+        family = tmp_path / "family.json"
+        family.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(corpus_dir / "cat_chain2.json"), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"{family}: family document has no {key!r}")
+
+    @pytest.mark.parametrize("stem, key, instance", [
+        ("set2", "elements", "set2"),
+        ("graph_loop", "vertices", "graphI"),
+        ("graph_loop", "edges", "graphI"),
+    ])
+    def test_object_document_needs_each_key(self, corpus_dir, tmp_path, capsys, stem, key, instance):
+        doc = json.loads((corpus_dir / f"{stem}.json").read_text(encoding="utf-8"))
+        del doc[key]
+        obj = tmp_path / "object.json"
+        obj.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["classes", str(obj), str(corpus_dir / f"{stem}.json"), "--instance", instance]
+        assert _refusal(argv, capsys) == (2, f"{obj}: {doc['kind']} document has no {key!r}")
 
     def test_fibrant_refuses_an_object_over_another_base(self, corpus_dir, capsys):
         obj, family = str(corpus_dir / "set1.json"), str(corpus_dir / "family_graphI_d1.json")
@@ -641,6 +677,7 @@ def test_parameters_are_the_declared_shared_flags(corpus_dir, tmp_path, capsys):
         ["check-ehd", "--instance", "set2"],
         ["fibrant", corpus["set1"], "--family", write("family.json", {
             "kind": "family", "instance": "set2", "depth": 0, "entries": [],
+            "seed_count": 0, "generator_count": 0, "pre_dedup_counts": {},
         })],
         ["lift", "--square", square],
         ["nerve", corpus["cat_chain2"], "--cap", "2", "--out", nerve],

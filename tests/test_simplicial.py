@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from phl import core
+from phl import core, simplicial
 from phl.core import ValidationError, is_mono
 from phl.cylinder import get_instance
 from phl.fixtures import (
@@ -24,6 +24,42 @@ from phl.simplicial import (
     tau0_classes,
     trunc_sset,
 )
+
+
+def whole_horn_map(incl, top, x):
+    """The horn map up to the cap that a top on the nondegenerate
+    simplices determines: every other cell is forced."""
+    return next(core.search_maps(incl.domain, x, pin=top.on))
+
+
+def nondegenerate_part(horn_map, n):
+    """A map Λⁿₖ -> X on the strictly increasing digit strings below
+    dimension max(n − 1, 0)."""
+    return {
+        str(m): {c: v for c, v in horn_map.on[str(m)].items() if len(set(c)) == len(c)}
+        for m in range(max(n - 1, 0) + 1)
+    }
+
+
+def assert_least_extensions(x, cap, name):
+    """Oracle: the walk over the whole horn up to the cap and, per top, the
+    n-simplex of ``extend_along``'s least extension to Δⁿ.  The report's
+    tops are the oracle's on the nondegenerate simplices, in the same
+    order, and its first failure is the least whole top with no extension."""
+    for n in range(cap + 1):
+        top_cell = "".join(str(v) for v in range(n + 1))
+        for k in range(n + 1):
+            incl = horn_inclusion(n, k, cap)
+            report = horn_filler(x, n, k)
+            expected = []
+            for top in core.search_maps(incl.domain, x):
+                extension = core.extend_along([(incl, top)], x)
+                expected.append((top, None if extension is None else extension.on[str(n)][top_cell]))
+            assert [(top.on, filler) for top, filler in report.instances] == [
+                (nondegenerate_part(top, n), filler) for top, filler in expected
+            ], (name, n, k)
+            assert report.first_failure == next(
+                (top for top, filler in expected if filler is None), None), (name, n, k)
 
 
 def monotone_maps(m, n):
@@ -247,28 +283,28 @@ class TestHornFilling:
         incl = horn_inclusion(2, 1, 2)
         report = horn_filler(x, 2, 1)
         for top, filler in report.instances:
-            oracle = solve_lift(LiftingProblem.to_terminal(incl, top))
+            oracle = solve_lift(LiftingProblem.to_terminal(incl, whole_horn_map(incl, top, x)))
             assert (filler is None) == (oracle is None)
 
     @pytest.mark.parametrize("cap", range(1, 5))
     def test_fillers_are_the_least_extensions(self, cap):
-        """Oracle: per top, the n-simplex of ``extend_along``'s least
-        extension to Δⁿ; the first failure is the least top with none."""
         for category in corpus_categories():
-            x = nerve(category, cap)
-            for n in range(cap + 1):
-                top_cell = "".join(str(v) for v in range(n + 1))
-                for k in range(n + 1):
-                    incl = horn_inclusion(n, k, cap)
-                    report = horn_filler(x, n, k)
-                    expected = []
-                    for top in core.search_maps(incl.domain, x):
-                        extension = core.extend_along([(incl, top)], x)
-                        expected.append(
-                            (top, None if extension is None else extension.on[str(n)][top_cell]))
-                    assert list(report.instances) == expected, (category.name, n, k)
-                    assert report.first_failure == next(
-                        (top for top, filler in expected if filler is None), None)
+            assert_least_extensions(nerve(category, cap), cap, category.name)
+
+    @pytest.mark.parametrize("cap", (2, 3))
+    @pytest.mark.parametrize("shape", ("delta2", "boundary3", "horn3_1"))
+    def test_fillers_are_the_least_extensions_off_nerves(self, shape, cap):
+        x = {
+            "delta2": lambda: delta(2, cap),
+            "boundary3": lambda: boundary_inclusion(3, cap).domain,
+            "horn3_1": lambda: horn_inclusion(3, 1, cap).domain,
+        }[shape]()
+        assert_least_extensions(x, cap, shape)
+
+    def test_non_nerve_targets_fail_some_horns(self):
+        # the extra oracle targets are not Kan: each leaves some horn unfilled
+        for x in (delta(2, 2), boundary_inclusion(3, 2).domain, horn_inclusion(3, 1, 2).domain):
+            assert not all(horn_filler(x, n, k).all_fill for n in (1, 2) for k in range(n + 1))
 
     def test_filler_has_the_least_missing_face_then_comes_first(self):
         # Cells are kept in label order.  From c there are four edges: e to
@@ -289,25 +325,48 @@ class TestHornFilling:
         assert {top("0", "0"): filler for top, filler in report.instances} == {
             "a": "sa", "b": "sb", "c": "f"}
         for top, filler in report.instances:
-            assert core.extend_along([(incl, top)], x).on["1"]["01"] == filler
+            extension = core.extend_along([(incl, whole_horn_map(incl, top, x))], x)
+            assert extension.on["1"]["01"] == filler
 
     def test_guard_bounds_only_the_walk_over_the_tops(self):
+        # the tops are walked on the nondegenerate horn; the one rebuild of
+        # the failing top up to the cap counts one candidate per cell
         x = nerve(chain2_category(), 3)
-        horn = horn_inclusion(2, 0, 3).domain
 
-        def walks(guard):
+        def passes(guard, run):
             try:
-                list(core.search_maps(horn, x, guard=guard))
+                run(guard)
             except core.GuardExceeded:
                 return False
             return True
 
-        least = bisect.bisect_left(range(10**6), True, key=walks)
+        least = bisect.bisect_left(
+            range(10**6), True, key=lambda g: passes(g, lambda g: horn_filler(x, 2, 0, guard=g)))
         assert 0 < least < 10**6
-        assert len(horn_filler(x, 2, 0, guard=least).instances) == 14
+        report = horn_filler(x, 2, 0, guard=least)
+        assert len(report.instances) == 14 and report.first_failure is not None
         with pytest.raises(core.GuardExceeded,
                            match=f"exceeded the guard of {least - 1} candidates"):
             horn_filler(x, 2, 0, guard=least - 1)
+        # the walk over the whole horn up to the cap needs more
+        horn = horn_inclusion(2, 0, 3).domain
+        capped = bisect.bisect_left(
+            range(10**6), True, key=lambda g: passes(g, lambda g: list(core.search_maps(horn, x, guard=g))))
+        assert least < capped
+
+    def test_only_a_failing_horn_builds_a_simplex(self, monkeypatch):
+        kan, chain = nerve(groupoid_interval(), 3), nerve(chain2_category(), 3)
+        built = []
+
+        def counting_delta(n, cap):
+            built.append((n, cap))
+            return delta(n, cap)
+
+        monkeypatch.setattr(simplicial, "delta", counting_delta)
+        assert horn_filler(kan, 2, 0).all_fill
+        assert built == []
+        assert not horn_filler(chain, 2, 0).all_fill
+        assert built == [(2, 3)]
 
 
 class TestTau0:
