@@ -454,14 +454,17 @@ def run_command(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    code, body = args.handler(args)
+    try:
+        code, body = args.handler(args)
+    finally:
+        # also on an error exit, which the handler leaves by raising
+        if args.timing:
+            print(f"timing_ms={int((time.monotonic() - started) * 1000)}", file=sys.stderr)
     report = {
         "command": args.command,
         "parameters": {flag: getattr(args, flag) for flag in args.shared},
         "report": body,
     }
-    if args.timing:
-        print(f"timing_ms={int((time.monotonic() - started) * 1000)}", file=sys.stderr)
     return code, report
 
 

@@ -677,30 +677,132 @@ def _prefix_split(i: PresheafMap) -> int:
     return split
 
 
+def _shape(obj: PresheafObject, cells, ops) -> tuple:
+    """The part of ``obj`` that the distinct ``(sort, cell)`` pairs generate
+    under ``ops``, numbered in the order a walk along ``ops`` from the pairs
+    reaches its cells, so that the pairs are 0, 1, ...
+
+    Returns ``(shape, order)``: the shape is the numbered cells' sorts, per
+    operator its table of number pairs, and the pairs' numbers; ``order``
+    lists the ``(sort, cell)`` pairs by number.  Parts of equal shape are
+    isomorphic by their numbering (:func:`_shaped`)."""
+    number, order = {}, []
+
+    def visit(key):
+        if key not in number:
+            number[key] = len(order)
+            order.append(key)
+        return number[key]
+
+    gens = tuple(visit(key) for key in cells)
+    tables = {name: [] for name, _, _ in ops}
+    for sort, cell in order:
+        for name, s_sort, t_sort in ops:
+            if s_sort == sort:
+                tables[name].append((number[(sort, cell)], visit((t_sort, obj.ops[name][cell]))))
+    return (tuple(sort for sort, _ in order), tuple(map(tuple, tables.values())), gens), order
+
+
+def _shaped(signature: Signature, shape) -> PresheafObject:
+    """The object a shape of :func:`_shape` under ``signature.ops``
+    describes, its cell number n named ``str(n)``."""
+    sorts, tables, _ = shape
+    cells = {}
+    for n, sort in enumerate(sorts):
+        cells.setdefault(sort, []).append(str(n))
+    ops = {name: {str(a): str(b) for a, b in table}
+           for (name, _, _), table in zip(signature.ops, tables)}
+    return PresheafObject(signature, cells, ops, _validated=True)
+
+
+def _components(i: PresheafMap) -> list:
+    """The parts of L, for a mono i: K -> L, on which a map K -> A extends
+    along i independently.
+
+    L's cells outside the image of i fall into connected components under
+    the operators.  A part is a component's closure: the subobject of L on
+    the component and every cell the operators reach from it, whose other
+    cells, its boundary, are in the image of i.  A map extends along i iff,
+    for every part, it extends onto the closure from the boundary.  Returns
+    ``(shape, pins)`` per part, in the order of the components' first
+    cells: the closure's :func:`_shape` from the component, and the
+    positions in K's search order of the preimages of the boundary cells,
+    in the order of their numbers.
+    """
+    l = i.codomain
+    ops = l.signature.ops
+    image = image_cells(i)
+    free = [(sort, cell) for sort, cell in l.cell_items() if cell not in image[sort]]
+    uf = _UnionFind()
+    for key in free:
+        uf.add(key)
+    for name, s_sort, t_sort in ops:
+        for cell, target in l.ops[name].items():
+            if cell not in image[s_sort] and target not in image[t_sort]:
+                uf.union((s_sort, cell), (t_sort, target))
+    components = {}
+    for key in free:
+        components.setdefault(uf.find(key), []).append(key)
+    preimage = {sort: {v: c for c, v in i.on[sort].items()} for sort in l.signature.sorts}
+    at_k = _SearchPlan.of(i.domain).positions
+    parts = []
+    for members in components.values():
+        shape, order = _shape(l, members, ops)
+        pins = tuple(at_k[sort][preimage[sort][cell]] for sort, cell in order[len(members):])
+        parts.append((shape, pins))
+    return parts
+
+
 def extension_classes(i: PresheafMap, cod: PresheafObject,
                       guard: Optional[int] = None) -> Iterator[tuple]:
     """The maps K -> cod, for a mono i: K -> L, grouped by their values on
     the prefix of K's search order that :func:`_prefix_split` computes from
     i, so that all maps of a group extend along i or none does.
 
-    Yields ``(count, least, extends)`` per prefix assignment that extends to
-    a map K -> cod, in lexicographic order: the number of its maps, the
-    least of them, and the least extension of that one along i
-    (:func:`extend_along`), or None.  Every later cell reads only the prefix
-    and itself, so a group's maps number the product of the later cells'
-    candidate counts.  The guard counts the prefix walk's candidates and,
-    per prefix assignment, every candidate of every later cell; each
-    extension search gets the guard afresh.
+    Yields ``(count, failure)`` per prefix assignment that extends to a map
+    K -> cod, in lexicographic order: the number of its maps and, unless
+    they extend along i, the least of them (else None).  Every later cell
+    reads only the prefix and itself, so a group's maps number the product
+    of the later cells' candidate counts.  A group extends iff it extends
+    onto each part of :func:`_components`.  That is decided by one pinned
+    search on the part's closure per shape of the part and values on its
+    boundary, remembered for the rest of the call.  The guard counts the
+    prefix walk's candidates and, per prefix assignment that the walk's
+    bucket lookups keep (see :func:`_walk`), every candidate of every later
+    cell; a lookup counts nothing, and each search on a closure gets the
+    guard afresh.
     """
     dom = i.domain
     if dom.signature.name != cod.signature.name:
         raise MismatchError("hom enumeration between different bases")
     plan = _SearchPlan.of(dom)
     budget = DEFAULT_GUARD if guard is None else guard
+    searches, parts = {}, []
+    for shape, pins in _components(i):
+        if shape not in searches:
+            closure = _shaped(dom.signature, shape)
+            sorts, _, members = shape
+            part_plan = _SearchPlan.of(closure)
+            at = part_plan.positions
+            boundary = [at[sorts[n]][str(n)] for n in range(len(members), len(sorts))]
+            searches[shape] = (closure, part_plan, boundary, {})
+        parts.append((itemgetter(*pins) if pins else lambda vals: (), searches[shape]))
     for count, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget,
                              _prefix_split(i)):
-        least = _assemble(dom, cod, plan, vals)
-        yield count, least, extend_along([(i, least)], cod, guard=guard)
+        for read, (closure, part_plan, boundary, memo) in parts:
+            key = read(vals)
+            extends = memo.get(key)
+            if extends is None:
+                pinned = [None] * len(part_plan.steps)
+                for at, value in zip(boundary, (key,) if len(boundary) == 1 else key):
+                    pinned[at] = value
+                lifts = _walk(closure, cod, part_plan, pinned, None, False, budget)
+                extends = memo[key] = next(lifts, None) is not None
+            if not extends:
+                yield count, _assemble(dom, cod, plan, vals)
+                break
+        else:
+            yield count, None
 
 
 def _assemble(dom, cod, plan, vals):
@@ -712,20 +814,66 @@ def _exceeded(budget):
     return GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
 
 
+def _watches(dom, plan, cod, stop, buckets):
+    """Per prefix step, the ``(bucket, key getter)`` of each later keyed
+    step without residual checks whose key that step completes; None if
+    there are none.
+
+    A step is left out when its lookup could reject nothing: when every
+    map into ``cod`` from the part of ``dom`` that the cells it reads
+    generate under the operators to earlier sorts (faces, endpoints) gives
+    it a key in its bucket.  That is decided once per bucket and shape of
+    that part."""
+    sig = dom.signature
+    down = tuple(op for op in sig.ops if sig.sorts.index(op[2]) < sig.sorts.index(op[1]))
+    faces = sig if down == sig.ops else Signature(sig.name, sig.sorts, down)
+    cod_faces = None
+    watch = [[] for _ in range(stop)]
+    found = False
+    covered = {}
+    for _, _, mode, gen, own, checks in plan.steps[stop:]:
+        if mode != _KEYED or own:
+            continue
+        kid, getter = gen
+        if buckets[kid] is None:
+            buckets[kid] = _buckets(cod, *plan.bucket_keys[kid])
+        reads = [t for _, _, t in checks]
+        shape = _shape(dom, [plan.steps[t][:2] for t in reads], down)[0]
+        if (kid, shape) not in covered:
+            if cod_faces is None:
+                cod_faces = cod if faces is sig else PresheafObject(
+                    faces, cod.cells, cod.ops, _validated=True)
+            sorts, _, gens = shape
+            keys = (tuple(h.on[sorts[n]][str(n)] for n in gens)
+                    for h in search_maps(_shaped(faces, shape), cod_faces))
+            covered[kid, shape] = all(
+                (key[0] if len(key) == 1 else key) in buckets[kid] for key in keys
+            )
+        if not covered[kid, shape]:
+            watch[max(reads)].append((buckets[kid], getter))
+            found = True
+    return watch if found else None
+
+
 def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     """Depth-first walk of the search plan, yielding every map in order.
 
-    With ``stop`` (and no filter or injectivity) the walk ends at that
+    With ``stop`` (and no pin, filter or injectivity) the walk ends at that
     step: per prefix assignment it counts the admitted candidates of each
     later step, which must read only the prefix and themselves, and yields
     ``(product, values)`` with each later step at its least candidate,
     unless the product is 0.  The value vector is the walk's own and
-    changes as the walk goes on.
+    changes as the walk goes on.  A later keyed step of :func:`_watches`
+    has its key looked up as soon as the prefix step that completes it is
+    assigned, and a missing key rejects that assignment: no completion of
+    it has a nonzero product.  The lookup draws no candidate, so the guard
+    does not count it.
     """
     steps = plan.steps
     n = len(steps) if stop is None else stop
     cod_ops, cod_cells = cod.ops, cod.cells
     buckets = [None] * len(plan.bucket_keys)
+    watch = None if stop is None else _watches(dom, plan, cod, stop, buckets)
     used = {sort: set() for sort in dom.signature.sorts}
     vals = [None] * len(steps)
     pending = [None] * n
@@ -733,26 +881,36 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
 
     def candidates(i):
         if pinned[i] is not None:
-            return iter((pinned[i],)), steps[i][5]
+            return (pinned[i],), steps[i][5]
         sort, _, mode, gen, own, _ = steps[i]
         if mode == _FORCED:
             name, s = gen
-            return iter((cod_ops[name][vals[s]],)), own
+            return (cod_ops[name][vals[s]],), own
         if mode == _KEYED:
             kid, getter = gen
             if buckets[kid] is None:
                 buckets[kid] = _buckets(cod, *plan.bucket_keys[kid])
-            return iter(buckets[kid].get(getter(vals), ())), own
-        return iter(cod_cells[sort]), own
+            return buckets[kid].get(getter(vals), ()), own
+        return cod_cells[sort], own
 
     def extend(count):
         # ``count`` is passed in and handed back rather than shared, so that
         # it stays a fast local of the per-candidate loop below
         product = 1
         for j in range(n, len(steps)):
-            it, checks = candidates(j)
+            cands, checks = candidates(j)
+            if not checks:
+                # every candidate is admitted: count them all at once
+                count += len(cands)
+                if count > budget:
+                    raise _exceeded(budget)
+                if not cands:
+                    return count, 0
+                vals[j] = cands[0]
+                product *= len(cands)
+                continue
             least, admitted = None, 0
-            for value in it:
+            for value in cands:
                 count += 1
                 if count > budget:
                     raise _exceeded(budget)
@@ -779,7 +937,8 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
                 yield product, vals
         return
     i = 0
-    it, checks = candidates(0)
+    cands, checks = candidates(0)
+    it = iter(cands)
     while True:
         sort, cell = steps[i][0], steps[i][1]
         for value in it:
@@ -795,7 +954,13 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
                 if cod_ops[name][vals[s]] != vals[t]:
                     break
             else:
-                break
+                if watch is None:
+                    break
+                for bucket, getter in watch[i]:
+                    if getter(vals) not in bucket:
+                        break
+                else:
+                    break
         else:
             # level i is exhausted: resume level i - 1 after its current value
             vals[i] = None
@@ -818,7 +983,8 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             used[sort].add(value)
         pending[i] = (it, checks)
         i += 1
-        it, checks = candidates(i)
+        cands, checks = candidates(i)
+        it = iter(cands)
 
 
 def enumerate_homs(dom: PresheafObject, cod: PresheafObject, guard=None) -> list:

@@ -71,13 +71,13 @@ def parse_document(source):
         return _parse_map(doc)
     if kind == "monoid":
         return FiniteMonoid(
-            doc.get("elements", []), doc.get("unit"), doc.get("table", {}),
+            *(_required(doc, key, "monoid document") for key in ("elements", "unit", "table")),
             name=doc.get("name", "monoid"),
         )
     if kind == "category":
         return FiniteCategory(
-            doc.get("objects", []), doc.get("morphisms", []),
-            doc.get("identities", {}), doc.get("compose", {}),
+            *(_required(doc, key, "category document")
+              for key in ("objects", "morphisms", "identities", "compose")),
             name=doc.get("name", "category"),
         )
     if kind == "seeds":
@@ -104,14 +104,14 @@ def _parse_sset(doc):
     cap = doc.get("cap")
     if not isinstance(cap, int):
         raise ValidationError("sset document needs an integer cap")
-    cells = {int(n): tuple(v) for n, v in doc.get("cells", {}).items()}
+    cells = {int(n): tuple(v) for n, v in _required(doc, "cells", "sset document").items()}
     faces, degens = {}, {}
-    for n, table in doc.get("faces", {}).items():
+    for n, table in _required(doc, "faces", "sset document").items():
         n = int(n)
         for cell, images in table.items():
             for i, image in enumerate(images):
                 faces.setdefault((n, i), {})[cell] = image
-    for n, table in doc.get("degeneracies", {}).items():
+    for n, table in _required(doc, "degeneracies", "sset document").items():
         n = int(n)
         for cell, images in table.items():
             for i, image in enumerate(images):

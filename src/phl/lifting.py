@@ -3,8 +3,9 @@
 ``has_rlp`` decides the right lifting property of a general map by walking
 every commuting square.  ``is_naively_fibrant_upto``, the case A -> 1,
 builds no squares: a lift there extends the top map along the entry, and
-whether it exists depends only on a prefix of the top's values, so one
-extension is searched per prefix assignment and the rest are counted.  Both
+whether it exists depends only on a prefix of the top's values, so the
+rest are counted, and it is decided per connected part of the entry's
+codomain outside the image, once per part and boundary values.  Both
 return the same verdict, count and counterexample.
 
 Membership in the full saturated anodyne class is out of reach at this
@@ -224,18 +225,18 @@ def is_naively_fibrant_upto(a: PresheafObject, family: AnodyneFamily,
 
     A square over A -> 1 is its top u : K -> A, and it lifts when u
     extends along the entry K -> L.  :func:`core.extension_classes` groups
-    the tops into classes that lift together and extends the least top of
-    each once.  If it extends, all of the class's tops count as checked
-    squares; if not, it and L -> 1 are the first failing square in
-    enumeration order.  The guard bounds each entry's classes and each
-    extension search, as :func:`core.extension_classes` counts them.
+    the tops into classes that lift together and decides each class.  If
+    it extends, all of the class's tops count as checked squares; if not,
+    its least top and L -> 1 are the first failing square in enumeration
+    order.  The guard bounds each entry's classes and each search on a part
+    of L, as :func:`core.extension_classes` counts them.
     """
     checked = 0
     for entry in family.entries:
         i = entry.arrow
-        for count, top, extends in extension_classes(i, a, guard=guard):
-            if extends is None:
-                counterexample = (entry.provenance, top, bang(i.codomain))
+        for count, failure in extension_classes(i, a, guard=guard):
+            if failure is not None:
+                counterexample = (entry.provenance, failure, bang(i.codomain))
                 return RlpVerdict(False, family.depth, checked + 1, counterexample)
             checked += count
     return RlpVerdict(True, family.depth, checked)

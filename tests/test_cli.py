@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import golden_cases
 import phl
 from phl import core
 from phl.cli import main, run_command
@@ -458,6 +459,46 @@ class TestRefusals:
         argv = ["classes", str(obj), str(corpus_dir / f"{stem}.json"), "--instance", instance]
         assert _refusal(argv, capsys) == (2, f"{obj}: {doc['kind']} document has no {key!r}")
 
+    @pytest.mark.parametrize("key", ["cells", "faces", "degeneracies"])
+    def test_sset_document_needs_each_key(self, corpus_dir, tmp_path, capsys, key):
+        nerve = tmp_path / "nerve.json"
+        code, _ = run_command(
+            ["nerve", str(corpus_dir / "cat_chain2.json"), "--cap", "2", "--out", str(nerve)]
+        )
+        assert code == 0
+        doc = json.loads(nerve.read_text(encoding="utf-8"))
+        del doc[key]
+        nerve.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["horn-fill", str(nerve), "--n", "2", "--k", "1"]
+        assert _refusal(argv, capsys) == (2, f"{nerve}: sset document has no {key!r}")
+
+    @pytest.mark.parametrize("stem, key", [
+        ("cat_chain2", "objects"),
+        ("cat_chain2", "morphisms"),
+        ("cat_chain2", "identities"),
+        ("cat_chain2", "compose"),
+        ("monoid_z2", "elements"),
+        ("monoid_z2", "unit"),
+        ("monoid_z2", "table"),
+    ])
+    def test_algebra_document_needs_each_key(self, corpus_dir, tmp_path, capsys, stem, key):
+        doc = json.loads((corpus_dir / f"{stem}.json").read_text(encoding="utf-8"))
+        del doc[key]
+        algebra = tmp_path / "algebra.json"
+        algebra.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(algebra), "--family", str(corpus_dir / "family_graphI_d1.json")]
+        assert _refusal(argv, capsys) == (2, f"{algebra}: {doc['kind']} document has no {key!r}")
+
+    @pytest.mark.parametrize("doc, argv, first", [
+        ({"kind": "sset", "cap": 2}, ["horn-fill", "--n", "2", "--k", "1"], "cells"),
+        ({"kind": "category"}, ["nerve", "--cap", "1"], "objects"),
+    ])
+    def test_a_bare_kind_is_not_an_empty_object(self, tmp_path, capsys, doc, argv, first):
+        path = tmp_path / "bare.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = argv[:1] + [str(path)] + argv[1:]
+        assert _refusal(argv, capsys) == (2, f"{path}: {doc['kind']} document has no {first!r}")
+
     def test_fibrant_refuses_an_object_over_another_base(self, corpus_dir, capsys):
         obj, family = str(corpus_dir / "set1.json"), str(corpus_dir / "family_graphI_d1.json")
         assert _refusal(["fibrant", obj, "--family", family], capsys) == (2, (
@@ -721,6 +762,20 @@ def test_timing_goes_to_stderr_and_leaves_the_report_alone(corpus_dir, capsys):
     timed = capsys.readouterr()
     assert timed.out == plain.out
     assert plain.err == ""
+    assert re.fullmatch(r"timing_ms=\d+\n", timed.err)
+
+
+def test_timing_is_printed_on_an_error_exit(tmp_path, monkeypatch, capsys):
+    # the golden guard failure, rerun with --timing: the same report and exit
+    case = golden_cases.load("fibrant")["cat_z2_loop_graphI_d1_guard10"]
+    emit_fixture_corpus(tmp_path / "corpus")
+    family = "family_graphI_d1.json"
+    (tmp_path / family).write_text((tmp_path / "corpus" / family).read_text(encoding="utf-8"),
+                                   encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(case["argv"] + ["--timing"]) == case["exit"] == 2
+    timed = capsys.readouterr()
+    assert timed.out == "".join(case["stdout"])
     assert re.fullmatch(r"timing_ms=\d+\n", timed.err)
 
 

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 
@@ -25,6 +26,7 @@ from phl.fixtures import (
     corpus_sets,
     discrete2_category,
     groupoid_interval,
+    parallel_category,
     terminal_category,
     z2_category,
 )
@@ -38,7 +40,7 @@ from phl.lifting import (
     is_naively_fibrant_upto,
     solve_lift,
 )
-from phl.simplicial import nerve
+from phl.simplicial import boundary_inclusion, delta, horn_inclusion, nerve
 
 from conftest import brute_force_homs
 
@@ -268,6 +270,72 @@ class TestCountedVerdict:
         with pytest.raises(core.GuardExceeded) as raised:
             is_naively_fibrant_upto(fin_set("abc"), family, guard=2)
         assert str(raised.value) == "hom search exceeded the guard of 2 candidates"
+
+    def test_each_part_is_searched_once_per_boundary_values(self, monkeypatch):
+        # outside K = {a, b, c, z} the codomain L has two parts: the new
+        # vertex d with the edge c -> d, bounded by c, and the edge a -> b,
+        # bounded by a and b.  In A every vertex has an outgoing edge
+        # but q -> p is missing, so the second part always extends and the
+        # first only for some values of a and b.  z bounds nothing: it is
+        # counted, two tops per class
+        k = fin_graph(["a", "b", "c", "z"], [])
+        l = fin_graph(["a", "b", "c", "d", "z"], [("e", "a", "b"), ("f", "c", "d")])
+        i = PresheafMap(k, l, {"vertex": {v: v for v in "abcz"}, "edge": {}})
+        a = fin_graph(["p", "q"], [("pp", "p", "p"), ("pq", "p", "q"), ("qq", "q", "q")])
+        assert [pins for _, pins in core._components(i)] == [(2,), (0, 1)]
+        assert core._prefix_split(i) == 3
+        family = AnodyneFamily("hand", (FamilyEntry(i, 0, "two-parts"),), 0, 0, 0, {})
+        walks = []
+        walk = core._walk
+        monkeypatch.setattr(core, "_walk", lambda *args: walks.append(args[-1]) or walk(*args))
+        verdict = is_naively_fibrant_upto(a, family)
+        monkeypatch.undo()
+        assert verdict == has_rlp(bang(a), family)
+        # a = p: four classes of two tops extend; (a, b, c) = (q, p, p) fails
+        assert (verdict.ok, verdict.squares_checked) == (False, 9)
+        assert verdict.counterexample[1].on["vertex"] == {"a": "q", "b": "p", "c": "p", "z": "p"}
+        # one prefix walk, cut after c, then one search per part and
+        # boundary values: p, (p, p), q, (p, q) and the failing (q, p)
+        assert walks == [3] + [core.DEFAULT_GUARD] * 5
+
+    @pytest.mark.parametrize("target", [
+        "chain2", "z2_loop", "groupoid_interval", "parallel_pair", "delta2", "boundary2", "horn20",
+    ])
+    def test_bucket_lookups_drop_only_prefixes_without_maps(self, target):
+        # the classes, counts and failures are those of the walk without
+        # lookups.  They reject prefixes into z2_loop, parallel_pair and
+        # the boundary of the 2-simplex, whose 2-simplices leave some edge
+        # triples unfilled; the other targets fill every triple they can,
+        # so their walks look nothing up
+        shapes = {
+            "delta2": delta(2, 2),
+            "boundary2": boundary_inclusion(2, 2).domain,
+            "horn20": horn_inclusion(2, 0, 2).domain,
+        }
+        categories = {c.name: c for c in corpus_categories()}
+        a = shapes[target] if target in shapes else nerve(categories[target], 2)
+        watches, looked_up = core._watches, []
+
+        def recorded(*args):
+            watch = watches(*args)
+            looked_up.append(watch is not None)
+            return watch
+
+        for entry in family_of("sset-jinf", 0, cap=2).entries:
+            with mock.patch.object(core, "_watches", lambda *args: None):
+                unwatched = list(core.extension_classes(entry.arrow, a))
+            with mock.patch.object(core, "_watches", recorded):
+                assert list(core.extension_classes(entry.arrow, a)) == unwatched
+        assert any(looked_up) == (target in ("z2_loop", "parallel_pair", "boundary2"))
+
+    def test_cap_two_nerves_finish_within_the_default_guard(self):
+        # at cap 2 and depth 1 the prefix walks over these nerves reach
+        # edge triples that bound no 2-simplex of A; the bucket lookups
+        # reject them as soon as the triple is assigned
+        family = family_of("sset-jinf", 1, cap=2)
+        for category, squares in ((parallel_category(), 24), (z2_category(), 2_225)):
+            verdict = is_naively_fibrant_upto(nerve(category, 2), family)
+            assert (verdict.ok, verdict.squares_checked) == (True, squares)
 
 
 class TestFibrancy:

@@ -1,6 +1,7 @@
 """Property-based checks over randomly drawn small structures."""
 
 import itertools
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,7 +19,13 @@ from phl.core import (
 from phl.cylinder import graph_instance, set_instance
 from phl.fixtures import chain2_category, z2_category
 from phl.homotopy import find_homotopy
-from phl.lifting import generate_anodyne, has_rlp, is_naively_fibrant_upto
+from phl.lifting import (
+    AnodyneFamily,
+    FamilyEntry,
+    generate_anodyne,
+    has_rlp,
+    is_naively_fibrant_upto,
+)
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 from phl.simplicial import boundary_inclusion, delta, groupoid_interval, horn_inclusion, nerve
 
@@ -67,6 +74,31 @@ def test_counted_fibrancy_agrees_with_the_square_walk(a, family):
     loops = [a.op("src", e) for e in a.cells["edge"] if a.op("src", e) == a.op("tgt", e)]
     assume(family.depth == 0 or len(set(loops)) == len(loops))
     assert is_naively_fibrant_upto(a, family) == has_rlp(core.bang(a), family)
+
+
+@st.composite
+def subgraph_inclusions(draw):
+    """The inclusion of a drawn subgraph K into a drawn graph L."""
+    l = draw(small_graphs(3, 3))
+    edges = [e for e in l.cells["edge"] if draw(st.booleans())]
+    vertices = {v for v in l.cells["vertex"] if draw(st.booleans())}
+    vertices |= {l.op(name, e) for e in edges for name in ("src", "tgt")}
+    return core.subobject_from_cells(l, {"vertex": vertices, "edge": edges})[1]
+
+
+@given(subgraph_inclusions(), small_graphs(3, 3))
+def test_counted_fibrancy_agrees_with_the_square_walk_on_drawn_entries(i, a):
+    # L's parts outside K come in every number and shape: none, isolated
+    # new vertices, edges between old vertices, new vertices with edges
+    family = AnodyneFamily("drawn", (FamilyEntry(i, 0, "drawn"),), 0, 0, 0, {})
+    assert is_naively_fibrant_upto(a, family) == has_rlp(core.bang(a), family)
+
+
+@given(subgraph_inclusions(), small_graphs(3, 3))
+def test_bucket_lookups_drop_only_prefixes_without_maps(i, a):
+    with mock.patch.object(core, "_watches", lambda *args: None):
+        unwatched = list(core.extension_classes(i, a))
+    assert list(core.extension_classes(i, a)) == unwatched
 
 
 @given(graph_spans())

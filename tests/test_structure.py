@@ -10,9 +10,13 @@ SOURCES = {
     for path in sorted(Path(phl.__file__).resolve().parent.glob("*.py"))
 }
 
-# the hom-search engine's internals: search plans, the walk, map assembly
-# from a value vector, and the cut of the split fibrancy verdict
-SEARCH_INTERNALS = {"_SearchPlan", "_walk", "_assemble", "_prefix_split"}
+# the hom-search engine's internals: search plans, the walk, its bucket
+# lookups, map assembly from a value vector, and the cut, the parts and
+# their shapes of the split fibrancy verdict
+SEARCH_INTERNALS = {
+    "_SearchPlan", "_walk", "_watches", "_assemble", "_prefix_split", "_components",
+    "_shape", "_shaped",
+}
 
 
 def test_only_core_imports_the_search_internals():
