@@ -783,8 +783,8 @@ def extension_classes(i: PresheafMap, cod: PresheafObject,
             closure = _shaped(dom.signature, shape)
             sorts, _, members = shape
             part_plan = _SearchPlan.of(closure)
-            at = part_plan.positions
-            boundary = [at[sorts[n]][str(n)] for n in range(len(members), len(sorts))]
+            positions = part_plan.positions
+            boundary = [positions[sorts[n]][str(n)] for n in range(len(members), len(sorts))]
             searches[shape] = (closure, part_plan, boundary, {})
         parts.append((itemgetter(*pins) if pins else lambda vals: (), searches[shape]))
     for count, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget,
