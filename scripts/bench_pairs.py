@@ -8,7 +8,9 @@ the last-line JSON of every run and, per workload and side, the median and
 quartiles of each end-to-end metric of ``BENCHMARK.json``, plus the number
 of pairs in which the change did better, the signed relative change of the
 median, (change - base) / base, and the metric's bound, so the regression
-check reads off the file.
+check reads off the file.  Under ``operations`` it also keeps, per workload
+and side, the number of runs that were not correct and the failed and
+attempted operations of all runs, for the check on the share of failures.
 
     python3 scripts/bench_pairs.py --base <parent> --change HEAD \\
         --pairs horns=10,fibrancy=3,algebra=3 --seconds 30 \\
@@ -56,13 +58,26 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def operations(results):
+    """The number of results that are not correct, and their failed and
+    attempted operations in all."""
+    return {
+        "incorrect_runs": sum(not r["correct"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+    }
+
+
 def summarize(runs, metrics):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         by_side = {side: {r["pair"]: r["result"]["metrics"] for r in mine if r["side"] == side}
                    for side in ("base", "change")}
-        summary[workload] = {}
+        summary[workload] = {"operations": {
+            side: operations([r["result"] for r in mine if r["side"] == side])
+            for side in ("base", "change")
+        }}
         for name, better, bound in metrics:
             value = {side: {p: m[name]["value"] for p, m in pairs.items()}
                      for side, pairs in by_side.items()}

@@ -86,6 +86,12 @@ def cmd_homotopy(args):
 
 
 def cmd_lift(args):
+    if args.explicit == "category" and args.algebra is None:
+        raise ValidationError("lift --explicit category needs an explicit --algebra")
+    if args.explicit != "category" and args.algebra is not None:
+        raise ValidationError("lift reads --algebra only with --explicit category")
+    if args.explicit is not None and args.guard is not None:
+        raise ValidationError("lift --explicit reads no --guard")
     square = _parse_expecting(args.square, ("square",), "a square")
     problem = lifting.LiftingProblem(
         square["left"], square["right"], square["top"], square["bottom"]
@@ -226,6 +232,8 @@ def cmd_witness_m2(args):
     if args.cap is None:
         raise ValidationError("witness-m2 needs an explicit --cap")
     if args.monad == "monoid":
+        if args.nmax is not None:
+            raise ValidationError("witness-m2 --monad monoid reads no --nmax")
         x = _parse_expecting(args.object, ("set",), "a set")
         witness = witnesses.m2_retract_set(x, cap=args.cap)
         document = {
@@ -236,9 +244,6 @@ def cmd_witness_m2(args):
             "r": map_to_document(witness.r),
             "u": map_to_document(witness.u),
             "v": map_to_document(witness.v),
-            "steps": [
-                {"rule": s.rule, "description": s.description} for s in witness.steps
-            ],
         }
     else:
         x = _parse_expecting(args.object, ("graph",), "a graph")
@@ -251,12 +256,10 @@ def cmd_witness_m2(args):
             "h": [map_to_document(h) for h in witness.h_maps],
             "k": [map_to_document(k) for k in witness.k_maps],
             "section": map_to_document(witness.section),
-            "probed_bound": witness.probed_bound,
+            "probed_bound": witness.n_max,
             "shortfall": witness.shortfall,
-            "steps": [
-                {"rule": s.rule, "description": s.description} for s in witness.steps
-            ],
         }
+    document["steps"] = [{"rule": s.rule, "description": s.description} for s in witness.steps]
     _write_out(args, document)
     return 0, {"witness": document["kind"], "verified": True}
 

@@ -649,34 +649,6 @@ def search_maps(
     return _walk(dom, cod, plan, pinned, cell_filter, injective, budget)
 
 
-def _prefix_split(i: PresheafMap) -> int:
-    """Length of the shortest prefix of K's search order, for i: K -> L,
-    after which every cell of K is constrained only by prefix cells or by
-    itself, and maps into L onto no face of a cell outside the image of i.
-
-    A diagonal L -> A reads a map K -> A only on the faces of the cells it
-    chooses, so whether the map extends along i depends on the prefix
-    alone.  Sets split at 0 and graphs after their last vertex that bounds
-    an edge or whose image does.
-    """
-    k, l = i.domain, i.codomain
-    image = image_cells(i)
-    faces = {
-        (t_sort, l.op(name, cell))
-        for name, s_sort, t_sort in l.signature.ops
-        for cell in l.cells[s_sort]
-        if cell not in image[s_sort]
-    }
-    split = 0
-    for at, (sort, cell, _, _, _, checks) in enumerate(_SearchPlan.of(k).steps):
-        if (sort, i.on[sort][cell]) in faces:
-            split = at + 1
-        for _, s, t in checks:
-            if s != t:
-                split = max(split, min(s, t) + 1)
-    return split
-
-
 def _shape(obj: PresheafObject, cells, ops) -> tuple:
     """The part of ``obj`` that the distinct ``(sort, cell)`` pairs generate
     under ``ops``, numbered in the order a walk along ``ops`` from the pairs
@@ -715,56 +687,74 @@ def _shaped(signature: Signature, shape) -> PresheafObject:
     return PresheafObject(signature, cells, ops, _validated=True)
 
 
-def _components(i: PresheafMap) -> list:
-    """The parts of L, for a mono i: K -> L, on which a map K -> A extends
-    along i independently.
+def _split(i: PresheafMap) -> tuple:
+    """``(cut, parts)`` for a mono i: K -> L, from one scan of the operators
+    on L's cells outside the image of i.
 
-    L's cells outside the image of i fall into connected components under
-    the operators.  A part is a component's closure: the subobject of L on
-    the component and every cell the operators reach from it, whose other
-    cells, its boundary, are in the image of i.  A map extends along i iff,
-    for every part, it extends onto the closure from the boundary.  Returns
-    ``(shape, pins)`` per part, in the order of the components' first
-    cells: the closure's :func:`_shape` from the component, and the
-    positions in K's search order of the preimages of the boundary cells,
-    in the order of their numbers.
+    ``cut`` is the length of the shortest prefix of K's search order after
+    which every cell of K is constrained only by prefix cells or by itself,
+    and maps into L onto no face of a cell outside the image of i.  A
+    diagonal L -> A reads a map K -> A only on the faces of the cells it
+    chooses, so whether the map extends along i depends on the prefix
+    alone.  Sets split at 0 and graphs after their last vertex that bounds
+    an edge or whose image does.
+
+    ``parts`` are the parts of L on which a map K -> A extends along i
+    independently.  L's cells outside the image of i fall into connected
+    components under the operators.  A part is a component's closure: the
+    subobject of L on the component and every cell the operators reach
+    from it, whose other cells, its boundary, are in the image of i.  A map
+    extends along i iff, for every part, it extends onto the closure from
+    the boundary.  Per part, in the order of the components' first cells,
+    ``(shape, pins)``: the closure's :func:`_shape` from the component, and
+    the positions in K's search order of the preimages of the boundary
+    cells, in the order of their numbers.
     """
     l = i.codomain
     ops = l.signature.ops
     image = image_cells(i)
     free = [(sort, cell) for sort, cell in l.cell_items() if cell not in image[sort]]
-    uf = _UnionFind()
+    faces, uf = set(), _UnionFind()
     for key in free:
         uf.add(key)
     for name, s_sort, t_sort in ops:
         for cell, target in l.ops[name].items():
-            if cell not in image[s_sort] and target not in image[t_sort]:
-                uf.union((s_sort, cell), (t_sort, target))
+            if cell not in image[s_sort]:
+                faces.add((t_sort, target))
+                if target not in image[t_sort]:
+                    uf.union((s_sort, cell), (t_sort, target))
+    plan = _SearchPlan.of(i.domain)
+    cut = 0
+    for at, (sort, cell, _, _, _, checks) in enumerate(plan.steps):
+        if (sort, i.on[sort][cell]) in faces:
+            cut = at + 1
+        for _, s, t in checks:
+            if s != t:
+                cut = max(cut, min(s, t) + 1)
     components = {}
     for key in free:
         components.setdefault(uf.find(key), []).append(key)
     preimage = {sort: {v: c for c, v in i.on[sort].items()} for sort in l.signature.sorts}
-    at_k = _SearchPlan.of(i.domain).positions
     parts = []
     for members in components.values():
         shape, order = _shape(l, members, ops)
-        pins = tuple(at_k[sort][preimage[sort][cell]] for sort, cell in order[len(members):])
+        pins = tuple(plan.positions[sort][preimage[sort][cell]] for sort, cell in order[len(members):])
         parts.append((shape, pins))
-    return parts
+    return cut, parts
 
 
 def extension_classes(i: PresheafMap, cod: PresheafObject,
                       guard: Optional[int] = None) -> Iterator[tuple]:
     """The maps K -> cod, for a mono i: K -> L, grouped by their values on
-    the prefix of K's search order that :func:`_prefix_split` computes from
-    i, so that all maps of a group extend along i or none does.
+    the prefix of K's search order that ends at the cut of :func:`_split`,
+    so that all maps of a group extend along i or none does.
 
     Yields ``(count, failure)`` per prefix assignment that extends to a map
     K -> cod, in lexicographic order: the number of its maps and, unless
     they extend along i, the least of them (else None).  Every later cell
     reads only the prefix and itself, so a group's maps number the product
     of the later cells' candidate counts.  A group extends iff it extends
-    onto each part of :func:`_components`.  That is decided by one pinned
+    onto each part of :func:`_split`.  That is decided by one pinned
     search on the part's closure per shape of the part and values on its
     boundary, remembered for the rest of the call.  The guard counts the
     prefix walk's candidates and, per prefix assignment that the walk's
@@ -777,8 +767,9 @@ def extension_classes(i: PresheafMap, cod: PresheafObject,
         raise MismatchError("hom enumeration between different bases")
     plan = _SearchPlan.of(dom)
     budget = DEFAULT_GUARD if guard is None else guard
+    cut, split = _split(i)
     searches, parts = {}, []
-    for shape, pins in _components(i):
+    for shape, pins in split:
         if shape not in searches:
             closure = _shaped(dom.signature, shape)
             sorts, _, members = shape
@@ -787,8 +778,7 @@ def extension_classes(i: PresheafMap, cod: PresheafObject,
             boundary = [positions[sorts[n]][str(n)] for n in range(len(members), len(sorts))]
             searches[shape] = (closure, part_plan, boundary, {})
         parts.append((itemgetter(*pins) if pins else lambda vals: (), searches[shape]))
-    for count, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget,
-                             _prefix_split(i)):
+    for count, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget, cut):
         for read, (closure, part_plan, boundary, memo) in parts:
             key = read(vals)
             extends = memo.get(key)
@@ -1026,17 +1016,14 @@ def extend_along(legs, cod: PresheafObject, cell_filter=None, guard=None) -> Opt
                             guard=guard), None)
 
 
-def refine_colors(obj: PresheafObject, init=None):
+def refine_colors(obj: PresheafObject, init):
     """Stable colors under structure-aware refinement (1-WL style).
 
     Isomorphic cells get equal colors, so color histograms are a sound
     necessary condition for isomorphism and colors prune iso searches.
     ``init(sort, cell)`` seeds extra distinctions.
     """
-    colors = {}
-    for sort, cell in obj.cell_items():
-        seed = (sort,) + (tuple(init(sort, cell)) if init else ())
-        colors[(sort, cell)] = seed
+    colors = {(sort, cell): (sort,) + tuple(init(sort, cell)) for sort, cell in obj.cell_items()}
     canon = {c: i for i, c in enumerate(sorted(set(colors.values())))}
     colors = {k: canon[v] for k, v in colors.items()}
     while True:
@@ -1079,11 +1066,9 @@ def arrows_isomorphic(m1: PresheafMap, m2: PresheafMap, guard=None) -> bool:
 
     def decorate(m):
         image = image_cells(m)
-        cod_colors = refine_colors(
-            m.codomain, init=lambda sort, cell: (cell in image[sort],)
-        )
+        cod_colors = refine_colors(m.codomain, lambda sort, cell: (cell in image[sort],))
         dom_colors = refine_colors(
-            m.domain, init=lambda sort, cell: (cod_colors[(sort, m.on[sort][cell])],)
+            m.domain, lambda sort, cell: (cod_colors[(sort, m.on[sort][cell])],)
         )
         return dom_colors, cod_colors
 

@@ -8,7 +8,7 @@ edges u, d; without them the endpoint inclusions would not be graph maps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -131,8 +131,8 @@ def get_instance(name: str, cap: Optional[int] = None) -> CylinderData:
 class CornerMap:
     """The inclusion K⊗I ∪ L⊗∂I -> L⊗I (or the one-endpoint variant).
 
-    ``arrow`` is the carried mono; ``preimage`` names the corner cell over
-    each cell of its image, so the explicit lifts can read the corner.
+    ``arrow`` is the carried mono; the explicit lifts read a top map on
+    L⊗I through ``pin_along([(arrow, top)])``.
     """
 
     arrow: PresheafMap
@@ -140,7 +140,6 @@ class CornerMap:
     j: PresheafMap
     kind: str  # "full" | "endpoint"
     endpoint: Optional[int]
-    preimage: dict = field(repr=False)
 
     @property
     def domain(self) -> PresheafObject:
@@ -149,10 +148,6 @@ class CornerMap:
     @property
     def codomain(self) -> PresheafObject:
         return self.arrow.codomain
-
-    def contains(self, sort: str, cell: str) -> bool:
-        """Whether a cell of L⊗I lies in the corner image."""
-        return cell in self.preimage[sort]
 
 
 def _corner(instance: CylinderData, j: PresheafMap, endpoint: Optional[int]) -> CornerMap:
@@ -186,7 +181,7 @@ def _corner(instance: CylinderData, j: PresheafMap, endpoint: Optional[int]) -> 
 
     naming = relabel(sub, name)[1]
     kind = "full" if endpoint is None else "endpoint"
-    return CornerMap(inverse(naming).then(incl), instance.name, j, kind, endpoint, naming.on)
+    return CornerMap(inverse(naming).then(incl), instance.name, j, kind, endpoint)
 
 
 def corner_full(instance: CylinderData, j: PresheafMap) -> CornerMap:
@@ -292,4 +287,4 @@ def verify_ehd(instance, monos, spans) -> EhdReport:
                 ok,
             )
         )
-    return EhdReport(getattr(instance, "name", "?"), tuple(checks))
+    return EhdReport(instance.name, tuple(checks))

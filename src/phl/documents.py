@@ -106,16 +106,12 @@ def _parse_sset(doc):
         raise ValidationError("sset document needs an integer cap")
     cells = {int(n): tuple(v) for n, v in _required(doc, "cells", "sset document").items()}
     faces, degens = {}, {}
-    for n, table in _required(doc, "faces", "sset document").items():
-        n = int(n)
-        for cell, images in table.items():
-            for i, image in enumerate(images):
-                faces.setdefault((n, i), {})[cell] = image
-    for n, table in _required(doc, "degeneracies", "sset document").items():
-        n = int(n)
-        for cell, images in table.items():
-            for i, image in enumerate(images):
-                degens.setdefault((n, i), {})[cell] = image
+    for key, ops in (("faces", faces), ("degeneracies", degens)):
+        for n, table in _required(doc, key, "sset document").items():
+            n = int(n)
+            for cell, images in table.items():
+                for i, image in enumerate(images):
+                    ops.setdefault((n, i), {})[cell] = image
     return trunc_sset(cap, cells, faces, degens)
 
 
@@ -199,9 +195,9 @@ def monoid_to_document(m: FiniteMonoid) -> dict:
     return {
         "kind": "monoid",
         "name": m.name,
-        "elements": list(m.elements),
-        "unit": m.unit,
-        "table": {a: dict(m.table[a]) for a in m.elements},
+        "elements": list(m.morphisms),
+        "unit": m.identity(None),
+        "table": {a: dict(m.compose[a]) for a in m.morphisms},
     }
 
 

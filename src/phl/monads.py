@@ -317,32 +317,18 @@ class FiniteCategory:
 class FiniteMonoid(FiniteCategory):
     """A finite monoid: a category with one unlabelled object, ``None``.
 
-    Its elements, in sorted order, are the morphisms, its unit is the
-    identity and its table the composition; ``table[a][b]`` is a*b.  Its
-    carrier is the set of its elements, the loops of the one vertex.
+    It is read through the category names only: its elements, in sorted
+    order, are ``morphisms``, its unit is ``identity(None)`` and a*b is
+    ``then(a, b)``, or ``compose[a][b]``.  Its carrier is the set of its
+    elements, the loops of the one vertex.
     """
 
     def __init__(self, elements, unit, table, name="monoid"):
         loops = [(e, None, None) for e in sorted(elements)]
         super().__init__((None,), loops, {None: unit}, table, name=name)
 
-    @property
-    def elements(self):
-        return self.morphisms
-
-    @property
-    def unit(self):
-        return self.identities[None]
-
-    @property
-    def table(self):
-        return self.compose
-
-    def mul(self, a, b):
-        return self.then(a, b)
-
     def carrier(self) -> PresheafObject:
-        return fin_set(self.elements)
+        return fin_set(self.morphisms)
 
 
 def algebra_extend(algebra, f: PresheafMap, monad) -> PresheafMap:

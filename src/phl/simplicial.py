@@ -315,15 +315,6 @@ def _nondegenerate_horn(n: int, k: int) -> PresheafObject:
     return PresheafObject(_face_signature(top), cells, ops)
 
 
-def _restrict(x: PresheafObject, sig: Signature) -> PresheafObject:
-    """X on the sorts and operators of ``sig`` only, from X's validated
-    tables."""
-    return PresheafObject(
-        sig, {sort: x.cells[sort] for sort in sig.sorts},
-        {name: x.ops[name] for name, _, _ in sig.ops}, _validated=True,
-    )
-
-
 @dataclass(frozen=True)
 class HornReport:
     """Per horn instance, in the search order of its tops, the pair (top,
@@ -377,9 +368,10 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
         sort = str(n - 1)
     else:
         fill = {key: cells[0] for key, cells in buckets.items()}
+    x_faces = PresheafObject(horn.signature, x.cells, x.ops, _validated=True)
     instances = tuple(
         (top, fill.get(on_faces(top.on[sort]) if n else ()))
-        for top in search_maps(horn, _restrict(x, horn.signature), guard=guard)
+        for top in search_maps(horn, x_faces, guard=guard)
     )
     failing = next((top for top, filler in instances if filler is None), None)
     if failing is not None:

@@ -259,7 +259,6 @@ class TowerWitness:
     k_maps: tuple            # G~(i) -> T(G)
     section: PresheafMap     # probed part of T(G) -> G~(n_max)
     probe_inclusion: PresheafMap  # probed part of T(G) -> T(G)
-    probed_bound: int
     shortfall: Optional[str]
     steps: tuple
 
@@ -377,15 +376,14 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
         if h_maps[n].then(k_maps[n]) != k_maps[n - 1]:
             raise WitnessError(f"k_{n}∘h_{n} = k_{n - 1} failed")
 
-    # section on paths up to the probed bound
-    bound = n_max
+    # section on paths up to the probed bound n_max
     longest = max((len(tg.decode[e][2]) for e in tg.obj.cells["edge"]), default=0)
     shortfall = None
-    if longest > bound:
+    if longest > n_max:
         shortfall = (
-            f"paths of length up to {longest} exist but only lengths <= {bound} are probed"
+            f"paths of length up to {longest} exist but only lengths <= {n_max} are probed"
         )
-    probe_edges = [e for e in tg.obj.cells["edge"] if len(tg.decode[e][2]) <= bound]
+    probe_edges = [e for e in tg.obj.cells["edge"] if len(tg.decode[e][2]) <= n_max]
     probe, probe_incl = subobject_from_cells(
         tg.obj, {"vertex": tg.obj.cells["vertex"], "edge": probe_edges}
     )
@@ -431,7 +429,7 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
         raise WitnessError("saturation evidence failed to verify")
     return TowerWitness(
         g, n_max, cap, tuple(stages), tuple(h_maps), tuple(k_maps),
-        section, probe_incl, bound, shortfall, steps,
+        section, probe_incl, shortfall, steps,
     )
 
 
@@ -451,18 +449,14 @@ def explicit_lift_monoid(corner: CornerMap, top: PresheafMap) -> PresheafMap:
     if top.domain != corner.domain:
         raise ProvenanceError("top map does not start at the corner object")
     e_label = str(corner.endpoint)
-    l_obj = corner.j.codomain
-    cyl = corner.codomain
+    fixed = pin_along([(corner.arrow, top)])["element"]
     on = {"element": {}}
-    for x in l_obj.cells["element"]:
+    for x in corner.j.codomain.cells["element"]:
         for t in ("0", "1"):
             cell = pair_label(x, t)
-            if corner.contains("element", cell):
-                on["element"][cell] = top.on["element"][corner.preimage["element"][cell]]
-            else:
-                base = pair_label(x, e_label)
-                on["element"][cell] = top.on["element"][corner.preimage["element"][base]]
-    diagonal = PresheafMap(cyl, top.codomain, on)
+            source = cell if cell in fixed else pair_label(x, e_label)
+            on["element"][cell] = fixed[source]
+    diagonal = PresheafMap(corner.codomain, top.codomain, on)
     if corner.arrow.then(diagonal) != top:
         raise WitnessError("monoid lift failed its triangle")
     return diagonal
@@ -496,9 +490,7 @@ def explicit_lift_category(corner: CornerMap, top: PresheafMap,
     l_obj = j.codomain
     kv = set(j.on["vertex"].values())
     ke = set(j.on["edge"].values())
-
-    def fval(sort, cell):
-        return top.on[sort][corner.preimage[sort][cell]]
+    fixed = pin_along([(corner.arrow, top)])
 
     def compose(f, g):
         try:
@@ -514,24 +506,24 @@ def explicit_lift_category(corner: CornerMap, top: PresheafMap,
             raise LiftConstructionError(
                 f"vertex {x!r} of K carries no loop; the thread connector is unavailable"
             )
-        return fval("edge", pair_label(loops[0], between[s, t]))
+        return fixed["edge"][pair_label(loops[0], between[s, t])]
 
     on = {"vertex": {}, "edge": {}}
     for x in l_obj.cells["vertex"]:
         for t in ("0", "1"):
             cell = pair_label(x, t)
-            source = cell if corner.contains("vertex", cell) else pair_label(x, given)
-            on["vertex"][cell] = fval("vertex", source)
+            source = cell if cell in fixed["vertex"] else pair_label(x, given)
+            on["vertex"][cell] = fixed["vertex"][source]
     for edge in l_obj.cells["edge"]:
         a, b = l_obj.op("src", edge), l_obj.op("tgt", edge)
         for i, (s, t) in levels.items():
             cell = pair_label(edge, i)
-            if corner.contains("edge", cell):
-                value = fval("edge", cell)
+            if cell in fixed["edge"]:
+                value = fixed["edge"][cell]
             elif a == b and a not in kv:
-                value = category.identity(fval("vertex", pair_label(a, given)))
+                value = category.identity(fixed["vertex"][pair_label(a, given)])
             else:
-                value = fval("edge", pair_label(edge, between[given, given]))
+                value = fixed["edge"][pair_label(edge, between[given, given])]
                 if s == other and a in kv:
                     value = compose(connector(a, other, given), value)
                 if t == other and b in kv:

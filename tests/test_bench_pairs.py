@@ -39,3 +39,22 @@ def test_runs_write_no_bytecode(bench_pairs, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     assert bench_pairs.run(tmp_path, "horns", 1, 1) == {"metrics": {}}
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1" and seen["cwd"] == tmp_path
+
+
+def test_summary_counts_incorrect_runs_and_failed_operations(bench_pairs):
+    def result(correct, failed, attempted, wall):
+        return {"correct": correct, "failed": failed, "attempted": attempted,
+                "metrics": {"wall_s": {"value": wall}}}
+
+    runs = [
+        {"workload": "horns", "pair": 0, "side": "base", "result": result(True, 0, 10, 1.0)},
+        {"workload": "horns", "pair": 0, "side": "change", "result": result(False, 2, 10, 0.9)},
+        {"workload": "horns", "pair": 1, "side": "change", "result": result(True, 1, 12, 0.8)},
+        {"workload": "horns", "pair": 1, "side": "base", "result": result(True, 0, 11, 1.1)},
+    ]
+    summary = bench_pairs.summarize(runs, [("wall_s", "lower", 0.25)])
+    assert summary["horns"]["operations"] == {
+        "base": {"incorrect_runs": 0, "failed": 0, "attempted": 21},
+        "change": {"incorrect_runs": 1, "failed": 3, "attempted": 22},
+    }
+    assert summary["horns"]["wall_s"]["change_better_pairs"] == "2/2"

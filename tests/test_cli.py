@@ -520,8 +520,10 @@ class TestRefusals:
         ("category", "graph_loop", "unit needs cap >= 1 to form singleton paths"),
     ])
     def test_witness_at_cap_zero_is_a_cap_error(self, corpus_dir, capsys, monad, stem, message):
+        # only the tower reads --nmax
+        nmax = ["--nmax", "0"] if monad == "category" else []
         argv = ["witness-m2", str(corpus_dir / f"{stem}.json"), "--monad", monad,
-                "--nmax", "0", "--cap", "0"]
+                *nmax, "--cap", "0"]
         assert _refusal(argv, capsys) == (2, message)
 
     @pytest.mark.parametrize("table, culprit", [
@@ -587,6 +589,26 @@ class TestRefusals:
         square = tmp_path / "square.json"
         square.write_text(canonical_json(doc), encoding="utf-8")
         return square
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--explicit", "category"], "lift --explicit category needs an explicit --algebra"),
+        (["--algebra", "cat_chain2.json"], "lift reads --algebra only with --explicit category"),
+        (["--explicit", "monoid", "--algebra", "cat_chain2.json"],
+         "lift reads --algebra only with --explicit category"),
+        (["--explicit", "monoid", "--guard", "5"], "lift --explicit reads no --guard"),
+    ], ids=["category-without-algebra", "algebra-without-explicit", "algebra-with-monoid",
+            "explicit-with-guard"])
+    def test_lift_refuses_a_branch_flag_it_would_not_read(
+        self, corpus_dir, tmp_path, capsys, flags, message,
+    ):
+        flags = [str(corpus_dir / f) if f.endswith(".json") else f for f in flags]
+        argv = ["lift", "--square", str(self._corner_square(tmp_path)), *flags]
+        assert _refusal(argv, capsys) == (2, message)
+
+    def test_retract_witness_refuses_an_nmax(self, corpus_dir, capsys):
+        argv = ["witness-m2", str(corpus_dir / "set1.json"), "--monad", "monoid",
+                "--nmax", "1", "--cap", "1"]
+        assert _refusal(argv, capsys) == (2, "witness-m2 --monad monoid reads no --nmax")
 
     def test_explicit_lift_needs_the_corner_endpoint(self, tmp_path, capsys):
         square = self._corner_square(tmp_path, drop="endpoint")

@@ -132,7 +132,7 @@ class TestCornerEndpoint:
         corner = corner_endpoint(graph_instance, j, 0)
         assert len(corner.domain.cells["vertex"]) == 4
         assert len(corner.domain.cells["edge"]) == 1
-        level0 = [c for c in corner.codomain.cells["edge"] if corner.contains("edge", c)]
+        level0 = sorted(corner.arrow.on["edge"].values())
         assert level0 == [pair_label("e", "l0")]
 
     def test_corners_always_mono(self, graph_instance):

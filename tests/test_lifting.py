@@ -222,13 +222,13 @@ class TestCountedVerdict:
         # neither K nor L has an edge (the corners of the point), so that
         # no vertex bounds anything and K is counted whole
         for entry in family_of("set2", 1).entries:
-            assert core._prefix_split(entry.arrow) == 0
+            assert core._split(entry.arrow)[0] == 0
         for entry in family_of("graphI", 1).entries:
             k, l = entry.arrow.domain, entry.arrow.codomain
             edges = len(k.cells["edge"]) + len(l.cells["edge"])
-            assert core._prefix_split(entry.arrow) == (len(k.cells["vertex"]) if edges else 0)
+            assert core._split(entry.arrow)[0] == (len(k.cells["vertex"]) if edges else 0)
         for entry in family_of("sset-jinf", 1, cap=1).entries:
-            assert core._prefix_split(entry.arrow) == len(entry.arrow.domain.cells["0"])
+            assert core._split(entry.arrow)[0] == len(entry.arrow.domain.cells["0"])
 
     def test_isolated_vertex_bounding_an_unpinned_edge_stays_in_the_prefix(self):
         # K is a lone vertex whose image in L bounds the edge outside it:
@@ -237,7 +237,7 @@ class TestCountedVerdict:
         k = fin_graph(["a"], [])
         l = fin_graph(["a", "b"], [("e", "a", "b")])
         i = PresheafMap(k, l, {"vertex": {"a": "a"}, "edge": {}})
-        assert core._prefix_split(i) == 1
+        assert core._split(i)[0] == 1
         family = AnodyneFamily("hand", (FamilyEntry(i, 0, "vertex-into-edge"),), 0, 0, 0, {})
         a = fin_graph(["p", "q"], [("e", "p", "q")])
         verdict = is_naively_fibrant_upto(a, family)
@@ -255,7 +255,7 @@ class TestCountedVerdict:
         k = endo({"x": "x"})
         l = endo({"x": "x", "y": "y"})
         i = PresheafMap(k, l, {"element": {"x": "x"}})
-        assert core._prefix_split(i) == 0
+        assert core._split(i)[0] == 0
         family = AnodyneFamily("hand", (FamilyEntry(i, 0, "fixed-point"),), 0, 0, 0, {})
         for a in (endo({"p": "p", "q": "p", "r": "r"}), endo({"p": "q", "q": "p"})):
             assert_agrees_with_reference(a, family)
@@ -266,7 +266,7 @@ class TestCountedVerdict:
         # a set entry splits at 0, so its prefix walk draws no candidate and
         # the guard trips while the suffix cells' candidates are counted
         family = family_of("set2", 0)
-        assert core._prefix_split(family.entries[0].arrow) == 0
+        assert core._split(family.entries[0].arrow)[0] == 0
         with pytest.raises(core.GuardExceeded) as raised:
             is_naively_fibrant_upto(fin_set("abc"), family, guard=2)
         assert str(raised.value) == "hom search exceeded the guard of 2 candidates"
@@ -282,8 +282,9 @@ class TestCountedVerdict:
         l = fin_graph(["a", "b", "c", "d", "z"], [("e", "a", "b"), ("f", "c", "d")])
         i = PresheafMap(k, l, {"vertex": {v: v for v in "abcz"}, "edge": {}})
         a = fin_graph(["p", "q"], [("pp", "p", "p"), ("pq", "p", "q"), ("qq", "q", "q")])
-        assert [pins for _, pins in core._components(i)] == [(2,), (0, 1)]
-        assert core._prefix_split(i) == 3
+        cut, parts = core._split(i)
+        assert [pins for _, pins in parts] == [(2,), (0, 1)]
+        assert cut == 3
         family = AnodyneFamily("hand", (FamilyEntry(i, 0, "two-parts"),), 0, 0, 0, {})
         walks = []
         walk = core._walk

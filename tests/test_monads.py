@@ -505,13 +505,13 @@ class TestAlgebras:
         for g in enumerate_homs(tx.obj, z2.carrier()):
             if eta.then(g) != f:
                 continue
-            is_hom = g.on["element"][tx.encode[None, None, ()]] == z2.unit
+            is_hom = g.on["element"][tx.encode[None, None, ()]] == z2.identity(None)
             for _, _, w1 in tx.decode.values():
                 for _, _, w2 in tx.decode.values():
                     if len(w1) + len(w2) > monad.cap:
                         continue
                     lhs = g.on["element"][tx.encode[None, None, w1 + w2]]
-                    rhs = z2.mul(
+                    rhs = z2.then(
                         g.on["element"][tx.encode[None, None, w1]],
                         g.on["element"][tx.encode[None, None, w2]],
                     )

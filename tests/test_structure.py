@@ -14,7 +14,7 @@ SOURCES = {
 # lookups, map assembly from a value vector, and the cut, the parts and
 # their shapes of the split fibrancy verdict
 SEARCH_INTERNALS = {
-    "_SearchPlan", "_walk", "_watches", "_assemble", "_prefix_split", "_components",
+    "_SearchPlan", "_walk", "_watches", "_assemble", "_split",
     "_shape", "_shaped",
 }
 

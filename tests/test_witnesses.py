@@ -213,9 +213,10 @@ class TestExplicitLiftCategory:
             d = explicit_lift_category(corner, top, gpd)
             assert corner.arrow.then(d) == top
             cell = core.pair_label("e", "l1")
-            down = top.on["edge"][corner.preimage["edge"][core.pair_label("la", "d")]]
-            base = top.on["edge"][corner.preimage["edge"][core.pair_label("e", "l0")]]
-            up = top.on["edge"][corner.preimage["edge"][core.pair_label("lb", "u")]]
+            fixed = core.pin_along([(corner.arrow, top)])["edge"]
+            down = fixed[core.pair_label("la", "d")]
+            base = fixed[core.pair_label("e", "l0")]
+            up = fixed[core.pair_label("lb", "u")]
             assert d.on["edge"][cell] == gpd.then(gpd.then(down, base), up)
 
     def test_outside_loop_goes_to_identity(self, graph_instance):
