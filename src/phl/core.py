@@ -75,14 +75,9 @@ class PresheafObject:
         self.signature = signature
         self.cells = {sort: tuple(sorted(cells.get(sort, ()))) for sort in signature.sorts}
         self.ops = {name: dict(ops.get(name, {})) for name, _, _ in signature.ops}
-        self._cell_sets = self._plan = self._index = None
+        self._key = self._cell_sets = self._plan = self._index = None
         if not _validated:
             self._validate()
-        self._key = (
-            signature.name,
-            tuple((sort, self.cells[sort]) for sort in signature.sorts),
-            tuple((name, tuple(sorted(self.ops[name].items()))) for name, _, _ in signature.ops),
-        )
 
     def _validate(self):
         for sort in self.signature.sorts:
@@ -129,11 +124,23 @@ class PresheafObject:
             for label in self.cells[sort]:
                 yield sort, label
 
+    def _structure(self):
+        """The structural key that equality and hashing compare, built on
+        first use: nothing changes ``cells`` or ``ops`` after construction."""
+        if self._key is None:
+            self._key = (
+                self.signature.name,
+                tuple((sort, self.cells[sort]) for sort in self.signature.sorts),
+                tuple((name, tuple(sorted(self.ops[name].items())))
+                      for name, _, _ in self.signature.ops),
+            )
+        return self._key
+
     def __eq__(self, other):
-        return isinstance(other, PresheafObject) and self._key == other._key
+        return isinstance(other, PresheafObject) and self._structure() == other._structure()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._structure())
 
     def __repr__(self):
         counts = ", ".join(f"{len(self.cells[s])} {s}" for s in self.signature.sorts)
@@ -190,13 +197,9 @@ class PresheafMap:
         self.domain = domain
         self.codomain = codomain
         self.on = {sort: dict(on.get(sort, {})) for sort in domain.signature.sorts}
+        self._key = None
         if not _validated:
             self._validate()
-        self._key = (
-            domain._key,
-            codomain._key,
-            tuple((sort, tuple(sorted(self.on[sort].items()))) for sort in domain.signature.sorts),
-        )
 
     def _validate(self):
         for sort in self.domain.signature.sorts:
@@ -233,11 +236,22 @@ class PresheafMap:
         }
         return PresheafMap(self.domain, other.codomain, on, _validated=True)
 
+    def _structure(self):
+        """The structural key, built on first use as for objects."""
+        if self._key is None:
+            self._key = (
+                self.domain._structure(),
+                self.codomain._structure(),
+                tuple((sort, tuple(sorted(self.on[sort].items())))
+                      for sort in self.domain.signature.sorts),
+            )
+        return self._key
+
     def __eq__(self, other):
-        return isinstance(other, PresheafMap) and self._key == other._key
+        return isinstance(other, PresheafMap) and self._structure() == other._structure()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._structure())
 
     def __repr__(self):
         return f"<map {self.domain!r} -> {self.codomain!r}>"
@@ -277,16 +291,6 @@ def is_iso(f: PresheafMap) -> bool:
         len(f.domain.cells[sort]) == len(f.codomain.cells[sort])
         for sort in f.domain.signature.sorts
     )
-
-
-def inverse(f: PresheafMap) -> PresheafMap:
-    if not is_iso(f):
-        raise ValidationError("map is not invertible")
-    on = {
-        sort: {value: cell for cell, value in f.on[sort].items()}
-        for sort in f.domain.signature.sorts
-    }
-    return PresheafMap(f.codomain, f.domain, on, _validated=True)
 
 
 def relabel(obj: PresheafObject, rename: Callable[[str, str], str]):
@@ -475,20 +479,21 @@ def product(x: PresheafObject, y: PresheafObject):
         raise MismatchError("product of objects in different bases")
     sig = x.signature
     cells, ops, pr1, pr2 = {}, {}, {}, {}
+    grid = {}  # sort -> a -> b -> the label of (a, b)
     for sort in sig.sorts:
-        pairs = [(a, b) for a in x.cells[sort] for b in y.cells[sort]]
-        labels = [pair_label(a, b) for a, b in pairs]
-        if len(set(labels)) != len(labels):
+        rows = grid[sort] = {a: {b: pair_label(a, b) for b in y.cells[sort]} for a in x.cells[sort]}
+        pr1[sort] = {label: a for a, row in rows.items() for label in row.values()}
+        pr2[sort] = {label: b for row in rows.values() for b, label in row.items()}
+        if len(pr1[sort]) != len(x.cells[sort]) * len(y.cells[sort]):
             raise ValidationError("product labels collide; rename input cells")
-        cells[sort] = tuple(labels)
-        pr1[sort] = {pair_label(a, b): a for a, b in pairs}
-        pr2[sort] = {pair_label(a, b): b for a, b in pairs}
+        cells[sort] = tuple(pr1[sort])
     for name, s_sort, t_sort in sig.ops:
-        ops[name] = {
-            pair_label(a, b): pair_label(x.op(name, a), y.op(name, b))
-            for a in x.cells[s_sort]
-            for b in y.cells[s_sort]
-        }
+        x_op, y_op, target = x.ops[name], y.ops[name], grid[t_sort]
+        table = ops[name] = {}
+        for a, row in grid[s_sort].items():
+            t_row = target[x_op[a]]
+            for b, label in row.items():
+                table[label] = t_row[y_op[b]]
     obj = PresheafObject(sig, cells, ops, _validated=True)
     p1 = PresheafMap(obj, x, pr1, _validated=True)
     p2 = PresheafMap(obj, y, pr2, _validated=True)

@@ -20,7 +20,6 @@ from .core import (
     fin_set,
     identity,
     image_cells,
-    inverse,
     is_iso,
     is_mono,
     pair_label,
@@ -28,8 +27,6 @@ from .core import (
     product,
     product_map,
     pushout,
-    relabel,
-    subobject_from_cells,
 )
 
 
@@ -159,29 +156,38 @@ def _corner(instance: CylinderData, j: PresheafMap, endpoint: Optional[int]) -> 
     corner is the subobject of L⊗I on the cells over j's image or over S,
     named as the pushout of K⊗I <- K⊗S -> L⊗S names them: over j's image
     ``l:`` and the K⊗I label, elsewhere ``r:`` and the cell's own label.
+    One scan of L⊗I's cells picks and names them; the corner and its arrow
+    are built once, closed under the operators because j's image and S are.
     """
     if not is_mono(j):
         raise ValidationError("corner seeds must be monomorphisms")
     instance.check_base(j.domain)
     ends = instance.const_targets if endpoint is None else (instance.const_targets[endpoint],)
     l_cyl, over_l, over_i = product(j.codomain, instance.interval)
-    s_cells = {sort: {targets[sort] for targets in ends} for sort in l_cyl.signature.sorts}
-    k_of = {sort: {image: cell for cell, image in table.items()} for sort, table in j.on.items()}
-    sub, incl = subobject_from_cells(l_cyl, {
-        sort: [
-            cell for cell in l_cyl.cells[sort]
-            if over_l.on[sort][cell] in k_of[sort] or over_i.on[sort][cell] in s_cells[sort]
-        ]
-        for sort in l_cyl.signature.sorts
-    })
-
-    def name(sort, cell):
-        k = k_of[sort].get(over_l.on[sort][cell])
-        return "r:" + cell if k is None else "l:" + pair_label(k, over_i.on[sort][cell])
-
-    naming = relabel(sub, name)[1]
+    sig = l_cyl.signature
+    names, on = {}, {}
+    for sort in sig.sorts:
+        k_of = {image: cell for cell, image in j.on[sort].items()}
+        s_cells = {targets[sort] for targets in ends}
+        i_of = over_i.on[sort]
+        named = names[sort] = {}
+        for cell, a in over_l.on[sort].items():
+            k = k_of.get(a)
+            if k is not None:
+                named[cell] = "l:" + pair_label(k, i_of[cell])
+            elif i_of[cell] in s_cells:
+                named[cell] = "r:" + cell
+        if len(set(named.values())) != len(named):
+            raise ValidationError(f"corner labels collide on sort {sort!r}; rename input cells")
+        on[sort] = {name: cell for cell, name in named.items()}
+    ops = {
+        op: {name: names[t_sort][l_cyl.ops[op][cell]] for cell, name in names[s_sort].items()}
+        for op, s_sort, t_sort in sig.ops
+    }
+    corner = PresheafObject(sig, {sort: tuple(on[sort]) for sort in sig.sorts}, ops, _validated=True)
     kind = "full" if endpoint is None else "endpoint"
-    return CornerMap(inverse(naming).then(incl), instance.name, j, kind, endpoint)
+    arrow = PresheafMap(corner, l_cyl, on, _validated=True)
+    return CornerMap(arrow, instance.name, j, kind, endpoint)
 
 
 def corner_full(instance: CylinderData, j: PresheafMap) -> CornerMap:

@@ -1,13 +1,18 @@
 """Document parsing and canonical serialization for every value kind.
 
 Documents are JSON with a ``kind`` discriminator.  Serialization is
-canonical: sorted keys, two-space indent, trailing newline; identical
-values always produce byte-identical text.
+canonical: the text is defined as ``json.dumps(value, sort_keys=True,
+indent=2)`` plus a trailing newline, so identical values always produce
+byte-identical text.  :func:`canonical_json` writes it in one recursive
+pass over the only types documents and reports hold (dicts with string
+keys, lists, tuples, strings, ints, bools and None); the tests pin the
+equivalence with ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .core import (
@@ -34,7 +39,55 @@ def _required(doc, key, where):
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``; a float or a
+    key that is not a string raises ``TypeError``."""
+    out = []
+    _emit(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value, out, newline):
+    """Append the text of ``value`` to ``out``; ``newline`` starts a line at
+    the value's own indent."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"canonical JSON keys are strings, got {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"canonical JSON has no {type(value).__name__} values")
 
 
 def load_document(source):

@@ -173,9 +173,9 @@ def naturality_and_minimality_suite(instance: CylinderData, monad, maps,
     verdict_cache = {}
 
     def verdict(g):
-        if g._key not in verdict_cache:
-            verdict_cache[g._key] = is_t_weak_equivalence(instance, g, algebras, guard=guard).ok
-        return verdict_cache[g._key]
+        if g not in verdict_cache:
+            verdict_cache[g] = is_t_weak_equivalence(instance, g, algebras, guard=guard).ok
+        return verdict_cache[g]
 
     for f in maps:
         eta_x = monad.unit(f.domain)

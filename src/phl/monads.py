@@ -129,8 +129,8 @@ class FreeCategoryMonad:
         the empty path at each vertex included, shortest first and each
         length in lexicographic order of its edges; more than
         ``DEFAULT_GUARD`` cells raise."""
-        if x._key in self._cache:
-            return self._cache[x._key]
+        if x in self._cache:
+            return self._cache[x]
         vertices, ends = self._graph(x)
         leaving = {v: [] for v in vertices}
         for e, (a, _b) in ends.items():
@@ -155,7 +155,7 @@ class FreeCategoryMonad:
                     (a, ends[e][1], edges + (e,)) for a, b, edges in layer for e in leaving[b]
                 ]
         result = TObject(self._object(vertices, decode), decode, encode)
-        self._cache[x._key] = result
+        self._cache[x] = result
         return result
 
     def unit(self, x: PresheafObject) -> PresheafMap:

@@ -22,6 +22,16 @@ def mono_unit(monad, x):
     return eta
 
 
+def inverse(f):
+    """The inverse of an isomorphism, read off its cell tables."""
+    assert core.is_iso(f), "map is not invertible"
+    on = {
+        sort: {value: cell for cell, value in f.on[sort].items()}
+        for sort in f.domain.signature.sorts
+    }
+    return core.PresheafMap(f.codomain, f.domain, on)
+
+
 def brute_force_homs(dom, cod):
     """Independent hom-set oracle: a plain scan with no index, no plan and
     no code shared with the search engine.

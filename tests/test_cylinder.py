@@ -20,6 +20,9 @@ from phl.cylinder import (
     verify_ehd,
 )
 from phl.fixtures import all_small_graphs, corpus_monos_graph, corpus_monos_set, corpus_spans_graph, corpus_spans_set
+from phl.lifting import default_generating_monos, generate_anodyne
+
+from conftest import inverse
 
 
 class TestCylinderOf:
@@ -140,6 +143,57 @@ class TestCornerEndpoint:
             for e in (0, 1):
                 assert is_mono(corner_endpoint(graph_instance, j, e).arrow)
             assert is_mono(corner_full(graph_instance, j).arrow)
+
+
+def reference_corner(instance, j, endpoint):
+    """The corner as a subobject of L⊗I renamed by an iso: the product,
+    the subobject on the cells over j's image or over S, the relabelling
+    l:/r:, and the inverse of the relabelling followed by the inclusion."""
+    ends = instance.const_targets if endpoint is None else (instance.const_targets[endpoint],)
+    l_cyl, over_l, over_i = core.product(j.codomain, instance.interval)
+    s_cells = {sort: {targets[sort] for targets in ends} for sort in l_cyl.signature.sorts}
+    k_of = {sort: {image: cell for cell, image in table.items()} for sort, table in j.on.items()}
+    sub, incl = core.subobject_from_cells(l_cyl, {
+        sort: [
+            cell for cell in l_cyl.cells[sort]
+            if over_l.on[sort][cell] in k_of[sort] or over_i.on[sort][cell] in s_cells[sort]
+        ]
+        for sort in l_cyl.signature.sorts
+    })
+
+    def name(sort, cell):
+        k = k_of[sort].get(over_l.on[sort][cell])
+        return "r:" + cell if k is None else "l:" + pair_label(k, over_i.on[sort][cell])
+
+    return inverse(core.relabel(sub, name)[1]).then(incl)
+
+
+def assert_corners_match_reference(instance, j):
+    for endpoint in (None, 0, 1):
+        if endpoint is None:
+            arrow = corner_full(instance, j).arrow
+        else:
+            arrow = corner_endpoint(instance, j, endpoint).arrow
+        expected = reference_corner(instance, j, endpoint)
+        assert arrow == expected
+        assert arrow.domain.cells == expected.domain.cells
+        assert arrow.domain.ops == expected.domain.ops
+        assert arrow.on == expected.on
+
+
+class TestCornerAgainstReference:
+    @pytest.mark.parametrize("name", ["set2", "graphI", "sset-jinf", "sset-delta1"])
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_default_generators(self, name, cap):
+        instance = get_instance(name, cap)
+        for j in default_generating_monos(instance):
+            assert_corners_match_reference(instance, j)
+
+    def test_graph_family_to_depth_three(self, graph_instance):
+        family = generate_anodyne(graph_instance, [], depth=3)
+        assert [entry.depth for entry in family.entries].count(3) > 0
+        for entry in family.entries:
+            assert_corners_match_reference(graph_instance, entry.arrow)
 
 
 class TestFunctoriality:

@@ -14,7 +14,6 @@ from phl.core import (
     fin_graph,
     fin_set,
     identity,
-    inverse,
     is_mono,
 )
 from phl.cylinder import corner_endpoint, corner_full, get_instance
@@ -42,7 +41,7 @@ from phl.lifting import (
 )
 from phl.simplicial import boundary_inclusion, delta, horn_inclusion, nerve
 
-from conftest import brute_force_homs
+from conftest import brute_force_homs, inverse
 
 
 def brute_force_lift(problem):

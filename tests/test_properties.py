@@ -1,8 +1,10 @@
 """Property-based checks over randomly drawn small structures."""
 
 import itertools
+import json
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phl import core
@@ -17,6 +19,7 @@ from phl.core import (
     pushout,
 )
 from phl.cylinder import graph_instance, set_instance
+from phl.documents import canonical_json
 from phl.fixtures import chain2_category, z2_category
 from phl.homotopy import find_homotopy
 from phl.lifting import (
@@ -370,3 +373,36 @@ def test_horn_pins_agree_with_filtered_brute_force():
                 }
                 expected = [f for f in everything if incl.then(f) == top]
                 assert list(core.search_maps(incl.codomain, y, pin=pin)) == expected
+
+
+# strings that exercise every escape: quotes, backslashes, control
+# characters, non-ASCII letters, a line separator and an astral character
+JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                                 st.characters()), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**100),
+              st.integers(-(2**100), -(2**63)), JSON_STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100)
+@given(JSON_VALUES)
+def test_canonical_json_is_sorted_indented_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_json_of_empty_and_nested_containers():
+    for value in ({}, [], (), {"a": {}, "b": [[], {}], "c": ((),)}, [[[{"x": [None]}]]]):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {"a": {None: 1}}, {True: 0}])
+def test_canonical_json_refuses_floats_and_keys_that_are_not_strings(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)

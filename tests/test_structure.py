@@ -44,3 +44,15 @@ def test_the_only_function_level_import_breaks_the_cylinder_cycle():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     }
     assert local == {("cylinder", "get_instance")}
+
+
+def test_only_core_reads_the_structural_keys():
+    # objects and maps compare and hash by their structure; every other
+    # module keys a cache by the object itself
+    readers = {
+        module
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_key"
+    }
+    assert readers <= {"core"}
