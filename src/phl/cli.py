@@ -26,6 +26,7 @@ from .documents import (
     map_to_document,
     object_to_document,
     parse_document,
+    write_document,
 )
 from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 
@@ -45,7 +46,7 @@ def _instance(args):
 
 def _write_out(args, document):
     if getattr(args, "out", None):
-        Path(args.out).write_text(canonical_json(document), encoding="utf-8")
+        write_document(args.out, document)
 
 
 def _parse_expecting(path, kinds, expected, refusal=None):
@@ -199,8 +200,11 @@ def cmd_anodyne(args):
 def cmd_tweq(args):
     instance = _instance(args)
     f = _parse_expecting(args.f, ("map",), "a map")
+    directory = Path(args.algebras)
+    if not directory.is_dir():
+        raise ValidationError(f"--algebras {directory} is not a directory")
     algebras = []
-    for path in sorted(Path(args.algebras).glob("*.json")):
+    for path in sorted(directory.glob("*.json")):
         parsed = parse_document(path)
         if not isinstance(parsed, FiniteCategory):  # monoids included
             continue
@@ -211,6 +215,8 @@ def cmd_tweq(args):
                 f"not over the instance base {instance.base!r}"
             )
         algebras.append(parsed)
+    if not algebras:
+        raise ValidationError(f"--algebras {directory} holds no monoid or category document")
     verdict = equivalence.is_t_weak_equivalence(instance, f, algebras, guard=args.guard)
     report = {
         "t_weak_equivalence": verdict.ok,

@@ -987,24 +987,22 @@ def enumerate_homs(dom: PresheafObject, cod: PresheafObject, guard=None) -> list
     return list(search_maps(dom, cod, guard=guard))
 
 
-def pin_along(legs, then=None) -> Optional[dict]:
+def pin_along(legs) -> Optional[dict]:
     """The assignment that the legs force on the common codomain of their
     inclusions: a ``pin`` for a search from it or, when the inclusions
     cover it, the table of the copairing or mediating map they determine.
 
     Each leg ``(incl, f)`` forces the image of ``incl(c)``, for every cell c
-    of the domain of incl and f, to be ``f(c)``, or ``then(f(c))`` when a
-    map ``then`` is given.  Returns None when two cells force different
-    images on one cell.
+    of the domain of incl and f, to be ``f(c)``; a leg ``(i, u.then(p))``
+    pins the bottoms of the squares over p with top u.  Returns None when
+    two cells force different images on one cell.
     """
     pin = {sort: {} for sort in legs[0][0].codomain.signature.sorts} if legs else {}
     for incl, f in legs:
         for sort, forced in pin.items():
             image = f.on[sort]
-            after = None if then is None else then.on[sort]
             for cell, target in incl.on[sort].items():
-                value = image[cell] if after is None else after[image[cell]]
-                if forced.setdefault(target, value) != value:
+                if forced.setdefault(target, image[cell]) != image[cell]:
                     return None
     return pin
 
@@ -1021,14 +1019,15 @@ def extend_along(legs, cod: PresheafObject, cell_filter=None, guard=None) -> Opt
                             guard=guard), None)
 
 
-def refine_colors(obj: PresheafObject, init):
+def refine_colors(obj: PresheafObject, marked):
     """Stable colors under structure-aware refinement (1-WL style).
 
     Isomorphic cells get equal colors, so color histograms are a sound
     necessary condition for isomorphism and colors prune iso searches.
-    ``init(sort, cell)`` seeds extra distinctions.
+    The colors are seeded by sort and by membership in ``marked`` (sort ->
+    set of cells); each round orders the new colors by the old ones first.
     """
-    colors = {(sort, cell): (sort,) + tuple(init(sort, cell)) for sort, cell in obj.cell_items()}
+    colors = {(sort, cell): (sort, cell in marked[sort]) for sort, cell in obj.cell_items()}
     canon = {c: i for i, c in enumerate(sorted(set(colors.values())))}
     colors = {k: canon[v] for k, v in colors.items()}
     while True:
@@ -1056,10 +1055,16 @@ def _color_histogram(colors):
 
 
 def arrows_isomorphic(m1: PresheafMap, m2: PresheafMap, guard=None) -> bool:
-    """Whether two arrows are isomorphic in the arrow category.
+    """Whether two monos are isomorphic in the arrow category: whether an
+    iso psi of their codomains carries the image of m1 onto that of m2
+    (phi is then psi restricted to the images).
 
-    Searches isos phi (domains) and psi (codomains) with psi∘m1 = m2∘phi;
-    color refinement prunes the search and rejects mismatches early.
+    One search for psi, pruned by the codomains' colors seeded by image
+    membership.  Equal cell counts of monos give both seedings the same
+    colors, and refinement orders colors by their seeds, so with equal
+    histograms a psi that keeps colors carries image onto image.  Arrows
+    of unequal cell counts are not isomorphic; equal ones that are not
+    both mono are refused with :class:`ValidationError`.
     """
     if m1.domain.signature.name != m2.domain.signature.name:
         return False
@@ -1068,38 +1073,16 @@ def arrows_isomorphic(m1: PresheafMap, m2: PresheafMap, guard=None) -> bool:
             return False
         if len(m1.codomain.cells[sort]) != len(m2.codomain.cells[sort]):
             return False
-
-    def decorate(m):
-        image = image_cells(m)
-        cod_colors = refine_colors(m.codomain, lambda sort, cell: (cell in image[sort],))
-        dom_colors = refine_colors(
-            m.domain, lambda sort, cell: (cod_colors[(sort, m.on[sort][cell])],)
-        )
-        return dom_colors, cod_colors
-
-    dom1, cod1 = decorate(m1)
-    dom2, cod2 = decorate(m2)
-    if _color_histogram(dom1) != _color_histogram(dom2):
-        return False
-    if _color_histogram(cod1) != _color_histogram(cod2):
+    if not (is_mono(m1) and is_mono(m2)):
+        raise ValidationError("arrows_isomorphic compares monomorphisms only")
+    colors1 = refine_colors(m1.codomain, image_cells(m1))
+    colors2 = refine_colors(m2.codomain, image_cells(m2))
+    if _color_histogram(colors1) != _color_histogram(colors2):
         return False
 
-    def dom_filter(sort, cell, value):
-        return dom1[(sort, cell)] == dom2[(sort, value)]
+    def same_color(sort, cell, value):
+        return colors1[(sort, cell)] == colors2[(sort, value)]
 
-    def cod_filter(sort, cell, value):
-        return cod1[(sort, cell)] == cod2[(sort, value)]
-
-    for phi in search_maps(
-        m1.domain, m2.domain, injective=True, cell_filter=dom_filter, guard=guard
-    ):
-        pin = pin_along([(m1, phi)], then=m2)
-        if pin is None:
-            continue
-        for _psi in search_maps(
-            m1.codomain, m2.codomain, pin=pin, injective=True,
-            cell_filter=cod_filter, guard=guard,
-        ):
-            return True
-    return False
-
+    psi = search_maps(m1.codomain, m2.codomain, injective=True, cell_filter=same_color,
+                      guard=guard)
+    return next(psi, None) is not None

@@ -94,16 +94,30 @@ def load_document(source):
     """The JSON value of a document given as a dict, a path or JSON text."""
     if isinstance(source, dict):
         return source
+    if isinstance(source, str) and "\n" not in source and source.endswith(".json"):
+        source = Path(source)
+    name = "document"
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, str) and "\n" not in source and source.endswith(".json"):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
+        name = str(source)
+        try:
+            source = source.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"{name} cannot be read: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{name} is not UTF-8 text: {exc.reason}") from None
     try:
-        return json.loads(text)
+        return json.loads(source)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"document is not well-formed JSON: {exc}") from exc
+        raise ValidationError(f"{name} is not well-formed JSON: {exc}") from exc
+
+
+def write_document(path, document) -> None:
+    """Write ``document`` to ``path`` as canonical JSON, refused with the
+    path named when it cannot be written."""
+    try:
+        Path(path).write_text(canonical_json(document), encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path} cannot be written: {exc.strerror}") from None
 
 
 def parse_document(source):

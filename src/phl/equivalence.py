@@ -107,32 +107,31 @@ class M3Report:
         return all(row.verdict.ok for row in self.rows)
 
 
-def check_m3_sample(algebras, family: AnodyneFamily, guard=None) -> M3Report:
+def check_m3_sample(algebras, family: AnodyneFamily) -> M3Report:
     """RLP of every algebra carrier against the generated family."""
     rows = []
     for algebra in algebras:
         carrier = algebra.carrier()
-        rows.append(M3Row(algebra.name, is_naively_fibrant_upto(carrier, family, guard=guard)))
+        rows.append(M3Row(algebra.name, is_naively_fibrant_upto(carrier, family)))
     return M3Report(tuple(rows))
 
 
-def find_retraction(algebra, monad, guard=None) -> Optional[PresheafMap]:
+def find_retraction(algebra, monad) -> Optional[PresheafMap]:
     """The least map alpha : T(A) -> A with alpha∘eta = id, or None: the
     lift of the identity of A along eta against A -> 1, on the truncated
     free object."""
     carrier = algebra.carrier()
-    return extend_along([(monad.unit(carrier), identity(carrier))], carrier, guard=guard)
+    return extend_along([(monad.unit(carrier), identity(carrier))], carrier)
 
 
-def find_homotopy_inverse(instance: CylinderData, f: PresheafMap, guard=None
-                          ) -> Optional[PresheafMap]:
+def find_homotopy_inverse(instance: CylinderData, f: PresheafMap) -> Optional[PresheafMap]:
     """A g with g∘f and f∘g in the classes of the identities, or None."""
     x, y = f.domain, f.codomain
-    classes_x = homotopy_classes(instance, x, x, guard=guard)
-    classes_y = homotopy_classes(instance, y, y, guard=guard)
+    classes_x = homotopy_classes(instance, x, x)
+    classes_y = homotopy_classes(instance, y, y)
     id_x = classes_x.class_of(identity(x))
     id_y = classes_y.class_of(identity(y))
-    for g in search_maps(y, x, guard=guard):
+    for g in search_maps(y, x):
         if classes_x.class_of(f.then(g)) != id_x:
             continue
         if classes_y.class_of(g.then(f)) != id_y:
@@ -161,8 +160,7 @@ class SuiteReport:
 
 
 def naturality_and_minimality_suite(instance: CylinderData, monad, maps,
-                                    algebras, composable_pairs=(), guard=None
-                                    ) -> SuiteReport:
+                                    algebras, composable_pairs=()) -> SuiteReport:
     """(a) the unit square commutes exactly for every map; (b) every map
     the family accepts admits the homotopy-inverse factorization; (c) the
     verdicts satisfy three-for-two on the sampled composable pairs."""
@@ -174,7 +172,7 @@ def naturality_and_minimality_suite(instance: CylinderData, monad, maps,
 
     def verdict(g):
         if g not in verdict_cache:
-            verdict_cache[g] = is_t_weak_equivalence(instance, g, algebras, guard=guard).ok
+            verdict_cache[g] = is_t_weak_equivalence(instance, g, algebras).ok
         return verdict_cache[g]
 
     for f in maps:
@@ -186,7 +184,7 @@ def naturality_and_minimality_suite(instance: CylinderData, monad, maps,
     for f in maps:
         if verdict(f):
             checked_fact += 1
-            if not alternative_we_check(instance, monad, f, guard=guard).found:
+            if not alternative_we_check(instance, monad, f).found:
                 factorization_failures.append(f)
     three_failures = []
     for f, g in composable_pairs:

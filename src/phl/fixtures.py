@@ -9,14 +9,16 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
-from .core import PresheafMap, empty_object, fin_graph, fin_set, GRAPH_SIGNATURE, SET_SIGNATURE
+from .core import (
+    PresheafMap, ValidationError, empty_object, fin_graph, fin_set, GRAPH_SIGNATURE, SET_SIGNATURE,
+)
 from .cylinder import graph_instance, set_instance
 from .documents import (
     algebra_to_document,
-    canonical_json,
     family_to_document,
     map_to_document,
     object_to_document,
+    write_document,
 )
 from .lifting import default_generating_monos, generate_anodyne
 from .monads import FiniteCategory, FiniteMonoid, linear_chain
@@ -240,12 +242,15 @@ def all_small_graphs(max_vertices=3, max_edges=3):
 def emit_fixture_corpus(target_dir) -> list:
     """Write the corpus as documents; returns the list of paths written."""
     target = Path(target_dir)
-    target.mkdir(parents=True, exist_ok=True)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{target} cannot be made a directory: {exc.strerror}") from None
     written = []
 
     def emit(name, doc):
         path = target / f"{name}.json"
-        path.write_text(canonical_json(doc), encoding="utf-8")
+        write_document(path, doc)
         written.append(path)
 
     for i, obj in enumerate(corpus_sets()):

@@ -143,17 +143,17 @@ class EquivalenceReport:
 
 
 def check_equivalence_relation(instance: CylinderData, x: PresheafObject,
-                               a: PresheafObject, guard=None) -> EquivalenceReport:
+                               a: PresheafObject) -> EquivalenceReport:
     """Full one-step relation matrix on Hom(X, A) plus the three scans.
 
     The counterexample names the property and the offending map indices.
     One cylinder X⊗I serves every pair.
     """
-    homs = tuple(search_maps(x, a, guard=guard))
+    homs = tuple(search_maps(x, a))
     n = len(homs)
     cyl = instance.cylinder(x) if homs else None
     matrix = [
-        [_homotopy_off(cyl, homs[i], homs[j], guard) is not None for j in range(n)]
+        [_homotopy_off(cyl, homs[i], homs[j], None) is not None for j in range(n)]
         for i in range(n)
     ]
     reflexive = all(matrix[i][i] for i in range(n))

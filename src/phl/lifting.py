@@ -197,23 +197,24 @@ class RlpVerdict:
         return f"necessary-condition at depth {self.depth}"
 
 
-def has_rlp(p: PresheafMap, family: AnodyneFamily, guard=None) -> RlpVerdict:
+def has_rlp(p: PresheafMap, family: AnodyneFamily) -> RlpVerdict:
     """Whether p lifts against every family entry, over every commuting
     square, enumerated exhaustively; the first failure in enumeration order
-    is returned as the counterexample.  Each top, bottom and lift search
-    gets the guard afresh.  This is the reference for the squareless
-    verdict of :func:`is_naively_fibrant_upto`."""
+    is returned as the counterexample.  The bottoms of a top u are pinned
+    along the entry to u then p.  Each top, bottom and lift search runs
+    under the default guard.  This is the test reference for the
+    squareless verdict of :func:`is_naively_fibrant_upto`."""
     checked = 0
     for entry in family.entries:
         i = entry.arrow
-        for top in search_maps(i.domain, p.domain, guard=guard):
-            pin = pin_along([(i, top)], then=p)
+        for top in search_maps(i.domain, p.domain):
+            pin = pin_along([(i, top.then(p))])
             if pin is None:
                 continue
-            for bottom in search_maps(i.codomain, p.codomain, pin=pin, guard=guard):
+            for bottom in search_maps(i.codomain, p.codomain, pin=pin):
                 checked += 1
                 problem = LiftingProblem(i, p, top, bottom)
-                if solve_lift(problem, guard=guard) is None:
+                if solve_lift(problem) is None:
                     return RlpVerdict(False, family.depth, checked, (entry.provenance, top, bottom))
     return RlpVerdict(True, family.depth, checked)
 

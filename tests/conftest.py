@@ -32,6 +32,76 @@ def inverse(f):
     return core.PresheafMap(f.codomain, f.domain, on)
 
 
+def _reference_colors(obj, init):
+    """1-WL colors of ``obj``'s cells, seeded by sort and ``init(sort, cell)``."""
+    colors = {(sort, cell): (sort,) + tuple(init(sort, cell)) for sort, cell in obj.cell_items()}
+    canon = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+    colors = {k: canon[v] for k, v in colors.items()}
+    while True:
+        contributions = {key: [] for key in colors}
+        for name, s_sort, t_sort in obj.signature.ops:
+            for cell in obj.cells[s_sort]:
+                target = obj.op(name, cell)
+                contributions[(s_sort, cell)].append((name, "out", colors[(t_sort, target)]))
+                contributions[(t_sort, target)].append((name, "in", colors[(s_sort, cell)]))
+        combined = {key: (colors[key], tuple(sorted(contributions[key]))) for key in colors}
+        canon = {c: i for i, c in enumerate(sorted(set(combined.values())))}
+        refined = {key: canon[combined[key]] for key in combined}
+        if len(set(refined.values())) == len(set(colors.values())):
+            return refined
+        colors = refined
+
+
+def _histogram(colors):
+    out = {}
+    for (sort, _), color in colors.items():
+        out[(sort, color)] = out.get((sort, color), 0) + 1
+    return out
+
+
+def reference_arrows_isomorphic(m1, m2):
+    """Isomorphism in the arrow category by two nested searches: isos phi
+    of the domains, and for each, isos psi of the codomains with
+    psi∘m1 = m2∘phi, both pruned by colors (the codomain's seeded by image
+    membership, the domain's by the codomain color of each cell's image).
+    Any two arrows, monos or not."""
+    if m1.domain.signature.name != m2.domain.signature.name:
+        return False
+    for sort in m1.domain.signature.sorts:
+        if len(m1.domain.cells[sort]) != len(m2.domain.cells[sort]):
+            return False
+        if len(m1.codomain.cells[sort]) != len(m2.codomain.cells[sort]):
+            return False
+
+    def decorate(m):
+        image = core.image_cells(m)
+        cod_colors = _reference_colors(m.codomain, lambda sort, cell: (cell in image[sort],))
+        dom_colors = _reference_colors(
+            m.domain, lambda sort, cell: (cod_colors[(sort, m.on[sort][cell])],)
+        )
+        return dom_colors, cod_colors
+
+    dom1, cod1 = decorate(m1)
+    dom2, cod2 = decorate(m2)
+    if _histogram(dom1) != _histogram(dom2) or _histogram(cod1) != _histogram(cod2):
+        return False
+
+    def dom_filter(sort, cell, value):
+        return dom1[(sort, cell)] == dom2[(sort, value)]
+
+    def cod_filter(sort, cell, value):
+        return cod1[(sort, cell)] == cod2[(sort, value)]
+
+    for phi in core.search_maps(m1.domain, m2.domain, injective=True, cell_filter=dom_filter):
+        pin = core.pin_along([(m1, phi.then(m2))])
+        if pin is None:
+            continue
+        for _psi in core.search_maps(m1.codomain, m2.codomain, pin=pin, injective=True,
+                                     cell_filter=cod_filter):
+            return True
+    return False
+
+
 def brute_force_homs(dom, cod):
     """Independent hom-set oracle: a plain scan with no index, no plan and
     no code shared with the search engine.

@@ -679,6 +679,64 @@ class TestRefusals:
         argv = ["homotopy", str(path), str(path), "--instance", "set2"]
         assert _refusal(argv, capsys) == (2, f"{path}: map document has no {key!r}")
 
+    def test_missing_family_names_the_file(self, corpus_dir, tmp_path, capsys):
+        family = tmp_path / "nope.json"
+        argv = ["fibrant", str(corpus_dir / "set1.json"), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"{family} cannot be read: No such file or directory")
+
+    def test_missing_category_names_the_file(self, tmp_path, capsys):
+        category = tmp_path / "nope.json"
+        assert _refusal(["nerve", str(category), "--cap", "1"], capsys) == (
+            2, f"{category} cannot be read: No such file or directory"
+        )
+
+    @pytest.mark.parametrize("content, problem", [
+        (b'{"kind":\n', "is not well-formed JSON: Expecting value: line 2 column 1 (char 9)"),
+        (b'{"kind": "\xff"}', "is not UTF-8 text: invalid start byte"),
+    ], ids=["json", "utf-8"])
+    def test_malformed_document_names_the_file(self, tmp_path, capsys, content, problem):
+        category = tmp_path / "bad.json"
+        category.write_bytes(content)
+        assert _refusal(["nerve", str(category), "--cap", "1"], capsys) == (
+            2, f"{category} {problem}"
+        )
+
+    def test_fixtures_out_under_a_file_names_the_path(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        target = tmp_path / "file" / "corpus"
+        assert _refusal(["fixtures", "--out", str(target)], capsys) == (
+            2, f"{target} cannot be made a directory: Not a directory"
+        )
+
+    def test_out_under_a_file_names_the_path(self, corpus_dir, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "nerve.json"
+        argv = ["nerve", str(corpus_dir / "cat_chain2.json"), "--cap", "1", "--out", str(out)]
+        assert _refusal(argv, capsys) == (2, f"{out} cannot be written: Not a directory")
+
+    @pytest.mark.parametrize("make, problem", [
+        (None, "is not a directory"),
+        ("file", "is not a directory"),
+        ("empty", "holds no monoid or category document"),
+        ("objects", "holds no monoid or category document"),
+    ])
+    def test_tweq_refuses_algebras_it_cannot_use(self, corpus_dir, tmp_path, capsys, make,
+                                                 problem):
+        algebras = tmp_path / "algebras"
+        if make == "file":
+            algebras.write_text("", encoding="utf-8")
+        elif make is not None:
+            algebras.mkdir()
+        if make == "objects":
+            (algebras / "set1.json").write_text(
+                (corpus_dir / "set1.json").read_text(encoding="utf-8"), encoding="utf-8"
+            )
+        mono = tmp_path / "mono.json"
+        mono.write_text(canonical_json(map_to_document(core.identity(core.fin_set(["p"])))),
+                        encoding="utf-8")
+        argv = ["tweq", str(mono), "--algebras", str(algebras), "--instance", "set2"]
+        assert _refusal(argv, capsys) == (2, f"--algebras {algebras} {problem}")
+
 
 #: The shared flags each subcommand reads: it declares them, and its
 #: report's ``parameters`` echo them.

@@ -41,7 +41,7 @@ from phl.lifting import (
 )
 from phl.simplicial import boundary_inclusion, delta, horn_inclusion, nerve
 
-from conftest import brute_force_homs, inverse
+from conftest import brute_force_homs, inverse, reference_arrows_isomorphic
 
 
 def brute_force_lift(problem):
@@ -172,6 +172,55 @@ class TestGenerateAnodyne:
         )
         with pytest.raises(ValidationError):
             generate_anodyne(set_instance, [collapse], depth=0)
+
+
+class TestArrowsIsomorphic:
+    """The one search of codomains against the two nested searches of
+    ``conftest.reference_arrows_isomorphic``."""
+
+    @pytest.mark.parametrize("instance, cap, depth", [
+        ("set2", None, 4),
+        ("graphI", None, 3),
+        ("sset-jinf", 1, 2),
+        ("sset-jinf", 2, 2),
+        ("sset-delta1", 1, 2),
+        ("sset-delta1", 2, 2),
+    ])
+    def test_agrees_on_every_pair_the_dedup_compares(self, instance, cap, depth):
+        pairs = []
+
+        def recording(m1, m2, guard=None):
+            pairs.append((m1, m2))
+            return arrows_isomorphic(m1, m2, guard=guard)
+
+        with mock.patch("phl.lifting.arrows_isomorphic", recording):
+            family = generate_anodyne(get_instance(instance, cap), [], depth=depth)
+        assert family == family_of(instance, depth, cap)
+        verdicts = [arrows_isomorphic(m1, m2) for m1, m2 in pairs]
+        assert verdicts == [reference_arrows_isomorphic(m1, m2) for m1, m2 in pairs]
+        assert sum(family.pre_dedup_counts.values()) - len(family.entries) == sum(verdicts)
+
+    def test_agrees_on_every_pair_of_small_graph_monos(self):
+        graphs = all_small_graphs(2, 2)
+        monos = [f for a in graphs for b in graphs for f in enumerate_homs(a, b) if is_mono(f)]
+        verdicts = {True: 0, False: 0}
+        for m1 in monos:
+            for m2 in monos:
+                verdict = arrows_isomorphic(m1, m2)
+                assert verdict == reference_arrows_isomorphic(m1, m2), (m1, m2)
+                verdicts[verdict] += 1
+        assert verdicts[True] > len(monos) and verdicts[False]
+
+    def test_refuses_a_map_that_is_not_mono(self):
+        k, l = fin_set(["x", "y"]), fin_set(["p", "q"])
+        collapse = PresheafMap(k, l, {"element": {"x": "p", "y": "p"}})
+        mono = PresheafMap(k, l, {"element": {"x": "p", "y": "q"}})
+        for m1, m2 in ((collapse, mono), (mono, collapse), (collapse, collapse)):
+            with pytest.raises(ValidationError, match="monomorphisms"):
+                arrows_isomorphic(m1, m2)
+        # arrows of unequal cell counts are told apart before the check
+        point = PresheafMap(fin_set(["x"]), l, {"element": {"x": "p"}})
+        assert not arrows_isomorphic(collapse, point)
 
 
 @lru_cache(maxsize=None)
