@@ -195,7 +195,6 @@ class TestArrowsIsomorphic:
 
         with mock.patch("phl.lifting.arrows_isomorphic", recording):
             family = generate_anodyne(get_instance(instance, cap), [], depth=depth)
-        assert family == family_of(instance, depth, cap)
         verdicts = [arrows_isomorphic(m1, m2) for m1, m2 in pairs]
         assert verdicts == [reference_arrows_isomorphic(m1, m2) for m1, m2 in pairs]
         assert sum(family.pre_dedup_counts.values()) - len(family.entries) == sum(verdicts)
