@@ -68,6 +68,20 @@ def operations(results):
     }
 
 
+def parse_pairs(text):
+    """The (workload, count) items of ``--pairs``; a count below 2 leaves no
+    quartiles to compare."""
+    pairs = []
+    for item in text.split(","):
+        workload, _, count = item.partition("=")
+        if not (workload and count.isdecimal() and int(count) >= 2):
+            raise SystemExit(
+                f"--pairs item {item!r} is not workload=count with a count of 2 or more"
+            )
+        pairs.append((workload, int(count)))
+    return pairs
+
+
 def summarize(runs, metrics):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -113,13 +127,13 @@ def main(argv=None):
     taken = [str(tree) for tree in trees.values() if tree.exists()]
     if taken:
         raise SystemExit(f"--workdir already holds {' and '.join(taken)}; give an empty or absent one")
+    pairs = parse_pairs(args.pairs)
     commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs = []
-    for item in args.pairs.split(","):
-        workload, count = item.split("=")
-        for pair in range(int(count)):
+    for workload, count in pairs:
+        for pair in range(count):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
                 result = run(trees[side], workload, pair + 1, args.seconds)

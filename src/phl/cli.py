@@ -9,6 +9,7 @@ never lands in reports or golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -377,82 +378,81 @@ SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The ``phl`` parser, built on first use and kept for the process;
+    ``run_command`` finds each subcommand's handler when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="phl",
         description="Homotopy laboratory for finite presheaf-like structures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, handler, help, shared=(), out=False):
+    def subcommand(name, help, shared=(), out=False):
         p = sub.add_parser(name, help=help)
         for flag in shared:
             p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         p.add_argument("--timing", action="store_true")
         if out:
             p.add_argument("--out", default=None)
-        p.set_defaults(handler=handler, shared=shared)
+        p.set_defaults(shared=shared)
         return p
 
-    p = subcommand("classes", cmd_classes, "homotopy classes of Hom(X, Y)",
-                   ("instance", "cap", "guard"))
+    p = subcommand("classes", "homotopy classes of Hom(X, Y)", ("instance", "cap", "guard"))
     p.add_argument("x")
     p.add_argument("y")
 
-    p = subcommand("homotopy", cmd_homotopy, "search a one-step homotopy between two maps",
+    p = subcommand("homotopy", "search a one-step homotopy between two maps",
                    ("instance", "cap", "guard"))
     p.add_argument("f")
     p.add_argument("g")
 
-    p = subcommand("lift", cmd_lift, "solve a lifting square", ("guard",))
+    p = subcommand("lift", "solve a lifting square", ("guard",))
     p.add_argument("--square", required=True)
     p.add_argument("--explicit", choices=["monoid", "category"], default=None)
     p.add_argument("--algebra", default=None)
 
-    p = subcommand("fibrant", cmd_fibrant, "RLP of A -> 1 against a family",
-                   ("instance", "depth", "guard"))
+    p = subcommand("fibrant", "RLP of A -> 1 against a family", ("instance", "depth", "guard"))
     p.add_argument("object")
     p.add_argument("--family", required=True)
     p.set_defaults(instance=None, depth=None)
 
-    p = subcommand("anodyne", cmd_anodyne, "generate the depth-bounded family",
+    p = subcommand("anodyne", "generate the depth-bounded family",
                    ("instance", "cap", "depth", "guard"), out=True)
     p.add_argument("--seeds", default=None)
     p.set_defaults(instance=None)
 
-    p = subcommand("tweq", cmd_tweq, "weak-equivalence verdict against an algebra directory",
+    p = subcommand("tweq", "weak-equivalence verdict against an algebra directory",
                    ("instance", "cap", "guard"))
     p.add_argument("f")
     p.add_argument("--algebras", required=True)
 
-    p = subcommand("witness-m2", cmd_witness_m2, "build and verify a unit witness",
-                   ("cap",), out=True)
+    p = subcommand("witness-m2", "build and verify a unit witness", ("cap",), out=True)
     p.add_argument("object")
     p.add_argument("--monad", choices=["monoid", "category"], required=True)
     p.add_argument("--nmax", type=int, default=None)
     # bench/workloads.py and the golden cases pass --guard; nothing reads it
     p.add_argument("--guard", type=int, default=None)
 
-    subcommand("check-ehd", cmd_check_ehd, "verify the homotopy-data axioms on the corpus",
-               ("instance", "cap"))
+    subcommand("check-ehd", "verify the homotopy-data axioms on the corpus", ("instance", "cap"))
 
-    p = subcommand("horn-fill", cmd_horn_fill, "horn filling verdicts", ("cap", "guard"))
+    p = subcommand("horn-fill", "horn filling verdicts", ("cap", "guard"))
     p.add_argument("object")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = subcommand("nerve", cmd_nerve, "nerve of a category, truncated", ("cap",), out=True)
+    p = subcommand("nerve", "nerve of a category, truncated", ("cap",), out=True)
     p.add_argument("category")
     # bench/workloads.py passes --guard; nothing reads it
     p.add_argument("--guard", type=int, default=None)
 
-    p = subcommand("tau0", cmd_tau0, "interval-quotient classes of Hom(X, A)", ("cap", "guard"))
+    p = subcommand("tau0", "interval-quotient classes of Hom(X, A)", ("cap", "guard"))
     p.add_argument("x")
     p.add_argument("a")
 
-    subcommand("verify", cmd_verify, "run the built-in invariant suite")
+    subcommand("verify", "run the built-in invariant suite")
 
-    subcommand("fixtures", cmd_fixtures, "write the fixture corpus", out=True)
+    subcommand("fixtures", "write the fixture corpus", out=True)
 
     return parser
 
@@ -460,11 +460,11 @@ def build_parser():
 def run_command(argv):
     """Dispatch; returns (exit code, report dict).  The report's
     ``parameters`` are the shared flags the subcommand declares."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     started = time.monotonic()
     try:
-        code, body = args.handler(args)
+        code, body = handler(args)
     finally:
         # also on an error exit, which the handler leaves by raising
         if args.timing:

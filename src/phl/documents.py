@@ -91,10 +91,12 @@ def _emit(value, out, newline):
 
 
 def load_document(source):
-    """The JSON value of a document given as a dict, a path or JSON text."""
+    """The JSON value of a document given as a dict, a path or JSON text;
+    a string is JSON text when its first non-blank character is ``{``, and
+    a path otherwise."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, str) and "\n" not in source and source.endswith(".json"):
+    if isinstance(source, str) and not source.lstrip().startswith("{"):
         source = Path(source)
     name = "document"
     if isinstance(source, Path):

@@ -29,6 +29,18 @@ def test_refuses_a_workdir_that_holds_a_tree(bench_pairs, tmp_path, held):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(held)
 
 
+@pytest.mark.parametrize("pairs", ["horns=1", "horns=0", "horns", "horns=x", "=3",
+                                   "horns=3,fibrancy=1"])
+def test_refuses_pairs_it_cannot_summarize(bench_pairs, tmp_path, capsys, pairs):
+    argv = ["--base", "HEAD", "--change", "HEAD", "--pairs", pairs, "--seconds", "1",
+            "--workdir", str(tmp_path), "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    bad = pairs.split(",")[-1]
+    assert exc.value.code == f"--pairs item {bad!r} is not workload=count with a count of 2 or more"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runs_write_no_bytecode(bench_pairs, tmp_path, monkeypatch):
     seen = {}
 

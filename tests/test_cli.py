@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 
 import golden_cases
 import phl
-from phl import core
+from phl import cli, core
 from phl.cli import main, run_command
 from phl.documents import (
     canonical_json,
@@ -79,6 +80,14 @@ class TestParseDocument:
         for path in sorted(corpus_dir.glob("*.json")):
             parsed = parse_document(path)
             assert parsed is not None
+
+    def test_a_string_not_opening_an_object_is_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(core.ValidationError, match=r"^nope\.txt cannot be read: "):
+            parse_document("nope.txt")
+        Path("set.txt").write_text(' {"kind": "set", "elements": ["x"]}', encoding="utf-8")
+        assert parse_document("set.txt") == core.fin_set(["x"])
+        assert parse_document(Path("set.txt").read_text(encoding="utf-8")) == core.fin_set(["x"])
 
 
 class TestRunCommand:
@@ -761,8 +770,6 @@ def test_parameters_are_the_declared_shared_flags(corpus_dir, tmp_path, capsys):
     """Every report echoes exactly the shared flags its subcommand declares;
     a flag that a subcommand does not declare is refused by argparse, and a
     --cap that the instance or object contradicts or never reads is refused."""
-    import argparse
-
     from phl.cli import build_parser
     from phl.simplicial import delta
 
@@ -859,16 +866,70 @@ def test_timing_is_printed_on_an_error_exit(tmp_path, monkeypatch, capsys):
     assert re.fullmatch(r"timing_ms=\d+\n", timed.err)
 
 
+def _run_python(*args):
+    """``python <args>`` in a child that imports the phl under test."""
+    import_path = [str(Path(phl.__file__).resolve().parent.parent)]
+    import_path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(import_path)},
+    )
+
+
+class TestParserReuse:
+    """One parser, built on the first command, serves every later command
+    of the process, and each command runs the handler bound at call time."""
+
+    def test_the_parser_is_built_on_first_use_only(self):
+        child = _run_python("-c", (
+            "from phl import cli; print(cli.build_parser.cache_info().currsize); "
+            "cli.main(['verify']); cli.main(['verify']); print(); "
+            "print(cli.build_parser.cache_info())"
+        ))
+        assert child.returncode == 0
+        lines = child.stdout.splitlines()
+        assert lines[0] == "0"
+        assert lines[-1].startswith("CacheInfo(hits=1, misses=1,")
+
+    def test_every_subcommand_has_a_handler(self):
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert len(subparsers.choices) == 13
+        for name in subparsers.choices:
+            assert callable(getattr(cli, "cmd_" + name.replace("-", "_"), None)), name
+
+    def test_dispatch_runs_the_handler_bound_at_call_time(self, monkeypatch, capsys):
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: (1, {"fake": True}))
+        assert main(["verify"]) == 1
+        assert json.loads(capsys.readouterr().out)["report"] == {"fake": True}
+
+    def test_a_refused_command_leaves_the_next_report_unchanged(self, corpus_dir, capsys):
+        argv = ["classes", str(corpus_dir / "set1.json"), str(corpus_dir / "set2.json"),
+                "--instance", "set2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--depth", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_defaults_do_not_leak_between_commands(self, corpus_dir, capsys):
+        assert main(["anodyne", "--instance", "set2", "--depth", "0"]) == 0
+        assert main(["anodyne", "--seeds", str(corpus_dir / "seeds_set2.json")]) == 0
+        capsys.readouterr()
+        assert _refusal(["anodyne"], capsys) == (
+            2, "anodyne needs an explicit --instance or --seeds"
+        )
+
+
 class TestDeterminism:
     def run_cli(self, args):
-        """``python -m phl.cli`` in a child that imports the phl under test."""
-        import_path = [str(Path(phl.__file__).resolve().parent.parent)]
-        import_path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
-        return subprocess.run(
-            [sys.executable, "-m", "phl.cli", *args],
-            capture_output=True, text=True, check=False,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(import_path)},
-        )
+        return _run_python("-m", "phl.cli", *args)
 
     def test_reports_are_byte_identical(self, corpus_dir, tmp_path):
         invocations = [
