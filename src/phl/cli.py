@@ -20,7 +20,6 @@ from .core import (
 )
 from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
-    MissingKeyError,
     canonical_json,
     family_to_document,
     load_document,
@@ -29,7 +28,7 @@ from .documents import (
     parse_document,
     write_document,
 )
-from .monads import FiniteCategory, FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
+from .monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 
 OBJECT_KINDS = ("set", "graph", "sset")
 ALGEBRA_KINDS = ("monoid", "category")
@@ -51,14 +50,15 @@ def _write_out(args, document):
 
 
 def _parse_expecting(path, kinds, expected, refusal=None):
-    """The document at ``path``, refused unless its kind is one of ``kinds``."""
+    """The document at ``path``, refused unless its kind is one of ``kinds``;
+    a refusal while parsing it names the path."""
     doc = load_document(Path(path))
-    if isinstance(doc, dict) and doc.get("kind") not in kinds:
+    if doc.get("kind") not in kinds:
         raise ValidationError(refusal or f"{path} is not {expected} document")
     try:
         return parse_document(doc)
-    except MissingKeyError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    except Error as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def cmd_classes(args):
@@ -105,9 +105,12 @@ def cmd_lift(args):
         for key in ("instance", "j", "endpoint"):
             if key not in corner_info:
                 raise ValidationError(f"the corner provenance in {args.square} has no {key}")
-        instance = get_instance(corner_info["instance"])
-        j = parse_document(corner_info["j"])
-        corner = corner_endpoint(instance, j, corner_info["endpoint"])
+        try:
+            instance = get_instance(corner_info["instance"])
+            j = parse_document(corner_info["j"])
+            corner = corner_endpoint(instance, j, corner_info["endpoint"])
+        except Error as exc:
+            raise type(exc)(f"the corner provenance in {args.square}: {exc}") from None
         if corner.arrow != square["left"]:
             raise witnesses.ProvenanceError(
                 "the square's left map is not the stated endpoint corner"
@@ -206,9 +209,13 @@ def cmd_tweq(args):
         raise ValidationError(f"--algebras {directory} is not a directory")
     algebras = []
     for path in sorted(directory.glob("*.json")):
-        parsed = parse_document(path)
-        if not isinstance(parsed, FiniteCategory):  # monoids included
+        doc = load_document(path)
+        if doc.get("kind") not in ALGEBRA_KINDS:
             continue
+        try:
+            parsed = parse_document(doc)
+        except Error as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         base = parsed.carrier().signature.name
         if base != instance.base:
             raise ValidationError(
@@ -341,21 +348,11 @@ def cmd_verify(args):
     checks.append(
         {"check": "anodyne depth-0 count", "ok": family.pre_dedup_counts[0] == expected}
     )
-
-    checks.append(
-        {
-            "check": "monoid monad laws",
-            "ok": check_monad_laws(FreeMonoidMonad(3), fin_set(["a"])).ok,
-        }
-    )
-    checks.append(
-        {
-            "check": "category monad laws",
-            "ok": check_monad_laws(
-                FreeCategoryMonad(2), fin_graph(["a"], [("l", "a", "a")])
-            ).ok,
-        }
-    )
+    for check, monad, x in (
+        ("monoid monad laws", FreeMonoidMonad(3), fin_set(["a"])),
+        ("category monad laws", FreeCategoryMonad(2), fin_graph(["a"], [("l", "a", "a")])),
+    ):
+        checks.append({"check": check, "ok": check_monad_laws(monad, x).ok})
     ok = all(c["ok"] for c in checks)
     return (0 if ok else 1), {"suite": "core", "ok": ok, "checks": checks}
 
@@ -464,6 +461,8 @@ def run_command(argv):
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     started = time.monotonic()
     try:
+        if getattr(args, "guard", None) is not None and args.guard < 0:
+            raise ValidationError(f"--guard {args.guard} is negative")
         code, body = handler(args)
     finally:
         # also on an error exit, which the handler leaves by raising

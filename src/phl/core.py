@@ -982,11 +982,6 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
         it = iter(cands)
 
 
-def enumerate_homs(dom: PresheafObject, cod: PresheafObject, guard=None) -> list:
-    """All structure-preserving maps, lexicographically ordered."""
-    return list(search_maps(dom, cod, guard=guard))
-
-
 def pin_along(legs) -> Optional[dict]:
     """The assignment that the legs force on the common codomain of their
     inclusions: a ``pin`` for a search from it or, when the inclusions

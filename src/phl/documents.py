@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .core import (
+    Error,
     PresheafMap,
     PresheafObject,
     ValidationError,
@@ -27,14 +28,10 @@ from .monads import FiniteCategory, FiniteMonoid
 from .simplicial import trunc_sset
 
 
-class MissingKeyError(ValidationError):
-    """A document lacks a key that its parser reads."""
-
-
 def _required(doc, key, where):
     """``doc[key]``, refused when the document has no such key."""
     if key not in doc:
-        raise MissingKeyError(f"{where} has no {key!r}")
+        raise ValidationError(f"{where} has no {key!r}")
     return doc[key]
 
 
@@ -90,12 +87,10 @@ def _emit(value, out, newline):
         raise TypeError(f"canonical JSON has no {type(value).__name__} values")
 
 
-def load_document(source):
-    """The JSON value of a document given as a dict, a path or JSON text;
+def load_document(source) -> dict:
+    """The JSON object of a document given as a dict, a path or JSON text;
     a string is JSON text when its first non-blank character is ``{``, and
-    a path otherwise."""
-    if isinstance(source, dict):
-        return source
+    a path otherwise.  Any other JSON value is refused."""
     if isinstance(source, str) and not source.lstrip().startswith("{"):
         source = Path(source)
     name = "document"
@@ -107,10 +102,14 @@ def load_document(source):
             raise ValidationError(f"{name} cannot be read: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{name} is not UTF-8 text: {exc.reason}") from None
-    try:
-        return json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{name} is not well-formed JSON: {exc}") from exc
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{name} is not well-formed JSON: {exc}") from exc
+    if not isinstance(source, dict):
+        raise ValidationError(f"{name} is not a JSON object")
+    return source
 
 
 def write_document(path, document) -> None:
@@ -125,8 +124,6 @@ def write_document(path, document) -> None:
 def parse_document(source):
     """Validated typed object from a document, path, or JSON text."""
     doc = load_document(source)
-    if not isinstance(doc, dict):
-        raise ValidationError("document must be a JSON object")
     kind = doc.get("kind")
     if kind == "set":
         return fin_set(_required(doc, "elements", "set document"))
@@ -185,7 +182,7 @@ def _parse_sset(doc):
 
 
 def _parse_map(doc):
-    if doc.get("kind") != "map":
+    if not isinstance(doc, dict) or doc.get("kind") != "map":
         raise ValidationError("expected a map document")
     domain = parse_document(_required(doc, "domain", "map document"))
     codomain = parse_document(_required(doc, "codomain", "map document"))
@@ -200,7 +197,10 @@ def _parse_family(doc):
         arrow, entry_depth, provenance = (
             _required(entry, key, f"family entry {k}") for key in ("arrow", "depth", "provenance")
         )
-        entries.append(FamilyEntry(_parse_map(arrow), entry_depth, provenance))
+        try:
+            entries.append(FamilyEntry(_parse_map(arrow), entry_depth, provenance))
+        except Error as exc:
+            raise type(exc)(f"family entry {k}: {exc}") from None
     return AnodyneFamily(
         instance,
         tuple(entries),

@@ -59,18 +59,6 @@ def corpus_graphs():
     }
 
 
-def loop_complete_graphs():
-    """Corpus graphs in which every vertex carries a loop; on these the
-    interval completion models thread connectors faithfully."""
-    graphs = corpus_graphs()
-    out = {}
-    for name, g in graphs.items():
-        looped = {g.op("src", e) for e in g.cells["edge"] if g.op("src", e) == g.op("tgt", e)}
-        if set(g.cells["vertex"]) == looped or not g.cells["vertex"]:
-            out[name] = g
-    return out
-
-
 def corpus_monoids():
     return [
         FiniteMonoid(["e"], "e", {"e": {"e": "e"}}, name="trivial"),

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
-from phl import core
+from phl import core, fixtures
 
 settings.register_profile(
     "ci",
@@ -30,6 +30,22 @@ def inverse(f):
         for sort in f.domain.signature.sorts
     }
     return core.PresheafMap(f.codomain, f.domain, on)
+
+
+def enumerate_homs(dom, cod, guard=None):
+    """All maps ``dom -> cod`` in the engine's lexicographic order."""
+    return list(core.search_maps(dom, cod, guard=guard))
+
+
+def loop_complete_graphs():
+    """Corpus graphs in which every vertex carries a loop; on these the
+    interval completion models thread connectors faithfully."""
+    out = {}
+    for name, g in fixtures.corpus_graphs().items():
+        looped = {g.op("src", e) for e in g.cells["edge"] if g.op("src", e) == g.op("tgt", e)}
+        if set(g.cells["vertex"]) == looped:
+            out[name] = g
+    return out
 
 
 def _reference_colors(obj, init):

@@ -105,7 +105,7 @@ def _homotopy_homs():
     objects = {f"set{i}": x for i, x in enumerate(fixtures.corpus_sets())}
     objects.update((f"graph_{name}", g) for name, g in fixtures.corpus_graphs().items())
     return {
-        (instance, x, y): core.enumerate_homs(objects[x], objects[y])
+        (instance, x, y): list(core.search_maps(objects[x], objects[y]))
         for instance, x, y in HOMOTOPY_HOMS
     }
 
@@ -140,7 +140,7 @@ def _lift_squares():
     for stem, instance, j, carrier, algebra in corners:
         for e in (0, 1):
             corner = corner_endpoint(get_instance(instance), j, e)
-            for i, top in enumerate(core.enumerate_homs(corner.domain, carrier)):
+            for i, top in enumerate(core.search_maps(corner.domain, carrier)):
                 out.append((f"{stem}_e{e}_t{i}", stem, algebra, {
                     "kind": "square",
                     "left": documents.map_to_document(corner.arrow),

@@ -16,7 +16,6 @@ import phl
 from phl import core
 from phl.core import (
     PresheafMap,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -46,7 +45,6 @@ from phl.fixtures import (
     corpus_spans_set,
     discrete2_category,
     groupoid_interval,
-    loop_complete_graphs,
     terminal_category,
     we_algebras,
     z2_category,
@@ -69,7 +67,7 @@ from phl.witnesses import (
     validate_saturation,
 )
 
-from conftest import mono_unit
+from conftest import enumerate_homs, loop_complete_graphs, mono_unit
 from test_witnesses import random_endpoint_corner_problems
 
 SET2 = set_instance()

@@ -23,6 +23,8 @@ from phl.documents import (
 from phl.fixtures import chain2_category, corpus_monoids, emit_fixture_corpus, groupoid_interval
 from phl.lifting import LiftingProblem, solve_lift
 
+from conftest import enumerate_homs
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -232,7 +234,7 @@ class TestRunCommand:
         corner = corner_endpoint(instance, j, 0)
         gpd = groupoid_interval()
         carrier = gpd.underlying_graph()
-        top = core.enumerate_homs(corner.domain, carrier)[0]
+        top = enumerate_homs(corner.domain, carrier)[0]
         square = {
             "kind": "square",
             "left": map_to_document(corner.arrow),
@@ -271,7 +273,7 @@ class TestRunCommand:
         j = core.PresheafMap(k, l, {"element": {"p": "p"}})
         corner = corner_endpoint(instance, j, 0)
         carrier = core.fin_set(["0", "1"])
-        top = core.enumerate_homs(corner.domain, carrier)[1]
+        top = enumerate_homs(corner.domain, carrier)[1]
         square = {
             "kind": "square",
             "left": map_to_document(corner.arrow),
@@ -589,7 +591,7 @@ class TestRefusals:
             "kind": "square",
             "left": map_to_document(corner.arrow),
             "right": map_to_document(core.bang(carrier)),
-            "top": map_to_document(core.enumerate_homs(corner.domain, carrier)[0]),
+            "top": map_to_document(enumerate_homs(corner.domain, carrier)[0]),
             "bottom": map_to_document(core.bang(corner.codomain)),
             "corner": {"instance": "set2", "j": map_to_document(j), "endpoint": 0},
         }
@@ -658,7 +660,7 @@ class TestRefusals:
             {"element": on},
         )
         doc["left"] = map_to_document(left)
-        doc["top"] = map_to_document(core.enumerate_homs(left.domain, core.fin_set(["0", "1"]))[0])
+        doc["top"] = map_to_document(enumerate_homs(left.domain, core.fin_set(["0", "1"]))[0])
         doc["bottom"] = map_to_document(core.bang(left.codomain))
         doc["corner"]["endpoint"] = endpoint
         square.write_text(canonical_json(doc), encoding="utf-8")
@@ -745,6 +747,107 @@ class TestRefusals:
                         encoding="utf-8")
         argv = ["tweq", str(mono), "--algebras", str(algebras), "--instance", "set2"]
         assert _refusal(argv, capsys) == (2, f"--algebras {algebras} {problem}")
+
+    @pytest.mark.parametrize("argv", [
+        ["fibrant", "{}", "--family", "family_graphI_d1.json"],
+        ["fibrant", "cat_terminal.json", "--family", "{}"],
+        ["classes", "{}", "set1.json", "--instance", "set2"],
+    ], ids=["fibrant-object", "fibrant-family", "classes"])
+    def test_a_document_that_is_not_an_object_names_the_file(
+        self, corpus_dir, tmp_path, capsys, argv,
+    ):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]", encoding="utf-8")
+        argv = [str(listed) if a == "{}" else str(corpus_dir / a) if a.endswith(".json") else a
+                for a in argv]
+        assert _refusal(argv, capsys) == (2, f"{listed} is not a JSON object")
+
+    #: A one-object category with a non-identity loop f whose composite
+    #: with itself is missing.
+    LOOP_CATEGORY = {
+        "kind": "category",
+        "objects": ["*"],
+        "morphisms": [["e", "*", "*"], ["f", "*", "*"]],
+        "identities": {"*": "e"},
+        "compose": {"e": {"e": "e", "f": "f"}, "f": {"e": "f"}},
+    }
+
+    def test_a_refused_category_names_the_file(self, corpus_dir, tmp_path, capsys):
+        category = tmp_path / "category.json"
+        category.write_text(canonical_json(self.LOOP_CATEGORY), encoding="utf-8")
+        argv = ["fibrant", str(category), "--family", str(corpus_dir / "family_graphI_d1.json")]
+        assert _refusal(argv, capsys) == (
+            2, f"{category}: composition is missing the pair ('f','f')"
+        )
+
+    def test_tweq_names_an_algebra_it_refuses(self, tmp_path, capsys):
+        algebras = tmp_path / "algebras"
+        algebras.mkdir()
+        doc = {key: value for key, value in self.LOOP_CATEGORY.items() if key != "compose"}
+        (algebras / "category.json").write_text(canonical_json(doc), encoding="utf-8")
+        mono = tmp_path / "mono.json"
+        mono.write_text(canonical_json(map_to_document(core.identity(core.fin_set(["p"])))),
+                        encoding="utf-8")
+        argv = ["tweq", str(mono), "--algebras", str(algebras), "--instance", "set2"]
+        assert _refusal(argv, capsys) == (
+            2, f"{algebras / 'category.json'}: category document has no 'compose'"
+        )
+
+    def test_tweq_reads_only_the_algebras(self, corpus_dir, tmp_path, capsys):
+        algebras = tmp_path / "algebras"
+        algebras.mkdir()
+        (algebras / "monoid_z2.json").write_text(
+            (corpus_dir / "monoid_z2.json").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        (algebras / "broken.json").write_text('{"kind": "graph"}', encoding="utf-8")
+        mono = tmp_path / "mono.json"
+        mono.write_text(canonical_json(map_to_document(core.identity(core.fin_set(["p"])))),
+                        encoding="utf-8")
+        assert main(["tweq", str(mono), "--algebras", str(algebras), "--instance", "set2"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert [r["algebra"] for r in report["per_algebra"]] == ["z2"]
+
+    @pytest.mark.parametrize("broken, problem", [
+        ("commute", "map does not commute with 'src' at edge 'r:(e,l0)'"),
+        ("list", "expected a map document"),
+    ], ids=["commute", "list"])
+    def test_a_refused_family_arrow_names_the_file_and_the_entry(
+        self, corpus_dir, tmp_path, capsys, broken, problem,
+    ):
+        doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))
+        if broken == "commute":
+            # (e,d) starts at (a,1), but the source of r:(e,l0) goes to (a,0)
+            doc["entries"][1]["arrow"]["on"]["edge"]["r:(e,l0)"] = "(e,d)"
+        else:
+            doc["entries"][1]["arrow"] = [1, 2]
+        family = tmp_path / "family.json"
+        family.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(corpus_dir / "cat_terminal.json"), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"{family}: family entry 1: {problem}")
+
+    def test_a_refused_corner_provenance_names_the_square(self, tmp_path, capsys):
+        square = self._corner_square(tmp_path)
+        doc = json.loads(square.read_text(encoding="utf-8"))
+        doc["corner"]["instance"] = "graphI"
+        square.write_text(canonical_json(doc), encoding="utf-8")
+        code, error = _refusal(["lift", "--square", str(square), "--explicit", "monoid"], capsys)
+        assert code == 2
+        assert error.startswith(f"the corner provenance in {square}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "set1.json", "set2.json", "--instance", "set2"],
+        ["classes", "nope.json", "nope.json", "--instance", "set2"],
+        ["nerve", "cat_chain2.json", "--cap", "1"],
+    ], ids=["classes", "before-reading", "unread-guard"])
+    def test_a_negative_guard_is_a_bad_parameter(self, corpus_dir, capsys, argv):
+        argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+        assert _refusal([*argv, "--guard", "-5"], capsys) == (2, "--guard -5 is negative")
+
+    def test_a_zero_guard_is_allowed(self, corpus_dir, capsys):
+        argv = ["classes", str(corpus_dir / "set0.json"), str(corpus_dir / "set2.json"),
+                "--instance", "set2", "--guard", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["hom_count"] == 1
 
 
 #: The shared flags each subcommand reads: it declares them, and its

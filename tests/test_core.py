@@ -6,7 +6,6 @@ from phl.core import (
     PresheafMap,
     ValidationError,
     coproduct_of,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -18,7 +17,7 @@ from phl.core import (
 
 from phl.documents import parse_document
 
-from conftest import brute_force_homs
+from conftest import brute_force_homs, enumerate_homs
 
 
 def vertex_map(dom, cod, vertices, edges=None):

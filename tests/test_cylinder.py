@@ -4,7 +4,6 @@ from phl import core
 from phl.core import (
     PresheafMap,
     ValidationError,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -22,7 +21,7 @@ from phl.cylinder import (
 from phl.fixtures import all_small_graphs, corpus_monos_graph, corpus_monos_set, corpus_spans_graph, corpus_spans_set
 from phl.lifting import default_generating_monos, generate_anodyne
 
-from conftest import inverse
+from conftest import enumerate_homs, inverse
 
 
 class TestCylinderOf:

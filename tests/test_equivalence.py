@@ -1,5 +1,5 @@
 from phl import core
-from phl.core import PresheafMap, enumerate_homs, fin_graph, fin_set, identity
+from phl.core import PresheafMap, fin_graph, fin_set, identity
 from phl.equivalence import (
     alternative_we_check,
     check_m3_sample,
@@ -22,7 +22,7 @@ from phl.fixtures import (
 from phl.lifting import generate_anodyne, has_rlp
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad
 
-from conftest import mono_unit
+from conftest import enumerate_homs, mono_unit
 
 
 def strongly_connected_looped():

@@ -1,6 +1,6 @@
 import pytest
 
-from phl.core import PresheafMap, enumerate_homs, fin_graph, fin_set, identity
+from phl.core import PresheafMap, fin_graph, fin_set, identity
 from phl.cylinder import CylinderData, get_instance
 from phl.homotopy import (
     check_equivalence_relation,
@@ -11,7 +11,7 @@ from phl.homotopy import (
 from phl.fixtures import chain2_category, corpus_categories, corpus_graphs, groupoid_interval
 from phl.simplicial import delta, nerve
 
-from conftest import brute_force_homs
+from conftest import brute_force_homs, enumerate_homs
 
 
 def one_step_matrix(instance, x, a):

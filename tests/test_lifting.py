@@ -10,7 +10,6 @@ from phl.core import (
     arrows_isomorphic,
     bang,
     empty_object,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -41,7 +40,7 @@ from phl.lifting import (
 )
 from phl.simplicial import boundary_inclusion, delta, horn_inclusion, nerve
 
-from conftest import brute_force_homs, inverse, reference_arrows_isomorphic
+from conftest import brute_force_homs, enumerate_homs, inverse, reference_arrows_isomorphic
 
 
 def brute_force_lift(problem):

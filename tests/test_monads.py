@@ -7,7 +7,6 @@ from phl.core import (
     CapError,
     PresheafMap,
     ValidationError,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -16,7 +15,6 @@ from phl.core import (
 from phl.cylinder import graph_instance as make_graph_instance
 from phl.fixtures import (
     corpus_categories, corpus_graphs, corpus_monoids, corpus_sets, groupoid_interval,
-    loop_complete_graphs,
 )
 from phl.homotopy import find_homotopy
 from phl.monads import (
@@ -31,7 +29,7 @@ from phl.monads import (
     linear_chain,
 )
 
-from conftest import mono_unit
+from conftest import enumerate_homs, loop_complete_graphs, mono_unit
 
 
 def _reference_laws(monad, x):

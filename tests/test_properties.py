@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from phl import core
 from phl.core import (
     PresheafMap,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -32,7 +31,7 @@ from phl.lifting import (
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 from phl.simplicial import boundary_inclusion, delta, groupoid_interval, horn_inclusion, nerve
 
-from conftest import brute_force_homs
+from conftest import brute_force_homs, enumerate_homs
 from test_monads import _reference_laws
 
 GRAPHI = graph_instance()

@@ -56,3 +56,20 @@ def test_only_core_reads_the_structural_keys():
         if isinstance(node, ast.Attribute) and node.attr == "_key"
     }
     assert readers <= {"core"}
+
+
+def test_the_package_binds_no_name_but_its_version():
+    # callers import the modules (``from phl import core``, ``phl.cli.main``);
+    # the package re-exports none of their names
+    tree = SOURCES["__init__"]
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    bound |= {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert bound == {"__version__"}

@@ -5,7 +5,6 @@ import pytest
 from phl import core
 from phl.core import (
     PresheafMap,
-    enumerate_homs,
     fin_graph,
     fin_set,
     identity,
@@ -24,6 +23,8 @@ from phl.witnesses import (
     m2_tower_graph,
     validate_saturation,
 )
+
+from conftest import enumerate_homs
 
 
 class TestRetractWitness:
