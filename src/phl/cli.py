@@ -26,6 +26,7 @@ from .documents import (
     map_to_document,
     object_to_document,
     parse_document,
+    parse_map,
     write_document,
 )
 from .monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
@@ -100,14 +101,14 @@ def cmd_lift(args):
     )
     if args.explicit:
         corner_info = square.get("corner")
-        if not corner_info:
+        if not isinstance(corner_info, dict) or not corner_info:
             raise ValidationError("explicit lifts need corner provenance in the square document")
         for key in ("instance", "j", "endpoint"):
             if key not in corner_info:
                 raise ValidationError(f"the corner provenance in {args.square} has no {key}")
         try:
             instance = get_instance(corner_info["instance"])
-            j = parse_document(corner_info["j"])
+            j = parse_map(corner_info["j"])
             corner = corner_endpoint(instance, j, corner_info["endpoint"])
         except Error as exc:
             raise type(exc)(f"the corner provenance in {args.square}: {exc}") from None

@@ -16,6 +16,7 @@ from .core import (
     PresheafMap,
     PresheafObject,
     ValidationError,
+    coproduct_of,
     fin_graph,
     fin_set,
     identity,
@@ -24,6 +25,7 @@ from .core import (
     is_mono,
     pair_label,
     pairing,
+    pin_along,
     product,
     product_map,
     pushout,
@@ -135,8 +137,7 @@ class CornerMap:
     arrow: PresheafMap
     instance_name: str
     j: PresheafMap
-    kind: str  # "full" | "endpoint"
-    endpoint: Optional[int]
+    endpoint: Optional[int]  # None for the full corner
 
     @property
     def domain(self) -> PresheafObject:
@@ -185,9 +186,8 @@ def _corner(instance: CylinderData, j: PresheafMap, endpoint: Optional[int]) -> 
         for op, s_sort, t_sort in sig.ops
     }
     corner = PresheafObject(sig, {sort: tuple(on[sort]) for sort in sig.sorts}, ops, _validated=True)
-    kind = "full" if endpoint is None else "endpoint"
     arrow = PresheafMap(corner, l_cyl, on, _validated=True)
-    return CornerMap(arrow, instance.name, j, kind, endpoint)
+    return CornerMap(arrow, instance.name, j, endpoint)
 
 
 def corner_full(instance: CylinderData, j: PresheafMap) -> CornerMap:
@@ -246,13 +246,9 @@ def verify_ehd(instance, monos, spans) -> EhdReport:
         for e, incl in ((0, cyl.d0), (1, cyl.d1)):
             ok = incl.then(cyl.sigma) == identity(obj)
             checks.append(EhdCheck("cylinder-axiom", f"sigma∘d{e} = id on {_describe(obj)}", ok))
-        copair_injective = True
-        for sort in obj.signature.sorts:
-            images = [cyl.d0.on[sort][c] for c in obj.cells[sort]]
-            images += [cyl.d1.on[sort][c] for c in obj.cells[sort]]
-            if len(set(images)) != len(images):
-                copair_injective = False
-        checks.append(EhdCheck("cylinder-axiom", f"[d0,d1] mono on {_describe(obj)}", copair_injective))
+        ends, into = coproduct_of(obj.signature, [("0:", obj), ("1:", obj)])
+        copair = PresheafMap(ends, cyl.obj, pin_along(list(zip(into, (cyl.d0, cyl.d1)))))
+        checks.append(EhdCheck("cylinder-axiom", f"[d0,d1] mono on {_describe(obj)}", is_mono(copair)))
     for j in monos:
         tensored = instance.tensor_map(j)
         checks.append(

@@ -25,11 +25,13 @@ from .core import (
 )
 from .lifting import AnodyneFamily, FamilyEntry
 from .monads import FiniteCategory, FiniteMonoid
-from .simplicial import trunc_sset
+from .simplicial import sset_cap, trunc_sset
 
 
 def _required(doc, key, where):
-    """``doc[key]``, refused when the document has no such key."""
+    """``doc[key]``, refused when ``doc`` is not a JSON object or has no such key."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} is not a JSON object")
     if key not in doc:
         raise ValidationError(f"{where} has no {key!r}")
     return doc[key]
@@ -134,7 +136,7 @@ def parse_document(source):
     if kind == "sset":
         return _parse_sset(doc)
     if kind == "map":
-        return _parse_map(doc)
+        return parse_map(doc)
     if kind == "monoid":
         return FiniteMonoid(
             *(_required(doc, key, "monoid document") for key in ("elements", "unit", "table")),
@@ -149,16 +151,16 @@ def parse_document(source):
     if kind == "seeds":
         return {
             "instance": _required(doc, "instance", "seeds document"),
-            "seeds": [_parse_map(m) for m in _required(doc, "seeds", "seeds document")],
+            "seeds": [parse_map(m) for m in _required(doc, "seeds", "seeds document")],
             "generators": [
-                _parse_map(m) for m in _required(doc, "generators", "seeds document")
+                parse_map(m) for m in _required(doc, "generators", "seeds document")
             ],
         }
     if kind == "family":
         return _parse_family(doc)
     if kind == "square":
         square = {
-            side: _parse_map(_required(doc, side, "square document"))
+            side: parse_map(_required(doc, side, "square document"))
             for side in ("left", "right", "top", "bottom")
         }
         square["corner"] = doc.get("corner")
@@ -181,24 +183,37 @@ def _parse_sset(doc):
     return trunc_sset(cap, cells, faces, degens)
 
 
-def _parse_map(doc):
+def parse_map(doc):
+    """The map of a map document nested in another.  The document, its
+    domain and its codomain must be JSON objects: a string is never read
+    as a path, so no file is opened for them."""
     if not isinstance(doc, dict) or doc.get("kind") != "map":
         raise ValidationError("expected a map document")
-    domain = parse_document(_required(doc, "domain", "map document"))
-    codomain = parse_document(_required(doc, "codomain", "map document"))
-    return PresheafMap(domain, codomain, doc.get("on", {}))
+    ends = []
+    for key in ("domain", "codomain"):
+        end = _required(doc, key, "map document")
+        if not isinstance(end, dict):
+            raise ValidationError(f"map {key} is not a JSON object")
+        ends.append(parse_document(end))
+    on = doc.get("on", {})
+    if not isinstance(on, dict) or not all(isinstance(table, dict) for table in on.values()):
+        raise ValidationError("map 'on' is not a JSON object of JSON objects")
+    return PresheafMap(*ends, on)
 
 
 def _parse_family(doc):
     instance = _required(doc, "instance", "family document")
     depth = _required(doc, "depth", "family document")
+    listed = _required(doc, "entries", "family document")
+    if not isinstance(listed, list):
+        raise ValidationError("family document 'entries' is not a JSON array")
     entries = []
-    for k, entry in enumerate(_required(doc, "entries", "family document")):
+    for k, entry in enumerate(listed):
         arrow, entry_depth, provenance = (
             _required(entry, key, f"family entry {k}") for key in ("arrow", "depth", "provenance")
         )
         try:
-            entries.append(FamilyEntry(_parse_map(arrow), entry_depth, provenance))
+            entries.append(FamilyEntry(parse_map(arrow), entry_depth, provenance))
         except Error as exc:
             raise type(exc)(f"family entry {k}: {exc}") from None
     return AnodyneFamily(
@@ -228,7 +243,7 @@ def object_to_document(obj: PresheafObject) -> dict:
             ],
         }
     if name.startswith("sset@"):
-        cap = len(obj.signature.sorts) - 1
+        cap = sset_cap(obj)
         faces = {}
         degens = {}
         for n in range(1, cap + 1):

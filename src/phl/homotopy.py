@@ -125,57 +125,3 @@ def induced_class_map(instance: CylinderData, f: PresheafMap, a: PresheafObject,
     return InducedClassMap(
         f, from_y, from_x, tuple(mapping), well_defined, injective, surjective
     )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Whether one-step homotopy is an equivalence relation on Hom(X, A)."""
-
-    hom_count: int
-    reflexive: bool
-    symmetric: bool
-    transitive: bool
-    counterexample: Optional[tuple] = None
-
-    @property
-    def is_equivalence(self) -> bool:
-        return self.reflexive and self.symmetric and self.transitive
-
-
-def check_equivalence_relation(instance: CylinderData, x: PresheafObject,
-                               a: PresheafObject) -> EquivalenceReport:
-    """Full one-step relation matrix on Hom(X, A) plus the three scans.
-
-    The counterexample names the property and the offending map indices.
-    One cylinder X⊗I serves every pair.
-    """
-    homs = tuple(search_maps(x, a))
-    n = len(homs)
-    cyl = instance.cylinder(x) if homs else None
-    matrix = [
-        [_homotopy_off(cyl, homs[i], homs[j], None) is not None for j in range(n)]
-        for i in range(n)
-    ]
-    reflexive = all(matrix[i][i] for i in range(n))
-    counterexample = None
-    if not reflexive:
-        i = next(i for i in range(n) if not matrix[i][i])
-        counterexample = ("reflexive", i)
-    symmetric = True
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] and not matrix[j][i]:
-                symmetric = False
-                if counterexample is None:
-                    counterexample = ("symmetric", i, j)
-    transitive = True
-    for i in range(n):
-        for j in range(n):
-            if not matrix[i][j]:
-                continue
-            for k in range(n):
-                if matrix[j][k] and not matrix[i][k]:
-                    transitive = False
-                    if counterexample is None:
-                        counterexample = ("transitive", i, j, k)
-    return EquivalenceReport(n, reflexive, symmetric, transitive, counterexample)

@@ -35,7 +35,7 @@ from .core import (
     search_maps,
 )
 from .cylinder import CylinderData, corner_endpoint, corner_full
-from .simplicial import boundary_inclusion
+from .simplicial import boundary_inclusion, sset_cap
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def default_generating_monos(instance: CylinderData):
             PresheafMap(edge, parallel, {"vertex": {"a": "a", "b": "b"}, "edge": {"e": "e"}}),
         ]
     if instance.base.startswith("sset@"):
-        cap = len(instance.interval.signature.sorts) - 1
+        cap = sset_cap(instance.interval)
         monos = []
         for n in range(cap + 1):
             monos.append(boundary_inclusion(n, cap))

@@ -435,7 +435,7 @@ def explicit_lift_monoid(corner: CornerMap, top: PresheafMap) -> PresheafMap:
     point over the marked endpoint; no monoid structure is consulted, so
     the codomain may be any set.
     """
-    if corner.kind != "endpoint" or corner.instance_name != "set2":
+    if corner.endpoint is None or corner.instance_name != "set2":
         raise ProvenanceError("monoid lift needs an endpoint corner in the set instance")
     if top.domain != corner.domain:
         raise ProvenanceError("top map does not start at the corner object")
@@ -466,7 +466,7 @@ def explicit_lift_category(corner: CornerMap, top: PresheafMap,
     identity instead.  A connector at x is the image of the thread of the
     least loop of K at x, and a vertex of K without one is refused.
     """
-    if corner.kind != "endpoint" or corner.instance_name != "graphI":
+    if corner.endpoint is None or corner.instance_name != "graphI":
         raise ProvenanceError("category lift needs an endpoint corner in the graph instance")
     if top.domain != corner.domain:
         raise ProvenanceError("top map does not start at the corner object")

@@ -37,6 +37,28 @@ def enumerate_homs(dom, cod, guard=None):
     return list(core.search_maps(dom, cod, guard=guard))
 
 
+def one_step_relation(instance, x, a):
+    """The homs X -> A and the one-step relation between them, one
+    ``find_homotopy`` (and so one cylinder) per ordered pair."""
+    from phl.homotopy import find_homotopy
+
+    homs = enumerate_homs(x, a)
+    related = [[find_homotopy(instance, f, g) is not None for g in homs] for f in homs]
+    return homs, related
+
+
+def relation_properties(related):
+    """``(reflexive, symmetric, transitive)`` of a relation given as a
+    square boolean matrix."""
+    n = range(len(related))
+    reflexive = all(related[i][i] for i in n)
+    symmetric = all(related[j][i] for i in n for j in n if related[i][j])
+    transitive = all(
+        related[i][k] for i in n for j in n for k in n if related[i][j] and related[j][k]
+    )
+    return reflexive, symmetric, transitive
+
+
 def loop_complete_graphs():
     """Corpus graphs in which every vertex carries a loop; on these the
     interval completion models thread connectors faithfully."""

@@ -342,6 +342,18 @@ class TestRunCommand:
         )
 
 
+def _record_reads(monkeypatch):
+    """The list that every later ``Path.read_text`` appends its path to."""
+    opened, read_text = [], Path.read_text
+
+    def recorded(path, *args, **kwargs):
+        opened.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", recorded)
+    return opened
+
+
 def _refusal(argv, capsys):
     """Exit code and validation error text of a refused invocation."""
     code = main(argv)
@@ -578,6 +590,32 @@ class TestRefusals:
         argv = ["fibrant", str(corpus_dir / "cat_terminal.json"), "--family", str(family)]
         assert _refusal(argv, capsys) == (2, f"{family}: family entry 1 has no {key!r}")
 
+    @pytest.mark.parametrize("at, value, message", [
+        (("entries", 1), 5, "family entry 1 is not a JSON object"),
+        (("entries",), 7, "family document 'entries' is not a JSON array"),
+        (("entries", 1, "arrow", "on"), [1],
+         "family entry 1: map 'on' is not a JSON object of JSON objects"),
+        (("entries", 1, "arrow", "on"), {"vertex": [1]},
+         "family entry 1: map 'on' is not a JSON object of JSON objects"),
+        (("entries", 1, "arrow", "domain"), "set1.json",
+         "family entry 1: map domain is not a JSON object"),
+    ], ids=["entry", "entries", "on", "on-sort", "domain-path"])
+    def test_malformed_family_value_is_refused_unopened(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, at, value, message,
+    ):
+        doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))
+        inner = doc
+        for key in at[:-1]:
+            inner = inner[key]
+        inner[at[-1]] = str(corpus_dir / value) if value == "set1.json" else value
+        family = tmp_path / "family.json"
+        family.write_text(canonical_json(doc), encoding="utf-8")
+        opened = _record_reads(monkeypatch)
+        obj = corpus_dir / "cat_terminal.json"
+        argv = ["fibrant", str(obj), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"{family}: {message}")
+        assert opened == [obj, family]
+
     @staticmethod
     def _corner_square(tmp_path, drop=None):
         """A square on the e=0 corner of {p} -> {p, q} under set2, its
@@ -632,8 +670,36 @@ class TestRefusals:
         argv = ["lift", "--square", str(square), "--explicit", "monoid"]
         assert _refusal(argv, capsys) == (2, f"the corner provenance in {square} has no {key}")
 
+    @pytest.mark.parametrize("as_path", [True, False], ids=["path", "set-document"])
+    def test_explicit_lift_refuses_a_corner_j_that_is_not_a_map(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, as_path,
+    ):
+        square = self._corner_square(tmp_path)
+        doc = json.loads(square.read_text(encoding="utf-8"))
+        set1 = corpus_dir / "set1.json"
+        doc["corner"]["j"] = str(set1) if as_path else json.loads(set1.read_text(encoding="utf-8"))
+        square.write_text(canonical_json(doc), encoding="utf-8")
+        opened = _record_reads(monkeypatch)
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        assert _refusal(argv, capsys) == (
+            2, f"the corner provenance in {square}: expected a map document"
+        )
+        assert opened == [square]
+
     def test_explicit_lift_needs_corner_provenance(self, tmp_path, capsys):
         square = self._corner_square(tmp_path, drop="corner")
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        assert _refusal(argv, capsys) == (
+            2, "explicit lifts need corner provenance in the square document"
+        )
+
+    def test_explicit_lift_refuses_corner_provenance_that_is_not_an_object(
+        self, tmp_path, capsys,
+    ):
+        square = self._corner_square(tmp_path)
+        doc = json.loads(square.read_text(encoding="utf-8"))
+        doc["corner"] = 5
+        square.write_text(canonical_json(doc), encoding="utf-8")
         argv = ["lift", "--square", str(square), "--explicit", "monoid"]
         assert _refusal(argv, capsys) == (
             2, "explicit lifts need corner provenance in the square document"

@@ -244,7 +244,8 @@ class TestVerifyEhd:
                     "vertex": broken.get("vertex", {}),
                     "edge": broken.get("edge", {}),
                 })
-                return Cylinder(good.base, good.obj, good.d0, good.d1, sigma)
+                # d1 = d0, so the copairing [d0, d1] is not mono
+                return Cylinder(good.base, good.obj, good.d0, good.d0, sigma)
 
             def tensor_map(self, f):
                 return graph_instance.tensor_map(f)
@@ -256,6 +257,7 @@ class TestVerifyEhd:
         failed = [c for c in report.checks if not c.ok]
         assert failed
         assert any("sigma" in c.subject for c in failed)
+        assert any(c.subject.startswith("[d0,d1] mono") for c in failed)
 
     def test_all_set_monos_up_to_three(self, set_instance):
         # oracle: the pullback check is a direct fiber computation on pairs

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from phl.monads import FreeCategoryMonad, FreeMonoidMonad, linear_chain
 from phl.witnesses import (
     LiftConstructionError,
     ProvenanceError,
+    SaturationStep,
     explicit_lift_category,
     explicit_lift_monoid,
     finite_subset_pairs,
@@ -66,6 +68,68 @@ class TestRetractWitness:
         assert validate_saturation(w.steps)
         rules = [s.rule for s in w.steps]
         assert rules == ["coproduct", "retract"]
+
+
+def _swap_codomain_embedding(components):
+    """The components with the codomain embedding of the ({x}, x) one
+    exchanging the image of its cell with another codomain cell."""
+    comp, dom_embed, cod_embed = components[1]
+    image = comp.on["element"][comp.domain.cells["element"][0]]
+    other = next(cell for cell in comp.codomain.cells["element"] if cell != image)
+    table = dict(cod_embed["element"])
+    table[image], table[other] = table[other], table[image]
+    return components[:1] + ((comp, dom_embed, {"element": table}),) + components[2:]
+
+
+class TestSaturationChecker:
+    """One corrupted piece of a real witness's evidence fails its step."""
+
+    @pytest.fixture(scope="class")
+    def retract(self):
+        return m2_retract_set(fin_set(["x", "y"]), cap=2)
+
+    @pytest.fixture(scope="class")
+    def tower(self):
+        return m2_tower_graph(corpus_graphs()["loop"], n_max=2, cap=2)
+
+    @staticmethod
+    def _refuses(step, evidence):
+        assert step.verify()
+        return not validate_saturation([replace(step, evidence=evidence)])
+
+    # components[0] is the empty subset's: no domain cells, one codomain cell
+    @pytest.mark.parametrize("corrupt", [
+        _swap_codomain_embedding,
+        lambda components: components[:1] + components[2:],
+        lambda components: components + components[1:2],
+        lambda components: components + components[:1],
+        lambda components: components[1:],
+    ], ids=["swapped-codomain-embedding", "dropped-component", "repeated-component",
+            "repeated-empty-component", "dropped-empty-component"])
+    def test_coproduct(self, retract, corrupt):
+        step = retract.steps[0]
+        arrow, components = step.evidence
+        assert self._refuses(step, (arrow, corrupt(components)))
+
+    def test_pushout_with_a_wrong_apex(self, tower):
+        step = next(step for step in tower.steps if step.rule == "pushout")
+        span_f, span_g, _, left = step.evidence
+        assert self._refuses(step, (span_f, span_g, fin_graph(["z"], []), left))
+
+    def test_composite_with_a_wrong_composite(self, tower):
+        step = next(step for step in tower.steps if step.rule == "composite")
+        arrows, composite = step.evidence
+        assert self._refuses(step, (arrows, identity(composite.domain)))
+
+    def test_retract_with_a_wrong_r(self, retract):
+        step = retract.steps[1]
+        outer, inner, i0, i1, r0, r1 = step.evidence
+        constant = {"element": {cell: "x" for cell in r0.domain.cells["element"]}}
+        wrong = PresheafMap(r0.domain, r0.codomain, constant)
+        assert self._refuses(step, (outer, inner, i0, i1, wrong, r1))
+
+    def test_unknown_rule(self):
+        assert not validate_saturation([SaturationStep("union", "not a saturation rule")])
 
 
 class TestTowerWitness:
