@@ -20,6 +20,7 @@ from .core import (
 )
 from .cylinder import corner_endpoint, get_instance, verify_ehd
 from .documents import (
+    OBJECT_KINDS,
     canonical_json,
     family_to_document,
     load_document,
@@ -31,7 +32,6 @@ from .documents import (
 )
 from .monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 
-OBJECT_KINDS = ("set", "graph", "sset")
 ALGEBRA_KINDS = ("monoid", "category")
 
 
@@ -48,6 +48,23 @@ def _instance(args):
 def _write_out(args, document):
     if getattr(args, "out", None):
         write_document(args.out, document)
+
+
+def _stated(args, flag, document, path, stated):
+    """Set ``args.<flag>`` to the value that the document at ``path``
+    states: the flag may repeat it, and is refused if it contradicts it."""
+    given = getattr(args, flag)
+    if given is not None and given != stated:
+        raise ValidationError(
+            f"--{flag} {given!r} contradicts the {document} {path}, which states {stated!r}"
+        )
+    setattr(args, flag, stated)
+
+
+def _check_cap(args, x):
+    """Refuse a ``--cap`` that does not repeat the cap of the sset ``x``."""
+    if args.cap not in (None, simplicial.sset_cap(x)):
+        raise CapError(f"--cap {args.cap} is not the object's cap {simplicial.sset_cap(x)}")
 
 
 def _parse_expecting(path, kinds, expected, refusal=None):
@@ -96,9 +113,12 @@ def cmd_lift(args):
     if args.explicit is not None and args.guard is not None:
         raise ValidationError("lift --explicit reads no --guard")
     square = _parse_expecting(args.square, ("square",), "a square")
-    problem = lifting.LiftingProblem(
-        square["left"], square["right"], square["top"], square["bottom"]
-    )
+    try:
+        problem = lifting.LiftingProblem(
+            square["left"], square["right"], square["top"], square["bottom"]
+        )
+    except Error as exc:
+        raise type(exc)(f"{args.square}: {exc}") from None
     if args.explicit:
         corner_info = square.get("corner")
         if not isinstance(corner_info, dict) or not corner_info:
@@ -140,14 +160,8 @@ def cmd_fibrant(args):
     if not isinstance(a, PresheafObject):
         a = a.carrier()
     family = _parse_expecting(args.family, ("family",), "a family")
-    for flag, given, stated in (
-        ("--instance", args.instance, family.instance_name), ("--depth", args.depth, family.depth),
-    ):
-        if given is not None and given != stated:
-            raise ValidationError(
-                f"{flag} {given!r} contradicts the family {args.family}, which states {stated!r}"
-            )
-    args.instance, args.depth = family.instance_name, family.depth
+    _stated(args, "instance", "family", args.family, family.instance_name)
+    _stated(args, "depth", "family", args.family, family.depth)
     if family.entries:
         base = family.entries[0].arrow.domain.signature.name
         if a.signature.name != base:
@@ -178,12 +192,7 @@ def cmd_anodyne(args):
     seeds, generators = [], None
     if args.seeds:
         seed_doc = _parse_expecting(args.seeds, ("seeds",), "a seeds")
-        if args.instance not in (None, seed_doc["instance"]):
-            raise ValidationError(
-                f"--instance {args.instance!r} contradicts the seeds {args.seeds}, "
-                f"which states {seed_doc['instance']!r}"
-            )
-        args.instance = seed_doc["instance"]
+        _stated(args, "instance", "seeds", args.seeds, seed_doc["instance"])
         seeds = seed_doc["seeds"]
         generators = seed_doc["generators"]
     elif args.instance is None:
@@ -305,9 +314,7 @@ def cmd_check_ehd(args):
 
 def cmd_horn_fill(args):
     x = _parse_expecting(args.object, ("sset",), "an sset")
-    cap = simplicial.sset_cap(x)
-    if args.cap not in (None, cap):
-        raise CapError(f"--cap {args.cap} is not the object's cap {cap}")
+    _check_cap(args, x)
     report_obj = simplicial.horn_filler(x, args.n, args.k, guard=args.guard)
     report = {
         "n": args.n,
@@ -334,7 +341,8 @@ def cmd_nerve(args):
 def cmd_tau0(args):
     x = _parse_expecting(args.x, ("sset",), "an sset")
     a = _parse_expecting(args.a, ("sset",), "an sset")
-    classes = simplicial.tau0_classes(x, a, cap=args.cap, guard=args.guard)
+    _check_cap(args, x)
+    classes = simplicial.tau0_classes(x, a, guard=args.guard)
     return 0, {"class_count": classes.class_count, "caveat": classes.caveat}
 
 

@@ -376,7 +376,7 @@ def coproduct_of(signature: Signature, summands):
     return obj, [PresheafMap(x, obj, on, _validated=True) for x, on in tables]
 
 
-class _UnionFind:
+class UnionFind:
     def __init__(self):
         self.parent = {}
 
@@ -433,7 +433,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
     a = f.domain
     b, c = f.codomain, g.codomain
     cop, _ = coproduct_of(b.signature, [("l:", b), ("r:", c)])
-    uf = {sort: _UnionFind() for sort in cop.signature.sorts}
+    uf = {sort: UnionFind() for sort in cop.signature.sorts}
     for sort in cop.signature.sorts:
         for cell in cop.cells[sort]:
             uf[sort].add(cell)
@@ -512,20 +512,6 @@ def product_map(f: PresheafMap, g: PresheafMap) -> PresheafMap:
             for b in g.domain.cells[sort]
         }
     return PresheafMap(dom, cod, on, _validated=True)
-
-
-def pairing(f: PresheafMap, g: PresheafMap, cod: PresheafObject) -> PresheafMap:
-    """The map <f, g> : X -> A x B induced by f : X -> A and g : X -> B."""
-    if f.domain != g.domain:
-        raise MismatchError("pairing legs must share their domain")
-    on = {
-        sort: {
-            cell: pair_label(f.on[sort][cell], g.on[sort][cell])
-            for cell in f.domain.cells[sort]
-        }
-        for sort in f.domain.signature.sorts
-    }
-    return PresheafMap(f.domain, cod, on, _validated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +595,20 @@ class _SearchPlan:
         return dom._plan
 
 
-def _buckets(cod: PresheafObject, sort: str, names: tuple) -> dict:
+def buckets(cod: PresheafObject, sort: str, names: tuple) -> dict:
     """Cells of ``sort`` grouped by their images under ``names``, cached on
     ``cod``; a single name keys by the bare image, like ``itemgetter``."""
     if cod._index is None:
         cod._index = {}
-    buckets = cod._index.get((sort, names))
-    if buckets is None:
+    found = cod._index.get((sort, names))
+    if found is None:
         tables = [cod.ops[name] for name in names]
         grouped = {}
         for cell in cod.cells[sort]:
             images = tuple(table[cell] for table in tables)
             grouped.setdefault(images[0] if len(images) == 1 else images, []).append(cell)
-        buckets = cod._index[(sort, names)] = {k: tuple(v) for k, v in grouped.items()}
-    return buckets
+        found = cod._index[(sort, names)] = {k: tuple(v) for k, v in grouped.items()}
+    return found
 
 
 def search_maps(
@@ -719,7 +705,7 @@ def _split(i: PresheafMap) -> tuple:
     ops = l.signature.ops
     image = image_cells(i)
     free = [(sort, cell) for sort, cell in l.cell_items() if cell not in image[sort]]
-    faces, uf = set(), _UnionFind()
+    faces, uf = set(), UnionFind()
     for key in free:
         uf.add(key)
     for name, s_sort, t_sort in ops:
@@ -776,22 +762,19 @@ def extension_classes(i: PresheafMap, cod: PresheafObject,
     searches, parts = {}, []
     for shape, pins in split:
         if shape not in searches:
-            closure = _shaped(dom.signature, shape)
             sorts, _, members = shape
-            part_plan = _SearchPlan.of(closure)
-            positions = part_plan.positions
-            boundary = [positions[sorts[n]][str(n)] for n in range(len(members), len(sorts))]
-            searches[shape] = (closure, part_plan, boundary, {})
+            boundary = [(sorts[n], str(n)) for n in range(len(members), len(sorts))]
+            searches[shape] = (_shaped(dom.signature, shape), boundary, {})
         parts.append((itemgetter(*pins) if pins else lambda vals: (), searches[shape]))
     for count, vals in _walk(dom, cod, plan, [None] * len(plan.steps), None, False, budget, cut):
-        for read, (closure, part_plan, boundary, memo) in parts:
+        for read, (closure, boundary, memo) in parts:
             key = read(vals)
             extends = memo.get(key)
             if extends is None:
-                pinned = [None] * len(part_plan.steps)
-                for at, value in zip(boundary, (key,) if len(boundary) == 1 else key):
-                    pinned[at] = value
-                lifts = _walk(closure, cod, part_plan, pinned, None, False, budget)
+                pin = {}
+                for (sort, cell), value in zip(boundary, (key,) if len(boundary) == 1 else key):
+                    pin.setdefault(sort, {})[cell] = value
+                lifts = search_maps(closure, cod, pin=pin, guard=guard)
                 extends = memo[key] = next(lifts, None) is not None
             if not extends:
                 yield count, _assemble(dom, cod, plan, vals)
@@ -809,7 +792,7 @@ def _exceeded(budget):
     return GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
 
 
-def _watches(dom, plan, cod, stop, buckets):
+def _watches(dom, plan, cod, stop, indexes):
     """Per prefix step, the ``(bucket, key getter)`` of each later keyed
     step without residual checks whose key that step completes; None if
     there are none.
@@ -830,8 +813,8 @@ def _watches(dom, plan, cod, stop, buckets):
         if mode != _KEYED or own:
             continue
         kid, getter = gen
-        if buckets[kid] is None:
-            buckets[kid] = _buckets(cod, *plan.bucket_keys[kid])
+        if indexes[kid] is None:
+            indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
         reads = [t for _, _, t in checks]
         shape = _shape(dom, [plan.steps[t][:2] for t in reads], down)[0]
         if (kid, shape) not in covered:
@@ -842,10 +825,10 @@ def _watches(dom, plan, cod, stop, buckets):
             keys = (tuple(h.on[sorts[n]][str(n)] for n in gens)
                     for h in search_maps(_shaped(faces, shape), cod_faces))
             covered[kid, shape] = all(
-                (key[0] if len(key) == 1 else key) in buckets[kid] for key in keys
+                (key[0] if len(key) == 1 else key) in indexes[kid] for key in keys
             )
         if not covered[kid, shape]:
-            watch[max(reads)].append((buckets[kid], getter))
+            watch[max(reads)].append((indexes[kid], getter))
             found = True
     return watch if found else None
 
@@ -867,8 +850,8 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     steps = plan.steps
     n = len(steps) if stop is None else stop
     cod_ops, cod_cells = cod.ops, cod.cells
-    buckets = [None] * len(plan.bucket_keys)
-    watch = None if stop is None else _watches(dom, plan, cod, stop, buckets)
+    indexes = [None] * len(plan.bucket_keys)
+    watch = None if stop is None else _watches(dom, plan, cod, stop, indexes)
     used = {sort: set() for sort in dom.signature.sorts}
     vals = [None] * len(steps)
     pending = [None] * n
@@ -883,9 +866,9 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             return (cod_ops[name][vals[s]],), own
         if mode == _KEYED:
             kid, getter = gen
-            if buckets[kid] is None:
-                buckets[kid] = _buckets(cod, *plan.bucket_keys[kid])
-            return buckets[kid].get(getter(vals), ()), own
+            if indexes[kid] is None:
+                indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
+            return indexes[kid].get(getter(vals), ()), own
         return cod_cells[sort], own
 
     def extend(count):

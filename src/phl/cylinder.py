@@ -17,6 +17,7 @@ from .core import (
     PresheafObject,
     ValidationError,
     coproduct_of,
+    extend_along,
     fin_graph,
     fin_set,
     identity,
@@ -24,7 +25,6 @@ from .core import (
     is_iso,
     is_mono,
     pair_label,
-    pairing,
     pin_along,
     product,
     product_map,
@@ -42,8 +42,10 @@ class Cylinder:
     d1: PresheafMap
     sigma: PresheafMap
 
-    def endpoint(self, e: int) -> PresheafMap:
-        return (self.d0, self.d1)[e]
+    def homotopy(self, f: PresheafMap, g: PresheafMap, guard=None) -> Optional[PresheafMap]:
+        """The lexicographically least map theta off X ⊗ I with theta∘d0 = f
+        and theta∘d1 = g, or None."""
+        return extend_along([(self.d0, f), (self.d1, g)], f.codomain, guard=guard)
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,14 @@ class CylinderData:
                 f"instance {self.name!r} acts on {self.base!r}, got {obj.signature.name!r}"
             )
 
-    def const_map(self, x: PresheafObject, e: int) -> PresheafMap:
-        self.check_base(x)
-        targets = self.const_targets[e]
-        on = {
-            sort: {cell: targets[sort] for cell in x.cells[sort]}
-            for sort in x.signature.sorts
-        }
-        return PresheafMap(x, self.interval, on)
-
     def cylinder(self, x: PresheafObject) -> Cylinder:
+        """X ⊗ I = X x I, whose d_e sends a cell c to (c, the endpoint-e
+        target of its sort); d_e commutes iff the targets do."""
         self.check_base(x)
         obj, pr1, _ = product(x, self.interval)
-        d0 = pairing(identity(x), self.const_map(x, 0), cod=obj)
-        d1 = pairing(identity(x), self.const_map(x, 1), cod=obj)
+        d0, d1 = (PresheafMap(x, obj, {s: {c: pair_label(c, ends[s]) for c in x.cells[s]}
+                                       for s in x.signature.sorts})
+                  for ends in self.const_targets)
         return Cylinder(x, obj, d0, d1, pr1)
 
     def tensor_map(self, f: PresheafMap) -> PresheafMap:
@@ -236,13 +232,12 @@ def verify_ehd(instance, monos, spans) -> EhdReport:
     Failures become report entries, never exceptions.
     """
     checks = []
-    seen = []
+    cylinders = {}  # in first-seen order
     for f in list(monos) + [leg for pair in spans for leg in pair]:
         for obj in (f.domain, f.codomain):
-            if obj not in seen:
-                seen.append(obj)
-    for obj in seen:
-        cyl = instance.cylinder(obj)
+            if obj not in cylinders:
+                cylinders[obj] = instance.cylinder(obj)
+    for obj, cyl in cylinders.items():
         for e, incl in ((0, cyl.d0), (1, cyl.d1)):
             ok = incl.then(cyl.sigma) == identity(obj)
             checks.append(EhdCheck("cylinder-axiom", f"sigma∘d{e} = id on {_describe(obj)}", ok))
@@ -256,9 +251,8 @@ def verify_ehd(instance, monos, spans) -> EhdReport:
         )
         image = image_cells(tensored)
         l = j.codomain
-        l_cyl = instance.cylinder(l)
-        for e in (0, 1):
-            incl = l_cyl.endpoint(e)
+        l_cyl = cylinders[l]
+        for e, incl in ((0, l_cyl.d0), (1, l_cyl.d1)):
             fiber = {
                 sort: {c for c in l.cells[sort] if incl.on[sort][c] in image[sort]}
                 for sort in l.signature.sorts

@@ -12,6 +12,7 @@ equivalence with ``json.dumps``.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -27,14 +28,67 @@ from .lifting import AnodyneFamily, FamilyEntry
 from .monads import FiniteCategory, FiniteMonoid
 from .simplicial import sset_cap, trunc_sset
 
+OBJECT_KINDS = ("set", "graph", "sset")
 
-def _required(doc, key, where):
-    """``doc[key]``, refused when ``doc`` is not a JSON object or has no such key."""
+
+def _required(doc, key, where, shape=None):
+    """``doc[key]``, refused when ``doc`` is not a JSON object or has no such
+    key, or when the value fails ``shape``, one of the ``(description,
+    test)`` pairs below."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} is not a JSON object")
     if key not in doc:
         raise ValidationError(f"{where} has no {key!r}")
-    return doc[key]
+    value = doc[key]
+    if shape is not None and not shape[1](value):
+        raise ValidationError(f"{where} {key!r} is not {shape[0]}")
+    return value
+
+
+# The shape tests run on every document that is read, so they loop over
+# labels in ``map`` and ``chain``, whose loops run in C, rather than in
+# generator expressions.
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
+
+
+def _string_lists(values, length=None) -> bool:
+    """Whether every one of ``values``, a list or a dict view, is a list of
+    strings, of ``length`` of them if given."""
+    return (all(map(isinstance, values, repeat(list)))
+            and (length is None or set(map(len, values)) <= {length})
+            and all(map(isinstance, chain.from_iterable(values), repeat(str))))
+
+
+def _names(value) -> bool:
+    return isinstance(value, dict) and all(map(isinstance, value.values(), repeat(str)))
+
+
+def _natural(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _by_dimension(fits):
+    """The test that a value is a JSON object from dimensions to values
+    that pass ``fits``."""
+    return lambda value: isinstance(value, dict) and all(
+        str(n).isdecimal() and fits(item) for n, item in value.items())
+
+
+_STRING = ("a string", lambda value: isinstance(value, str))
+_ARRAY = ("a JSON array", lambda value: isinstance(value, list))
+_NATURAL = ("a nonnegative integer", _natural)
+_STRINGS = ("a JSON array of strings", _strings)
+_TRIPLES = ("a JSON array of [label, source, target] string arrays",
+            lambda value: isinstance(value, list) and _string_lists(value, 3))
+_NAMES = ("a JSON object of strings", _names)
+_TABLES = ("a JSON object of JSON objects of strings",
+           lambda value: isinstance(value, dict) and all(map(_names, value.values())))
+_CELLS = ("a JSON object from dimensions to arrays of strings", _by_dimension(_strings))
+_FACES = ("a JSON object from dimensions to objects of arrays of strings", _by_dimension(
+    lambda value: isinstance(value, dict) and _string_lists(value.values())))
+_COUNTS = ("a JSON object from depths to nonnegative integers", _by_dimension(_natural))
 
 
 def canonical_json(data) -> str:
@@ -128,33 +182,28 @@ def parse_document(source):
     doc = load_document(source)
     kind = doc.get("kind")
     if kind == "set":
-        return fin_set(_required(doc, "elements", "set document"))
+        return fin_set(_required(doc, "elements", "set document", _STRINGS))
     if kind == "graph":
-        return fin_graph(
-            _required(doc, "vertices", "graph document"), _required(doc, "edges", "graph document")
-        )
+        return fin_graph(_required(doc, "vertices", "graph document", _STRINGS),
+                         _required(doc, "edges", "graph document", _TRIPLES))
     if kind == "sset":
         return _parse_sset(doc)
     if kind == "map":
         return parse_map(doc)
-    if kind == "monoid":
-        return FiniteMonoid(
-            *(_required(doc, key, "monoid document") for key in ("elements", "unit", "table")),
-            name=doc.get("name", "monoid"),
-        )
-    if kind == "category":
-        return FiniteCategory(
-            *(_required(doc, key, "category document")
-              for key in ("objects", "morphisms", "identities", "compose")),
-            name=doc.get("name", "category"),
-        )
+    if kind in ("monoid", "category"):
+        where = f"{kind} document"
+        name = _required(doc, "name", where, _STRING) if "name" in doc else kind
+        if kind == "monoid":
+            return FiniteMonoid(*(_required(doc, key, where, shape) for key, shape in (
+                ("elements", _STRINGS), ("unit", _STRING), ("table", _TABLES))), name=name)
+        return FiniteCategory(*(_required(doc, key, where, shape) for key, shape in (
+            ("objects", _STRINGS), ("morphisms", _TRIPLES), ("identities", _NAMES),
+            ("compose", _TABLES))), name=name)
     if kind == "seeds":
         return {
-            "instance": _required(doc, "instance", "seeds document"),
-            "seeds": [parse_map(m) for m in _required(doc, "seeds", "seeds document")],
-            "generators": [
-                parse_map(m) for m in _required(doc, "generators", "seeds document")
-            ],
+            "instance": _required(doc, "instance", "seeds document", _STRING),
+            **{key: [parse_map(m) for m in _required(doc, key, "seeds document", _ARRAY)]
+               for key in ("seeds", "generators")},
         }
     if kind == "family":
         return _parse_family(doc)
@@ -170,17 +219,26 @@ def parse_document(source):
 
 def _parse_sset(doc):
     cap = doc.get("cap")
-    if not isinstance(cap, int):
+    if not isinstance(cap, int) or isinstance(cap, bool):
         raise ValidationError("sset document needs an integer cap")
-    cells = {int(n): tuple(v) for n, v in _required(doc, "cells", "sset document").items()}
+    tables = {}
+    for key, shape, dims in (
+        ("cells", _CELLS, range(cap + 1)), ("faces", _FACES, range(1, cap + 1)),
+        ("degeneracies", _FACES, range(cap)),
+    ):
+        table = tables[key] = {
+            int(n): rows for n, rows in _required(doc, key, "sset document", shape).items()
+        }
+        extra = sorted(table.keys() - set(dims))
+        if extra:
+            raise ValidationError(f"sset document {key!r} has dimension {extra[0]}, outside cap {cap}")
     faces, degens = {}, {}
     for key, ops in (("faces", faces), ("degeneracies", degens)):
-        for n, table in _required(doc, key, "sset document").items():
-            n = int(n)
+        for n, table in tables[key].items():
             for cell, images in table.items():
                 for i, image in enumerate(images):
                     ops.setdefault((n, i), {})[cell] = image
-    return trunc_sset(cap, cells, faces, degens)
+    return trunc_sset(cap, {n: tuple(v) for n, v in tables["cells"].items()}, faces, degens)
 
 
 def parse_map(doc):
@@ -194,6 +252,8 @@ def parse_map(doc):
         end = _required(doc, key, "map document")
         if not isinstance(end, dict):
             raise ValidationError(f"map {key} is not a JSON object")
+        if end.get("kind") not in OBJECT_KINDS:
+            raise ValidationError(f"map {key} is not a set, graph or sset document")
         ends.append(parse_document(end))
     on = doc.get("on", {})
     if not isinstance(on, dict) or not all(isinstance(table, dict) for table in on.values()):
@@ -202,16 +262,15 @@ def parse_map(doc):
 
 
 def _parse_family(doc):
-    instance = _required(doc, "instance", "family document")
-    depth = _required(doc, "depth", "family document")
-    listed = _required(doc, "entries", "family document")
-    if not isinstance(listed, list):
-        raise ValidationError("family document 'entries' is not a JSON array")
+    where = "family document"
+    instance = _required(doc, "instance", where, _STRING)
+    depth = _required(doc, "depth", where, _NATURAL)
+    listed = _required(doc, "entries", where, _ARRAY)
     entries = []
     for k, entry in enumerate(listed):
-        arrow, entry_depth, provenance = (
-            _required(entry, key, f"family entry {k}") for key in ("arrow", "depth", "provenance")
-        )
+        arrow = _required(entry, "arrow", f"family entry {k}")
+        entry_depth = _required(entry, "depth", f"family entry {k}", _NATURAL)
+        provenance = _required(entry, "provenance", f"family entry {k}", _STRING)
         try:
             entries.append(FamilyEntry(parse_map(arrow), entry_depth, provenance))
         except Error as exc:
@@ -220,9 +279,9 @@ def _parse_family(doc):
         instance,
         tuple(entries),
         depth,
-        _required(doc, "seed_count", "family document"),
-        _required(doc, "generator_count", "family document"),
-        {int(k): v for k, v in _required(doc, "pre_dedup_counts", "family document").items()},
+        _required(doc, "seed_count", where, _NATURAL),
+        _required(doc, "generator_count", where, _NATURAL),
+        {int(k): v for k, v in _required(doc, "pre_dedup_counts", where, _COUNTS).items()},
     )
 
 

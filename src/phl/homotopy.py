@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    MismatchError, PresheafMap, PresheafObject, _UnionFind, extend_along, search_maps,
-)
-from .cylinder import Cylinder, CylinderData
+from .core import MismatchError, PresheafMap, PresheafObject, UnionFind, search_maps
+from .cylinder import CylinderData
 
 
 def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
@@ -23,12 +21,7 @@ def find_homotopy(instance: CylinderData, f: PresheafMap, g: PresheafMap,
     theta : X⊗I -> Y with theta∘d0 = f and theta∘d1 = g, or None."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise MismatchError("homotopy endpoints must be parallel maps")
-    return _homotopy_off(instance.cylinder(f.domain), f, g, guard)
-
-
-def _homotopy_off(cyl: Cylinder, f: PresheafMap, g: PresheafMap, guard) -> Optional[PresheafMap]:
-    """The least homotopy from f to g off a cylinder built on their domain."""
-    return extend_along([(cyl.d0, f), (cyl.d1, g)], f.codomain, guard=guard)
+    return instance.cylinder(f.domain).homotopy(f, g, guard)
 
 
 @dataclass(frozen=True)
@@ -71,15 +64,15 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     """
     homs = tuple(search_maps(x, y, guard=guard))
     cyl = instance.cylinder(x) if len(homs) > 1 else None
-    linked = _UnionFind()
+    linked = UnionFind()
     for i in range(len(homs)):
         linked.add(i)
     for i in range(len(homs)):
         for j in range(i + 1, len(homs)):
             if linked.find(i) == linked.find(j):
                 continue
-            if (_homotopy_off(cyl, homs[i], homs[j], guard) is not None
-                    or _homotopy_off(cyl, homs[j], homs[i], guard) is not None):
+            if (cyl.homotopy(homs[i], homs[j], guard) is not None
+                    or cyl.homotopy(homs[j], homs[i], guard) is not None):
                 linked.union(i, j)
     buckets = {}
     for i in range(len(homs)):

@@ -18,7 +18,7 @@ from .core import (
     PresheafObject,
     Signature,
     ValidationError,
-    _buckets,
+    buckets,
     search_maps,
     subobject_from_cells,
 )
@@ -152,31 +152,25 @@ def delta(n: int, cap: int) -> PresheafObject:
     return trunc_sset(cap, cells, faces, degens)
 
 
-def _sub_shape(amb: PresheafObject, keep_predicate):
-    cap = sset_cap(amb)
-    keep = {
-        str(m): {c for c in amb.cells[str(m)] if keep_predicate(c)}
-        for m in range(cap + 1)
-    }
-    return subobject_from_cells(amb, keep)
+def _face_complex(n: int, cap: int, k: Optional[int] = None) -> PresheafMap:
+    """The inclusion into Δⁿ of its simplices that miss some vertex other
+    than k: ∂Δⁿ without k, Λⁿₖ with it."""
+    amb = delta(n, cap)
+    others = {str(v) for v in range(n + 1) if v != k}
+    keep = {s: {c for c in amb.cells[s] if not others <= set(c)} for s in amb.signature.sorts}
+    return subobject_from_cells(amb, keep)[1]
 
 
 def boundary_inclusion(n: int, cap: int) -> PresheafMap:
     """The inclusion of the boundary of the n-simplex."""
-    amb = delta(n, cap)
-    full = set(str(v) for v in range(n + 1))
-    _, incl = _sub_shape(amb, lambda c: set(c) != full)
-    return incl
+    return _face_complex(n, cap)
 
 
 def horn_inclusion(n: int, k: int, cap: int) -> PresheafMap:
     """The inclusion of the k-th horn of the n-simplex."""
     if not (0 <= k <= n):
         raise ValidationError("horn index out of range")
-    full = set(str(v) for v in range(n + 1))
-    amb = delta(n, cap)
-    _, incl = _sub_shape(amb, lambda c: not (full - set(c) <= {str(k)}))
-    return incl
+    return _face_complex(n, cap, k)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +353,15 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
     horn = _nondegenerate_horn(n, k)
     simplex = "".join(str(v) for v in range(n + 1))
     faces = [i for i in range(n + 1) if i != k]
-    buckets = _buckets(x, str(n), tuple(f"d{n}_{i}" for i in faces))
+    by_faces = buckets(x, str(n), tuple(f"d{n}_{i}" for i in faces))
     if n:
         rank = {cell: r for r, cell in enumerate(x.cells[str(n - 1)])}
         missing = x.ops[f"d{n}_{k}"]
-        fill = {key: min(cells, key=lambda c: rank[missing[c]]) for key, cells in buckets.items()}
+        fill = {key: min(cells, key=lambda c: rank[missing[c]]) for key, cells in by_faces.items()}
         on_faces = itemgetter(*(simplex[:i] + simplex[i + 1:] for i in faces))
         sort = str(n - 1)
     else:
-        fill = {key: cells[0] for key, cells in buckets.items()}
+        fill = {key: cells[0] for key, cells in by_faces.items()}
     x_faces = PresheafObject(horn.signature, x.cells, x.ops, _validated=True)
     instances = tuple(
         (top, fill.get(on_faces(top.on[sort]) if n else ()))
@@ -379,13 +373,11 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
     return HornReport(n, k, instances, failing, f"cells above dimension {cap} are not represented")
 
 
-def tau0_classes(x: PresheafObject, a: PresheafObject, cap: Optional[int] = None,
-                 guard=None) -> HomClasses:
+def tau0_classes(x: PresheafObject, a: PresheafObject, guard=None) -> HomClasses:
     """Hom(X, A) modulo the relation induced by the classifying interval
-    along the two endpoint inclusions; cap-relative by construction."""
-    if cap is None:
-        cap = sset_cap(x)
-    if sset_cap(x) != cap or sset_cap(a) != cap:
+    along the two endpoint inclusions at X's cap; cap-relative by construction."""
+    cap = sset_cap(x)
+    if sset_cap(a) != cap:
         raise CapError("tau0 needs both objects at the stated cap")
     instance = jinf_instance(cap)
     return homotopy_classes(

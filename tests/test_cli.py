@@ -915,6 +915,127 @@ class TestRefusals:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["report"]["hom_count"] == 1
 
+    @pytest.mark.parametrize("at, value, message", [
+        (("pre_dedup_counts",), {"x": 1},
+         "family document 'pre_dedup_counts' is not a JSON object from depths to nonnegative"
+         " integers"),
+        (("pre_dedup_counts",), [1],
+         "family document 'pre_dedup_counts' is not a JSON object from depths to nonnegative"
+         " integers"),
+        (("entries", 1, "arrow", "domain", "vertices"), 5,
+         "family entry 1: graph document 'vertices' is not a JSON array of strings"),
+        (("entries", 1, "arrow", "domain", "edges", 0), ["e", "a"],
+         "family entry 1: graph document 'edges' is not a JSON array of [label, source, target]"
+         " string arrays"),
+        (("entries", 1, "arrow", "domain"), "monoid_z2.json",
+         "family entry 1: map domain is not a set, graph or sset document"),
+        (("entries", 1, "arrow", "domain"), "entries[0].arrow",
+         "family entry 1: map domain is not a set, graph or sset document"),
+        (("depth",), "x", "family document 'depth' is not a nonnegative integer"),
+    ], ids=["counts-key", "counts-list", "vertices", "edge", "monoid-end", "map-end", "depth"])
+    def test_malformed_family_field_names_the_file_and_the_entry(
+        self, corpus_dir, tmp_path, capsys, at, value, message,
+    ):
+        doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))
+        if value == "monoid_z2.json":
+            value = json.loads((corpus_dir / value).read_text(encoding="utf-8"))
+        elif value == "entries[0].arrow":
+            value = doc["entries"][0]["arrow"]
+        inner = doc
+        for key in at[:-1]:
+            inner = inner[key]
+        inner[at[-1]] = value
+        family = tmp_path / "family.json"
+        family.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(corpus_dir / "cat_terminal.json"), "--family", str(family)]
+        assert _refusal(argv, capsys) == (2, f"{family}: {message}")
+
+    @pytest.mark.parametrize("stem, key, value, message", [
+        ("monoid_z2", "elements", 5, "monoid document 'elements' is not a JSON array of strings"),
+        ("monoid_z2", "table", [1],
+         "monoid document 'table' is not a JSON object of JSON objects of strings"),
+        ("monoid_z2", "name", 5, "monoid document 'name' is not a string"),
+        ("cat_chain2", "morphisms", [["f", "a"]], "category document 'morphisms' is not a JSON"
+         " array of [label, source, target] string arrays"),
+        ("cat_chain2", "identities", [1],
+         "category document 'identities' is not a JSON object of strings"),
+        ("seeds_set2", "seeds", 5, "seeds document 'seeds' is not a JSON array"),
+    ], ids=["monoid-elements", "monoid-table", "monoid-name", "morphisms", "identities", "seeds"])
+    def test_malformed_algebra_or_seeds_field_names_the_file(
+        self, corpus_dir, tmp_path, capsys, stem, key, value, message,
+    ):
+        doc = json.loads((corpus_dir / f"{stem}.json").read_text(encoding="utf-8"))
+        doc[key] = value
+        path = tmp_path / f"{stem}.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        family = str(corpus_dir / "family_graphI_d1.json")
+        argv = (["anodyne", "--seeds", str(path)] if stem.startswith("seeds")
+                else ["fibrant", str(path), "--family", family])
+        assert _refusal(argv, capsys) == (2, f"{path}: {message}")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("cap", "2", "sset document needs an integer cap"),
+        ("cells", {"x": ["0"]},
+         "sset document 'cells' is not a JSON object from dimensions to arrays of strings"),
+        ("faces", {"1": {"01": 0}}, "sset document 'faces' is not a JSON object from dimensions"
+         " to objects of arrays of strings"),
+        ("cap", True, "sset document needs an integer cap"),
+        ("cells", {"0": ["0", "1"], "1": ["00", "01", "11"], "2": ["001"]},
+         "sset document 'cells' has dimension 2, outside cap 1"),
+        ("degeneracies", {"1": {"01": ["001", "011"]}},
+         "sset document 'degeneracies' has dimension 1, outside cap 1"),
+    ], ids=["cap", "cells", "faces", "cap-bool", "cells-above-cap", "degeneracies-at-cap"])
+    def test_malformed_sset_field_names_the_file(self, tmp_path, capsys, key, value, message):
+        from phl.simplicial import delta
+
+        doc = object_to_document(delta(1, 1))
+        doc[key] = value
+        path = tmp_path / "delta1.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["horn-fill", str(path), "--n", "1", "--k", "0"]
+        assert _refusal(argv, capsys) == (2, f"{path}: {message}")
+
+    @staticmethod
+    def _point_square(tmp_path, top_domain):
+        """A square of set maps with left and right the identities of {p}
+        and {a, b}, top p -> a from ``top_domain`` and bottom p -> b."""
+        point, pair = core.fin_set(["p"]), core.fin_set(["a", "b"])
+        top = core.PresheafMap(core.fin_set([top_domain]), pair, {"element": {top_domain: "a"}})
+        bottom = core.PresheafMap(point, pair, {"element": {"p": "b"}})
+        square = tmp_path / "square.json"
+        square.write_text(canonical_json({
+            "kind": "square", "left": map_to_document(core.identity(point)),
+            "right": map_to_document(core.identity(pair)), "top": map_to_document(top),
+            "bottom": map_to_document(bottom),
+        }), encoding="utf-8")
+        return square
+
+    @pytest.mark.parametrize("top_domain, problem", [
+        ("p", "lifting square does not commute"),
+        ("q", "top map must start at the left map's domain"),
+    ], ids=["not-commuting", "top-domain"])
+    def test_a_refused_square_names_the_file(self, tmp_path, capsys, top_domain, problem):
+        square = self._point_square(tmp_path, top_domain)
+        assert _refusal(["lift", "--square", str(square)], capsys) == (2, f"{square}: {problem}")
+
+    def test_explicit_lift_refuses_an_endpoint_that_is_not_0_or_1(self, tmp_path, capsys):
+        square = self._corner_square(tmp_path)
+        doc = json.loads(square.read_text(encoding="utf-8"))
+        doc["corner"]["endpoint"] = 2
+        square.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["lift", "--square", str(square), "--explicit", "monoid"]
+        assert _refusal(argv, capsys) == (
+            2, f"the corner provenance in {square}: endpoint must be 0 or 1"
+        )
+
+    def test_horn_fill_refuses_a_horn_above_the_cap(self, corpus_dir, tmp_path, capsys):
+        nerve = tmp_path / "nerve.json"
+        assert main(["nerve", str(corpus_dir / "cat_chain2.json"), "--cap", "2",
+                     "--out", str(nerve)]) == 0
+        capsys.readouterr()
+        argv = ["horn-fill", str(nerve), "--n", "3", "--k", "0"]
+        assert _refusal(argv, capsys) == (2, "horn dimension 3 exceeds the object's cap 2")
+
 
 #: The shared flags each subcommand reads: it declares them, and its
 #: report's ``parameters`` echo them.
@@ -1000,9 +1121,11 @@ def test_parameters_are_the_declared_shared_flags(corpus_dir, tmp_path, capsys):
         assert exited.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
-    assert _refusal(["horn-fill", nerve, "--n", "1", "--k", "0", "--cap", "3"], capsys) == (
-        2, "--cap 3 is not the object's cap 2"
-    )
+    for argv in (
+        ["horn-fill", nerve, "--n", "1", "--k", "0", "--cap", "3"],
+        ["tau0", d0, nerve, "--cap", "3"],
+    ):
+        assert _refusal(argv, capsys) == (2, "--cap 3 is not the object's cap 2"), argv
     assert _refusal(
         ["classes", corpus["graph_loop"], corpus["graph_loop"], "--instance", "graphI",
          "--cap", "2"], capsys,

@@ -196,6 +196,21 @@ class TestNaturalityAndMinimality:
         )
         assert report.ok, report
 
+    def test_collapse_past_the_connected_pool_is_a_known_gap(self, graph_instance):
+        # the collapse of two looped vertices onto one loop leaves the
+        # strongly connected pool: the family accepts it, but the free
+        # functor has no homotopy inverse.  A genuine gap of the
+        # family-relative reading, kept visible as a negative control
+        graphs = corpus_graphs()
+        f = PresheafMap(graphs["looped_pair"], graphs["loop"],
+                        {"vertex": {"p": "a", "q": "a"}, "edge": {"lp": "l", "lq": "l"}})
+        report = naturality_and_minimality_suite(
+            graph_instance, FreeCategoryMonad(2), [f], we_algebras("graph")
+        )
+        assert report.naturality_failures == report.three_for_two_failures == ()
+        assert report.factorization_failures == (f,)
+        assert report.checked == (1, 1, 0)
+
     def test_identity_trivially_passes(self, set_instance):
         monad = FreeMonoidMonad(2)
         x = fin_set(["a"])

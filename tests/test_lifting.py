@@ -324,6 +324,24 @@ class TestCountedVerdict:
             is_naively_fibrant_upto(fin_set("abc"), family, guard=2)
         assert str(raised.value) == "hom search exceeded the guard of 2 candidates"
 
+    def test_guard_trips_inside_the_checked_suffix_count(self):
+        # sets with an endomap split at 0, and the fixed point x of K is a
+        # suffix cell with a residual check: the guard trips while its
+        # candidates are checked one by one
+        sig = core.Signature("endo", ("element",), (("f", "element", "element"),))
+
+        def endo(table):
+            return core.PresheafObject(sig, {"element": tuple(table)}, {"f": table})
+
+        k, l = endo({"x": "x"}), endo({"x": "x", "y": "y"})
+        i = PresheafMap(k, l, {"element": {"x": "x"}})
+        family = AnodyneFamily("hand", (FamilyEntry(i, 0, "fixed-point"),), 0, 0, 0, {})
+        a = endo({"p": "p", "q": "p", "r": "r"})
+        assert is_naively_fibrant_upto(a, family, guard=3).ok
+        with pytest.raises(core.GuardExceeded) as raised:
+            is_naively_fibrant_upto(a, family, guard=2)
+        assert str(raised.value) == "hom search exceeded the guard of 2 candidates"
+
     def test_each_part_is_searched_once_per_boundary_values(self, monkeypatch):
         # outside K = {a, b, c, z} the codomain L has two parts: the new
         # vertex d with the edge c -> d, bounded by c, and the edge a -> b,

@@ -143,8 +143,7 @@ def test_endpoint_squares_are_pullbacks(k, l):
         tensored = GRAPHI.tensor_map(j)
         l_cyl = GRAPHI.cylinder(l)
         image = core.image_cells(tensored)
-        for e in (0, 1):
-            incl = l_cyl.endpoint(e)
+        for incl in (l_cyl.d0, l_cyl.d1):
             for sort in l.signature.sorts:
                 fiber = {c for c in l.cells[sort] if incl.on[sort][c] in image[sort]}
                 assert fiber == set(j.on[sort].values())
@@ -195,9 +194,10 @@ def test_set_products_count(n, m):
     y = fin_set([f"y{i}" for i in range(m)])
     obj, p1, p2 = product(x, y)
     assert len(obj.cells["element"]) == n * m
-    # the pairing with the projections recovers every map into the product
-    for h in enumerate_homs(fin_set(["a"]), obj):
-        assert core.pairing(h.then(p1), h.then(p2), cod=obj) == h
+    # universal property on the points: h -> (h∘p1, h∘p2) is a bijection
+    # from Hom(1, X×Y) onto Hom(1, X) × Hom(1, Y), which has n·m elements
+    legs = {(h.then(p1), h.then(p2)) for h in enumerate_homs(fin_set(["a"]), obj)}
+    assert len(legs) == n * m
 
 
 # ---------------------------------------------------------------------------

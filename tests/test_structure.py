@@ -10,25 +10,20 @@ SOURCES = {
     for path in sorted(Path(phl.__file__).resolve().parent.glob("*.py"))
 }
 
-# the hom-search engine's internals: search plans, the walk, its bucket
-# lookups, map assembly from a value vector, and the cut, the parts and
-# their shapes of the split fibrancy verdict
-SEARCH_INTERNALS = {
-    "_SearchPlan", "_walk", "_watches", "_assemble", "_split",
-    "_shape", "_shaped",
-}
 
-
-def test_only_core_imports_the_search_internals():
+def test_no_module_imports_another_modules_private_name():
+    # a name that starts with an underscore belongs to its module: the
+    # hom-search engine's plans, walk and split stay inside core, and a
+    # helper that another module needs is public
     importers = {
-        (module, alias.name)
+        (module, node.module, alias.name)
         for module, tree in SOURCES.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name in SEARCH_INTERNALS
+        if alias.name.startswith("_")
     }
-    assert {(module, name) for module, name in importers if module != "core"} == set()
+    assert importers == set()
 
 
 def test_the_only_function_level_import_breaks_the_cylinder_cycle():
