@@ -6,7 +6,10 @@ indent=2)`` plus a trailing newline, so identical values always produce
 byte-identical text.  :func:`canonical_json` writes it in one recursive
 pass over the only types documents and reports hold (dicts with string
 keys, lists, tuples, strings, ints, bools and None); the tests pin the
-equivalence with ``json.dumps``.
+equivalence with ``json.dumps``.  Given a sink, it hands the text over in
+chunks as it is made instead of returning it, and :func:`write_document`
+passes the open file's ``write``, so an ``--out`` document is never held
+whole as one string.
 """
 
 from __future__ import annotations
@@ -91,21 +94,31 @@ _FACES = ("a JSON object from dimensions to objects of arrays of strings", _by_d
 _COUNTS = ("a JSON object from depths to nonnegative integers", _by_dimension(_natural))
 
 
-def canonical_json(data) -> str:
+# A sink is handed the pending text after a nested item once the text is
+# more than this many pieces.
+_CHUNK = 4096
+
+
+def canonical_json(data, write=None):
     """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``; a float or a
-    key that is not a string raises ``TypeError``."""
+    key that is not a string raises ``TypeError``.  Without ``write`` the
+    text is returned; with it, each finished chunk of the text is passed to
+    ``write`` as it is made, and None is returned."""
     out = []
-    _emit(data, out, "\n")
+    _emit(data, out, "\n", write)
     out.append("\n")
-    return "".join(out)
+    if write is None:
+        return "".join(out)
+    write("".join(out))
+    return None
 
 
-def _emit(value, out, newline):
+def _emit(value, out, newline, write):
     """Append the text of ``value`` to ``out``; ``newline`` starts a line at
-    the value's own indent."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, dict):
+    the value's own indent.  A container writes its string items in its own
+    loop.  With ``write``, ``out`` is handed over and cleared after a nested
+    item once it holds more than ``_CHUNK`` pieces."""
+    if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -117,7 +130,13 @@ def _emit(value, out, newline):
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _emit(item, out, inner)
+            if isinstance(item, str):
+                out.append(encode_basestring_ascii(item))
+            else:
+                _emit(item, out, inner, write)
+                if write is not None and len(out) > _CHUNK:
+                    write("".join(out))
+                    out.clear()
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -128,9 +147,17 @@ def _emit(value, out, newline):
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _emit(item, out, inner)
+            if isinstance(item, str):
+                out.append(encode_basestring_ascii(item))
+            else:
+                _emit(item, out, inner, write)
+                if write is not None and len(out) > _CHUNK:
+                    write("".join(out))
+                    out.clear()
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -172,7 +199,8 @@ def write_document(path, document) -> None:
     """Write ``document`` to ``path`` as canonical JSON, refused with the
     path named when it cannot be written."""
     try:
-        Path(path).write_text(canonical_json(document), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            canonical_json(document, handle.write)
     except OSError as exc:
         raise ValidationError(f"{path} cannot be written: {exc.strerror}") from None
 
@@ -244,7 +272,8 @@ def _parse_sset(doc):
 def parse_map(doc):
     """The map of a map document nested in another.  The document, its
     domain and its codomain must be JSON objects: a string is never read
-    as a path, so no file is opened for them."""
+    as a path, so no file is opened for them.  Its ``on`` may name only the
+    sorts of its base."""
     if not isinstance(doc, dict) or doc.get("kind") != "map":
         raise ValidationError("expected a map document")
     ends = []
@@ -258,7 +287,12 @@ def parse_map(doc):
     on = doc.get("on", {})
     if not isinstance(on, dict) or not all(isinstance(table, dict) for table in on.values()):
         raise ValidationError("map 'on' is not a JSON object of JSON objects")
-    return PresheafMap(*ends, on)
+    f = PresheafMap(*ends, on)
+    extra = on.keys() - f.on.keys()
+    if extra:
+        raise ValidationError(f"map 'on' names the sort {min(extra)!r}, which the base "
+                              f"{f.domain.signature.name!r} does not have")
+    return f
 
 
 def _parse_family(doc):

@@ -400,7 +400,10 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     silently ignored.  The skip sample holds the first 20 skipped elements
     in walk order.  Once it is full, a nesting whose outer two levels
     already flatten past the cap is not visited: it and its extensions,
-    which overflow the same way, are counted into ``skipped_count``.
+    which overflow the same way, are counted into ``skipped_count``, and a
+    step of the walk that starts with the sample full counts all of its
+    overflowing cells in one step.  Each sequence carries path one's
+    flattening and the products of its entries down the walk.
     """
     cap = monad.cap
     failures = []
@@ -422,27 +425,35 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
                 failures.append(("mu∘Teta", sort, cell))
 
     _, mu_on = monad._tables(mu.defined)
+    t_decode, tt_decode = tx.decode, ttx.decode
 
     def tt_encode(entries, vertex):
-        """The T(T(X))-cell of a sequence of T(X)-cells, or None."""
-        a = tx.decode[entries[0]][0] if entries else vertex
-        b = tx.decode[entries[-1]][1] if entries else vertex
-        return ttx.encode.get((a, b, tuple(entries)))
+        """The T(T(X))-cell of a tuple of T(X)-cells, or None."""
+        a = t_decode[entries[0]][0] if entries else vertex
+        b = t_decode[entries[-1]][1] if entries else vertex
+        return ttx.encode.get((a, b, entries))
 
     # triple-nested elements: composable sequences of T(T(X))-cells, outer
     # length <= cap, total expansion <= cap.  Inside that domain a side can
     # still overflow (empty-word padding inflates intermediate lengths);
     # those elements land in the skip list instead of being checked.
+    length = {label: len(edges) for label, (_, _, edges) in t_decode.items()}
     expansion = {
-        label: sum(len(tx.decode[entry][2]) for entry in entries)
-        for label, (_, _, entries) in ttx.decode.items()
+        label: sum(map(length.__getitem__, entries))
+        for label, (_, _, entries) in tt_decode.items()
     }
-    tt_cells = [label for label in ttx.decode if expansion[label] <= cap]
+    tt_cells = [label for label in tt_decode if expansion[label] <= cap]
+    # the cells a frame chooses from, in decode order: every cell for the
+    # empty prefix, and otherwise those leaving the prefix's end vertex
+    # whose expansion fits in the room that the prefix leaves
+    start = object()
+    fitting = {(start, cap): tt_cells}
     leaving = {}
     for label in tt_cells:
-        leaving.setdefault(ttx.decode[label][0], []).append(label)
-    skipped_count = 0
-    skipped = []
+        leaving.setdefault(tt_decode[label][0], []).append(label)
+    for vertex, cells in leaving.items():
+        for room in range(cap + 1):
+            fitting[vertex, room] = [label for label in cells if expansion[label] <= room]
 
     @functools.cache
     def below(vertex, room, entries):
@@ -451,61 +462,40 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         if entries == 0:
             return 0
         return sum(
-            1 + below(ttx.decode[label][1], room - expansion[label], entries - 1)
-            for label in leaving.get(vertex, ()) if expansion[label] <= room
+            1 + below(tt_decode[label][1], room - expansion[label], entries - 1)
+            for label in fitting.get((vertex, room), ())
         )
 
-    def grow(prefix, total, size, choices):
-        # ``size`` counts the T(X)-cells that path one flattens the prefix
-        # to.  Past the cap, path one is undefined on the prefix and on every
-        # extension of it, whatever the multiplication holds; once the skip
-        # sample is full, that subtree is counted rather than walked.  The
-        # loop below has classified every earlier element by the time the
-        # walk resumes, so ``skipped`` is current here.
-        nonlocal skipped_count
-        for label in choices:
-            extra = expansion[label]
-            if total + extra > cap:
-                continue
-            outer = prefix + (label,)
-            _, end, entries = ttx.decode[label]
-            cells = size + len(entries)
-            if cells > cap and len(skipped) == _SKIP_SAMPLE:
-                skipped_count += 1 + below(end, cap - total - extra, cap - len(outer))
-                continue
-            yield ttx.decode[outer[0]][0], outer
-            if len(outer) < cap:
-                yield from grow(outer, total + extra, cells, leaving.get(end, ()))
-
-    def nested():
-        """Each vertex with the empty sequence, then the sequences
-        depth-first in T(T(X)) decode order."""
-        for vertex in monad._graph(tx.obj)[0]:
-            yield vertex, ()
-        yield from grow((), 0, 0, tt_cells)
+    @functools.cache
+    def split(vertex, room, width, remaining):
+        """A frame's cells once the skip sample is full: those whose entries
+        fit in the ``width`` T(X)-cells that path one has left, in decode
+        order, and how many sequences the others and their extensions, by
+        up to ``remaining`` - 1 more cells, make."""
+        walked, overflow = [], 0
+        for label in fitting.get((vertex, room), ()):
+            _, end, entries = tt_decode[label]
+            if len(entries) > width:
+                overflow += 1 + below(end, room - expansion[label], remaining - 1)
+            else:
+                walked.append(label)
+        return tuple(walked), overflow
 
     assoc_ok = True
-    checked = 0
-    for anchor, outer in nested():
-        # path one: flatten the outer two levels, then multiply
-        concat = []
-        for label in outer:
-            concat.extend(ttx.decode[label][2])
-        first = None
-        if len(concat) <= cap:
+    checked = skipped_count = 0
+    skipped = []
+
+    def classify(anchor, outer, concat, inner):
+        """Check one sequence, given path one's flattening ``concat`` and
+        path two's products of the entries ``inner`` (None if one is
+        undefined)."""
+        nonlocal assoc_ok, checked, skipped_count
+        first = second = None
+        if len(concat) <= cap:  # path one: flatten the outer two levels, then multiply
             middle = tt_encode(concat, anchor)
             if middle is not None:
                 first = mu_on.get(middle)
-        # path two: multiply each entry, then the result
-        second = None
-        inner = []
-        for label in outer:
-            value = mu_on.get(label)
-            if value is None:
-                inner = None
-                break
-            inner.append(value)
-        if inner is not None:
+        if inner is not None:  # path two: multiply each entry, then the result
             middle = tt_encode(inner, anchor)
             if middle is not None:
                 second = mu_on.get(middle)
@@ -513,11 +503,42 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
             skipped_count += 1
             if len(skipped) < _SKIP_SAMPLE:
                 skipped.append((anchor, outer, "mu∘muT" if first is None else "mu∘Tmu"))
-            continue
+            return
         checked += 1
         if first != second:
             assoc_ok = False
             failures.append(("assoc", anchor, outer))
+
+    def walk(vertex, anchor, outer, concat, inner, room):
+        # Depth-first in T(T(X)) decode order.  Past the cap, path one is
+        # undefined on a sequence and on every extension of it, whatever the
+        # multiplication holds; once the skip sample is full, such a cell
+        # and its subtree are counted rather than walked, for a whole frame
+        # at once if the sample is full when the frame starts.
+        nonlocal skipped_count
+        if len(skipped) == _SKIP_SAMPLE:
+            choices, overflow = split(vertex, room, cap - len(concat), cap - len(outer))
+            skipped_count += overflow
+        else:
+            choices = fitting.get((vertex, room), ())
+        for label in choices:
+            source, end, entries = tt_decode[label]
+            flat = concat + entries
+            left = room - expansion[label]
+            if len(flat) > cap and len(skipped) == _SKIP_SAMPLE:
+                skipped_count += 1 + below(end, left, cap - len(outer) - 1)
+                continue
+            sequence = outer + (label,)
+            start_at = anchor if outer else source
+            value = None if inner is None else mu_on.get(label)
+            products = None if value is None else inner + (value,)
+            classify(start_at, sequence, flat, products)
+            if len(sequence) < cap:
+                walk(end, start_at, sequence, flat, products, left)
+
+    for vertex in monad._graph(tx.obj)[0]:
+        classify(vertex, (), (), ())
+    walk(start, None, (), (), (), cap)
     return LawReport(
         unit_left_ok, unit_right_ok, assoc_ok, checked, skipped_count,
         tuple(skipped), tuple(failures)

@@ -756,6 +756,16 @@ class TestRefusals:
         argv = ["homotopy", str(path), str(path), "--instance", "set2"]
         assert _refusal(argv, capsys) == (2, f"{path}: map document has no {key!r}")
 
+    def test_map_on_names_only_sorts_of_its_base(self, tmp_path, capsys):
+        doc = map_to_document(core.identity(core.fin_set(["p"])))
+        doc["on"]["vertex"] = {"p": "p"}
+        path = tmp_path / "map.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["homotopy", str(path), str(path), "--instance", "set2"]
+        assert _refusal(argv, capsys) == (
+            2, f"{path}: map 'on' names the sort 'vertex', which the base 'set' does not have"
+        )
+
     def test_missing_family_names_the_file(self, corpus_dir, tmp_path, capsys):
         family = tmp_path / "nope.json"
         argv = ["fibrant", str(corpus_dir / "set1.json"), "--family", str(family)]
@@ -932,7 +942,10 @@ class TestRefusals:
         (("entries", 1, "arrow", "domain"), "entries[0].arrow",
          "family entry 1: map domain is not a set, graph or sset document"),
         (("depth",), "x", "family document 'depth' is not a nonnegative integer"),
-    ], ids=["counts-key", "counts-list", "vertices", "edge", "monoid-end", "map-end", "depth"])
+        (("entries", 1, "arrow", "on", "bogus"), {"x": "y"},
+         "family entry 1: map 'on' names the sort 'bogus', which the base 'graph' does not have"),
+    ], ids=["counts-key", "counts-list", "vertices", "edge", "monoid-end", "map-end", "depth",
+            "on-sort-of-no-base"])
     def test_malformed_family_field_names_the_file_and_the_entry(
         self, corpus_dir, tmp_path, capsys, at, value, message,
     ):

@@ -391,6 +391,20 @@ class TestLawsAgainstReference:
         # both kinds of corruption show in the reports being compared
         assert tmu_samples and failing
 
+    def test_corrupted_multiplications_past_a_full_sample(self):
+        # at cap 3 these fill the skip sample before their first failure, so
+        # most failures come from frames that split their cells in bulk: a
+        # change to the order of the walked cells or to the counted rest
+        # shows in the reports being compared
+        failing = 0
+        for name in ("two_loops", "looped_edge"):
+            x = corpus_graphs()[name]
+            for seed in range(8):
+                monad = FreeCategoryMonad(3)
+                _corrupt(monad, x, seed)
+                failing += not _agrees_with_reference(monad, x).ok
+        assert failing
+
     def test_one_letter_cap_five(self):
         # 102,004,596 nested elements, almost all counted below an overflow
         report = check_monad_laws(FreeMonoidMonad(5), fin_set(["a"]))

@@ -5,7 +5,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from phl import core
 from phl.core import (
@@ -18,7 +18,7 @@ from phl.core import (
     pushout,
 )
 from phl.cylinder import graph_instance, set_instance
-from phl.documents import canonical_json
+from phl.documents import canonical_json, family_to_document, write_document
 from phl.fixtures import chain2_category, z2_category
 from phl.homotopy import find_homotopy
 from phl.lifting import (
@@ -390,10 +390,33 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(JSON_VALUES)
-def test_canonical_json_is_sorted_indented_dumps(value):
-    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+def test_canonical_json_is_sorted_indented_dumps(tmp_path, value):
+    text = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert canonical_json(value) == text
+    write_document(tmp_path / "value.json", value)
+    assert (tmp_path / "value.json").read_bytes() == text.encode("utf-8")
+
+
+def test_written_family_is_the_canonical_text_in_many_chunks(tmp_path):
+    document = family_to_document(generate_anodyne(GRAPHI, [], depth=5))
+    text = canonical_json(document)
+    chunks = []
+    assert canonical_json(document, chunks.append) is None
+    assert len(chunks) > 50 and "".join(chunks) == text
+    write_document(tmp_path / "family.json", document)
+    assert (tmp_path / "family.json").read_bytes() == text.encode("utf-8")
+
+
+def test_a_float_past_the_first_chunk_is_refused(tmp_path):
+    value = {"a": [[str(i)] for i in range(3000)], "b": [0.5]}
+    chunks = []
+    with pytest.raises(TypeError):
+        canonical_json(value, chunks.append)
+    assert chunks  # the float came after text was handed over
+    with pytest.raises(TypeError):
+        write_document(tmp_path / "value.json", value)
 
 
 def test_canonical_json_of_empty_and_nested_containers():

@@ -68,3 +68,45 @@ def test_the_package_binds_no_name_but_its_version():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
     assert bound == {"__version__"}
+
+
+def _caches(tree):
+    """(function name, nested) for each function that ``cache`` or
+    ``lru_cache`` wraps, as a decorator or a call; ``nested`` says whether
+    the cache is made inside a function body, so that it dies with the
+    call."""
+    def names_a_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in {"cache", "lru_cache"}
+
+    found = []
+
+    def visit(node, nested):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend((node.name, nested) for d in node.decorator_list if names_a_cache(d))
+            for child in node.body:
+                visit(child, True)
+            return
+        if isinstance(node, ast.Call) and names_a_cache(node.func):
+            found.append((ast.unparse(node.args[0]) if node.args else None, nested))
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested)
+
+    visit(tree, False)
+    return found
+
+
+def test_the_only_process_wide_cache_is_the_parser():
+    # a cache on a module-level function or a method lives as long as the
+    # process and keeps everything it was asked about: a dict of search
+    # plans keyed by ``id(plan)`` failed two tests, and a process-wide memo
+    # of ``simplicial.delta`` raised the benchmark's peak memory by 14%.
+    # Every other cache is made inside the call that fills it.
+    caches = [(module, name, nested) for module, tree in SOURCES.items()
+              for name, nested in _caches(tree)]
+    assert {(module, name) for module, name, nested in caches if not nested} == {
+        ("cli", "build_parser")
+    }
+    assert any(nested for *_, nested in caches)
