@@ -104,20 +104,22 @@ def canonical_json(data, write=None):
     key that is not a string raises ``TypeError``.  Without ``write`` the
     text is returned; with it, each finished chunk of the text is passed to
     ``write`` as it is made, and None is returned."""
+    chunks = None
+    if write is None:
+        chunks = []
+        write = chunks.append
     out = []
     _emit(data, out, "\n", write)
     out.append("\n")
-    if write is None:
-        return "".join(out)
     write("".join(out))
-    return None
+    return None if chunks is None else "".join(chunks)
 
 
 def _emit(value, out, newline, write):
     """Append the text of ``value`` to ``out``; ``newline`` starts a line at
     the value's own indent.  A container writes its string items in its own
-    loop.  With ``write``, ``out`` is handed over and cleared after a nested
-    item once it holds more than ``_CHUNK`` pieces."""
+    loop.  ``out`` is handed to ``write`` and cleared after a nested item
+    once it holds more than ``_CHUNK`` pieces."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -134,7 +136,7 @@ def _emit(value, out, newline, write):
                 out.append(encode_basestring_ascii(item))
             else:
                 _emit(item, out, inner, write)
-                if write is not None and len(out) > _CHUNK:
+                if len(out) > _CHUNK:
                     write("".join(out))
                     out.clear()
             sep = "," + inner
@@ -151,7 +153,7 @@ def _emit(value, out, newline, write):
                 out.append(encode_basestring_ascii(item))
             else:
                 _emit(item, out, inner, write)
-                if write is not None and len(out) > _CHUNK:
+                if len(out) > _CHUNK:
                     write("".join(out))
                     out.clear()
             sep = "," + inner
@@ -197,7 +199,10 @@ def load_document(source) -> dict:
 
 def write_document(path, document) -> None:
     """Write ``document`` to ``path`` as canonical JSON, refused with the
-    path named when it cannot be written."""
+    path named when it cannot be written.  The file is opened, and so
+    emptied, before the text is made, so a failure partway (an
+    ``OSError``, a ``TypeError`` for a value that is not canonical, an
+    interrupt) leaves the part written so far in place of what was there."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             canonical_json(document, handle.write)

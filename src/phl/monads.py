@@ -398,11 +398,10 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     are defined at the cap; elements where either side overflows (attempted
     up to one letter past the cap) are reported as skipped rather than
     silently ignored.  The skip sample holds the first 20 skipped elements
-    in walk order.  Once it is full, a nesting whose outer two levels
-    already flatten past the cap is not visited: it and its extensions,
-    which overflow the same way, are counted into ``skipped_count``, and a
-    step of the walk that starts with the sample full counts all of its
-    overflowing cells in one step.  Each sequence carries path one's
+    in walk order.  A step of the walk that starts with the sample full
+    does not visit its cells whose outer two levels flatten past the cap:
+    it counts them and their extensions, which overflow the same way, into
+    ``skipped_count`` in one step.  Each sequence carries path one's
     flattening and the products of its entries down the walk.
     """
     cap = monad.cap
@@ -512,9 +511,9 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     def walk(vertex, anchor, outer, concat, inner, room):
         # Depth-first in T(T(X)) decode order.  Past the cap, path one is
         # undefined on a sequence and on every extension of it, whatever the
-        # multiplication holds; once the skip sample is full, such a cell
-        # and its subtree are counted rather than walked, for a whole frame
-        # at once if the sample is full when the frame starts.
+        # multiplication holds; a frame that starts with the skip sample
+        # full counts such cells and their subtrees at once rather than
+        # walking them.
         nonlocal skipped_count
         if len(skipped) == _SKIP_SAMPLE:
             choices, overflow = split(vertex, room, cap - len(concat), cap - len(outer))
@@ -525,9 +524,6 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
             source, end, entries = tt_decode[label]
             flat = concat + entries
             left = room - expansion[label]
-            if len(flat) > cap and len(skipped) == _SKIP_SAMPLE:
-                skipped_count += 1 + below(end, left, cap - len(outer) - 1)
-                continue
             sequence = outer + (label,)
             start_at = anchor if outer else source
             value = None if inner is None else mu_on.get(label)

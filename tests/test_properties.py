@@ -415,8 +415,16 @@ def test_a_float_past_the_first_chunk_is_refused(tmp_path):
     with pytest.raises(TypeError):
         canonical_json(value, chunks.append)
     assert chunks  # the float came after text was handed over
+    path = tmp_path / "value.json"
+    path.write_text("old contents", encoding="utf-8")
     with pytest.raises(TypeError):
-        write_document(tmp_path / "value.json", value)
+        write_document(path, value)
+    # the old contents are gone and the chunks handed over before the float
+    # are left: a proper prefix of the text up to the float
+    written = path.read_text(encoding="utf-8")
+    assert written == "".join(chunks)
+    assert json.dumps(value, sort_keys=True, indent=2).startswith(written)
+    assert '"b"' not in written
 
 
 def test_canonical_json_of_empty_and_nested_containers():
