@@ -68,18 +68,25 @@ def operations(results):
     }
 
 
-def parse_pairs(text):
-    """The (workload, count) items of ``--pairs``; a count below 2 leaves no
-    quartiles to compare."""
-    pairs = []
+def parse_pairs(text, workloads):
+    """The (workload, count) items of ``--pairs``, each of a different one
+    of ``workloads``: the summary keys runs by workload and pair, so a
+    second item of one workload would overwrite the first.  A count below
+    2 leaves no quartiles to compare."""
+    pairs = {}
     for item in text.split(","):
         workload, _, count = item.partition("=")
         if not (workload and count.isdecimal() and int(count) >= 2):
             raise SystemExit(
                 f"--pairs item {item!r} is not workload=count with a count of 2 or more"
             )
-        pairs.append((workload, int(count)))
-    return pairs
+        if workload not in workloads:
+            raise SystemExit(f"--pairs item {item!r} names no workload of BENCHMARK.json: "
+                             + ", ".join(workloads))
+        if workload in pairs:
+            raise SystemExit(f"--pairs item {item!r} repeats the workload {workload!r}")
+        pairs[workload] = int(count)
+    return list(pairs.items())
 
 
 def summarize(runs, metrics):
@@ -127,9 +134,9 @@ def main(argv=None):
     taken = [str(tree) for tree in trees.values() if tree.exists()]
     if taken:
         raise SystemExit(f"--workdir already holds {' and '.join(taken)}; give an empty or absent one")
-    pairs = parse_pairs(args.pairs)
-    commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    pairs = parse_pairs(args.pairs, [w["name"] for w in spec["workloads"]])
+    commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
     metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs = []
     for workload, count in pairs:

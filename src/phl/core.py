@@ -107,13 +107,13 @@ class PresheafObject:
     def op(self, name: str, cell: str) -> str:
         return self.ops[name][cell]
 
-    def has_cell(self, sort: str, label: str) -> bool:
+    def cell_set(self, sort: str) -> frozenset:
         if self._cell_sets is None:
             self._cell_sets = {}
         labels = self._cell_sets.get(sort)
         if labels is None:
             labels = self._cell_sets[sort] = frozenset(self.cells[sort])
-        return label in labels
+        return labels
 
     def total_cells(self) -> int:
         return sum(len(self.cells[sort]) for sort in self.signature.sorts)
@@ -208,9 +208,9 @@ class PresheafMap:
                 if cell not in assignment:
                     raise ValidationError(f"map is missing the {sort} cell {cell!r}")
             for cell, value in assignment.items():
-                if not self.domain.has_cell(sort, cell):
+                if cell not in self.domain.cell_set(sort):
                     raise ValidationError(f"map assigns undeclared {sort} cell {cell!r}")
-                if not self.codomain.has_cell(sort, value):
+                if value not in self.codomain.cell_set(sort):
                     raise ValidationError(
                         f"map sends {sort} {cell!r} to undeclared cell {value!r}"
                     )
@@ -319,7 +319,7 @@ def subobject_from_cells(obj: PresheafObject, keep) -> tuple:
     keep = {sort: set(keep.get(sort, ())) for sort in obj.signature.sorts}
     for sort, labels in keep.items():
         for label in labels:
-            if not obj.has_cell(sort, label):
+            if label not in obj.cell_set(sort):
                 raise ValidationError(f"subobject names undeclared {sort} cell {label!r}")
     for name, s_sort, t_sort in obj.signature.ops:
         for cell in keep[s_sort]:
@@ -633,9 +633,15 @@ def search_maps(
     pinned = [None] * len(plan.steps)
     for sort, table in (pin or {}).items():
         positions = plan.positions.get(sort, {})
+        targets = cod.cell_set(sort) if sort in cod.cells else frozenset()
+        if not (positions.keys() >= table.keys() and targets.issuperset(table.values())):
+            cell, value = next((c, v) for c, v in table.items()
+                               if c not in positions or v not in targets)
+            side = "domain" if cell not in positions else "codomain"
+            raise ValidationError(
+                f"pin sends {sort} {cell!r} to {value!r}: the {side} has no such {sort}")
         for cell, value in table.items():
-            if cell in positions:
-                pinned[positions[cell]] = value
+            pinned[positions[cell]] = value
     budget = DEFAULT_GUARD if guard is None else guard
     return _walk(dom, cod, plan, pinned, cell_filter, injective, budget)
 
@@ -840,12 +846,14 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     step: per prefix assignment it counts the admitted candidates of each
     later step, which must read only the prefix and themselves, and yields
     ``(product, values)`` with each later step at its least candidate,
-    unless the product is 0.  The value vector is the walk's own and
-    changes as the walk goes on.  A later keyed step of :func:`_watches`
-    has its key looked up as soon as the prefix step that completes it is
-    assigned, and a missing key rejects that assignment: no completion of
-    it has a nonzero product.  The lookup draws no candidate, so the guard
-    does not count it.
+    unless the product is 0.  Each later step adds all its candidates to
+    the guard's count at once, before its checks filter them in one loop,
+    so the guard trips on the step where a count by candidate would.  The
+    value vector is the walk's own and changes as the walk goes on.  A
+    later keyed step of :func:`_watches` has its key looked up as soon as
+    the prefix step that completes it is assigned, and a missing key
+    rejects that assignment: no completion of it has a nonzero product.
+    The lookup draws no candidate, so the guard does not count it.
     """
     steps = plan.steps
     n = len(steps) if stop is None else stop
@@ -873,37 +881,27 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
 
     def extend(count):
         # ``count`` is passed in and handed back rather than shared, so that
-        # it stays a fast local of the per-candidate loop below
+        # it stays a fast local of the walk's per-candidate loop
         product = 1
         for j in range(n, len(steps)):
             cands, checks = candidates(j)
-            if not checks:
-                # every candidate is admitted: count them all at once
-                count += len(cands)
-                if count > budget:
-                    raise _exceeded(budget)
-                if not cands:
-                    return count, 0
-                vals[j] = cands[0]
-                product *= len(cands)
-                continue
-            least, admitted = None, 0
-            for value in cands:
-                count += 1
-                if count > budget:
-                    raise _exceeded(budget)
-                vals[j] = value
-                for name, s, t in checks:
-                    if cod_ops[name][vals[s]] != vals[t]:
-                        break
-                else:
-                    if not admitted:
-                        least = value
-                    admitted += 1
-            if not admitted:
+            count += len(cands)
+            if count > budget:
+                raise _exceeded(budget)
+            if checks:
+                admitted = []
+                for value in cands:
+                    vals[j] = value
+                    for name, s, t in checks:
+                        if cod_ops[name][vals[s]] != vals[t]:
+                            break
+                    else:
+                        admitted.append(value)
+                cands = admitted
+            if not cands:
                 return count, 0
-            vals[j] = least
-            product *= admitted
+            vals[j] = cands[0]
+            product *= len(cands)
         return count, product
 
     if n == 0:

@@ -397,12 +397,13 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     checked on every triple-nested element for which both evaluation orders
     are defined at the cap; elements where either side overflows (attempted
     up to one letter past the cap) are reported as skipped rather than
-    silently ignored.  The skip sample holds the first 20 skipped elements
-    in walk order.  A step of the walk that starts with the sample full
-    does not visit its cells whose outer two levels flatten past the cap:
-    it counts them and their extensions, which overflow the same way, into
-    ``skipped_count`` in one step.  Each sequence carries path one's
-    flattening and the products of its entries down the walk.
+    silently ignored, and counted as all nested elements within the cap
+    less those checked.  The skip sample holds the first 20 skipped
+    elements in walk order.  A step of the walk that starts with the sample
+    full does not visit its cells whose outer two levels flatten past the
+    cap: they and their extensions can only be skipped.  Each sequence
+    carries path one's flattening and the products of its entries down the
+    walk.  Nothing reads ``guard``; ``bench/workloads.py`` passes it.
     """
     cap = monad.cap
     failures = []
@@ -466,29 +467,21 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         )
 
     @functools.cache
-    def split(vertex, room, width, remaining):
-        """A frame's cells once the skip sample is full: those whose entries
-        fit in the ``width`` T(X)-cells that path one has left, in decode
-        order, and how many sequences the others and their extensions, by
-        up to ``remaining`` - 1 more cells, make."""
-        walked, overflow = [], 0
-        for label in fitting.get((vertex, room), ()):
-            _, end, entries = tt_decode[label]
-            if len(entries) > width:
-                overflow += 1 + below(end, room - expansion[label], remaining - 1)
-            else:
-                walked.append(label)
-        return tuple(walked), overflow
+    def walkable(vertex, room, width):
+        """A frame's cells whose entries fit in the ``width`` T(X)-cells that
+        path one has left, in decode order."""
+        return [label for label in fitting.get((vertex, room), ())
+                if len(tt_decode[label][2]) <= width]
 
     assoc_ok = True
-    checked = skipped_count = 0
+    checked = 0
     skipped = []
 
     def classify(anchor, outer, concat, inner):
         """Check one sequence, given path one's flattening ``concat`` and
         path two's products of the entries ``inner`` (None if one is
         undefined)."""
-        nonlocal assoc_ok, checked, skipped_count
+        nonlocal assoc_ok, checked
         first = second = None
         if len(concat) <= cap:  # path one: flatten the outer two levels, then multiply
             middle = tt_encode(concat, anchor)
@@ -499,7 +492,6 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
             if middle is not None:
                 second = mu_on.get(middle)
         if first is None or second is None:
-            skipped_count += 1
             if len(skipped) < _SKIP_SAMPLE:
                 skipped.append((anchor, outer, "mu∘muT" if first is None else "mu∘Tmu"))
             return
@@ -512,14 +504,9 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         # Depth-first in T(T(X)) decode order.  Past the cap, path one is
         # undefined on a sequence and on every extension of it, whatever the
         # multiplication holds; a frame that starts with the skip sample
-        # full counts such cells and their subtrees at once rather than
-        # walking them.
-        nonlocal skipped_count
-        if len(skipped) == _SKIP_SAMPLE:
-            choices, overflow = split(vertex, room, cap - len(concat), cap - len(outer))
-            skipped_count += overflow
-        else:
-            choices = fitting.get((vertex, room), ())
+        # full walks only the cells that path one has room for.
+        choices = (walkable(vertex, room, cap - len(concat)) if len(skipped) == _SKIP_SAMPLE
+                   else fitting.get((vertex, room), ()))
         for label in choices:
             source, end, entries = tt_decode[label]
             flat = concat + entries
@@ -532,9 +519,13 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
             if len(sequence) < cap:
                 walk(end, start_at, sequence, flat, products, left)
 
-    for vertex in monad._graph(tx.obj)[0]:
+    vertices = monad._graph(tx.obj)[0]
+    for vertex in vertices:
         classify(vertex, (), (), ())
     walk(start, None, (), (), (), cap)
+    # every walked sequence is checked or skipped; the walk visits
+    # one-entry sequences even at cap 0
+    skipped_count = len(vertices) + below(start, cap, max(cap, 1)) - checked
     return LawReport(
         unit_left_ok, unit_right_ok, assoc_ok, checked, skipped_count,
         tuple(skipped), tuple(failures)

@@ -29,15 +29,27 @@ def test_refuses_a_workdir_that_holds_a_tree(bench_pairs, tmp_path, held):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(held)
 
 
-@pytest.mark.parametrize("pairs", ["horns=1", "horns=0", "horns", "horns=x", "=3",
-                                   "horns=3,fibrancy=1"])
-def test_refuses_pairs_it_cannot_summarize(bench_pairs, tmp_path, capsys, pairs):
+NOT_A_COUNT = "is not workload=count with a count of 2 or more"
+REFUSED_PAIRS = [
+    ("horns=1", f"'horns=1' {NOT_A_COUNT}"),
+    ("horns=0", f"'horns=0' {NOT_A_COUNT}"),
+    ("horns", f"'horns' {NOT_A_COUNT}"),
+    ("horns=x", f"'horns=x' {NOT_A_COUNT}"),
+    ("=3", f"'=3' {NOT_A_COUNT}"),
+    ("horns=3,fibrancy=1", f"'fibrancy=1' {NOT_A_COUNT}"),
+    ("horns=3,horns=3", "'horns=3' repeats the workload 'horns'"),
+    ("horns=3,graphs=3",
+     "'graphs=3' names no workload of BENCHMARK.json: fibrancy, horns, algebra"),
+]
+
+
+@pytest.mark.parametrize("pairs, message", REFUSED_PAIRS, ids=[p for p, _ in REFUSED_PAIRS])
+def test_refuses_pairs_it_cannot_summarize(bench_pairs, tmp_path, capsys, pairs, message):
     argv = ["--base", "HEAD", "--change", "HEAD", "--pairs", pairs, "--seconds", "1",
             "--workdir", str(tmp_path), "--out", str(tmp_path / "out.json")]
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(argv)
-    bad = pairs.split(",")[-1]
-    assert exc.value.code == f"--pairs item {bad!r} is not workload=count with a count of 2 or more"
+    assert exc.value.code == f"--pairs item {message}"
     assert list(tmp_path.iterdir()) == []
 
 

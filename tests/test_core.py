@@ -267,6 +267,18 @@ class TestEnumerateHoms:
         with pytest.raises(core.GuardExceeded):
             enumerate_homs(point, target, guard=5)
 
+    @pytest.mark.parametrize("pin, message", [
+        ({"element": {"b": "x"}}, "pin sends element 'b' to 'x': the domain has no such element"),
+        ({"vertex": {"a": "x"}}, "pin sends vertex 'a' to 'x': the domain has no such vertex"),
+        ({"element": {"a": "zzz"}}, "pin sends element 'a' to 'zzz': the codomain has no such element"),
+    ], ids=["cell-of-no-domain", "sort-of-no-domain", "value-of-no-codomain"])
+    def test_refuses_a_pin_that_is_not_a_map(self, pin, message):
+        # a pin names a cell of the domain and a cell of the codomain of its
+        # sort; anything else would be dropped or yield a map into nothing
+        with pytest.raises(ValidationError) as raised:
+            list(core.search_maps(fin_set("a"), fin_set("xy"), pin=pin))
+        assert str(raised.value) == message
+
 
 @st.composite
 def small_set_maps(draw):

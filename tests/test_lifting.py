@@ -326,8 +326,8 @@ class TestCountedVerdict:
 
     def test_guard_trips_inside_the_checked_suffix_count(self):
         # sets with an endomap split at 0, and the fixed point x of K is a
-        # suffix cell with a residual check: the guard trips while its
-        # candidates are checked one by one
+        # suffix cell with a residual check: its three candidates are
+        # counted at once, before the check admits p and r
         sig = core.Signature("endo", ("element",), (("f", "element", "element"),))
 
         def endo(table):

@@ -356,7 +356,8 @@ def _agrees_with_reference(monad, x):
 
 
 class TestLawsAgainstReference:
-    """Counting the subtrees that overflow leaves every report, sample and
+    """Leaving the subtrees that overflow unwalked, and counting the skips
+    as all nestings less those checked, leaves every report, sample and
     failure order included, as the exhaustive walk gives it."""
 
     @pytest.mark.parametrize("cap", range(4))
@@ -393,9 +394,9 @@ class TestLawsAgainstReference:
 
     def test_corrupted_multiplications_past_a_full_sample(self):
         # at cap 3 these fill the skip sample before their first failure, so
-        # most failures come from frames that split their cells in bulk: a
-        # change to the order of the walked cells or to the counted rest
-        # shows in the reports being compared
+        # most failures come from frames that walk only the cells path one
+        # has room for: a change to the order of those cells or to the
+        # skip count shows in the reports being compared
         failing = 0
         for name in ("two_loops", "looped_edge"):
             x = corpus_graphs()[name]
@@ -406,7 +407,7 @@ class TestLawsAgainstReference:
         assert failing
 
     def test_one_letter_cap_five(self):
-        # 102,004,596 nested elements, almost all counted below an overflow
+        # 102,004,596 nested elements, almost all below an overflow and never walked
         report = check_monad_laws(FreeMonoidMonad(5), fin_set(["a"]))
         assert (report.ok, report.assoc_checked, report.skipped_count) == (
             True, 73547, 101931049

@@ -103,6 +103,47 @@ def test_bucket_lookups_drop_only_prefixes_without_maps(i, a):
     assert list(core.extension_classes(i, a)) == unwatched
 
 
+ENDO = core.Signature("endo", ("element",), (("f", "element", "element"),))
+
+
+@st.composite
+def endomaps(draw, max_size):
+    """A set of at most ``max_size`` elements with an endomap f, which
+    fixes about half of them."""
+    cells = [f"c{n}" for n in range(draw(st.integers(0, max_size)))]
+    table = {c: draw(st.one_of(st.just(c), st.sampled_from(cells))) for c in cells}
+    return core.PresheafObject(ENDO, {"element": cells}, {"f": table})
+
+
+@st.composite
+def endo_inclusions(draw):
+    """The inclusion of a drawn K into K and up to two new cells, which f
+    sends into K or to each other."""
+    k = draw(endomaps(3))
+    cells = k.cells["element"] + tuple(f"n{n}" for n in range(draw(st.integers(0, 2))))
+    table = {c: draw(st.sampled_from(cells)) for c in cells[len(k.cells["element"]):]}
+    l = core.PresheafObject(ENDO, {"element": cells}, {"f": {**k.ops["f"], **table}})
+    return PresheafMap(k, l, {"element": {c: c for c in k.cells["element"]}})
+
+
+@given(st.lists(endo_inclusions(), min_size=1, max_size=2), endomaps(3))
+def test_counted_fibrancy_agrees_with_the_square_walk_on_endomaps(entries, a):
+    # a fixed point of K that no new cell reaches is a suffix cell with a
+    # check of its own, so the suffix count filters its candidates: with
+    # two fixed points in A, a failure shows which one it took.  On a
+    # pass, every map K -> A is one square
+    family = AnodyneFamily(
+        "drawn", tuple(FamilyEntry(i, 0, f"drawn{n}") for n, i in enumerate(entries)),
+        0, 0, 0, {},
+    )
+    verdict = is_naively_fibrant_upto(a, family)
+    assert verdict == has_rlp(core.bang(a), family)
+    if verdict.ok:
+        assert verdict.squares_checked == sum(
+            len(brute_force_homs(i.domain, a)) for i in entries
+        )
+
+
 @given(graph_spans())
 def test_pushout_universal_property(span):
     if span is None:

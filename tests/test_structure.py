@@ -110,3 +110,22 @@ def test_the_only_process_wide_cache_is_the_parser():
         ("cli", "build_parser")
     }
     assert any(nested for *_, nested in caches)
+
+
+def test_every_parameter_of_a_module_level_function_is_read():
+    # a parameter that the body never reads takes a value and ignores it.
+    # Two are kept: ``cmd_verify`` takes the handler's ``args`` like every
+    # other subcommand, and ``bench/workloads.py`` passes ``guard`` to
+    # ``check_monad_laws``
+    unread = set()
+    for module, tree in SOURCES.items():
+        for function in tree.body:
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = function.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [arg for arg in (args.vararg, args.kwarg) if arg]
+            read = {node.id for node in ast.walk(function)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread |= {(module, function.name, p.arg) for p in params if p.arg not in read}
+    assert unread == {("cli", "cmd_verify", "args"), ("monads", "check_monad_laws", "guard")}
