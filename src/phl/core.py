@@ -12,6 +12,7 @@ deduplication logic depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -80,29 +81,28 @@ class PresheafObject:
             self._validate()
 
     def _validate(self):
+        """Each sort's labels and each operator's table are checked whole,
+        with set comparisons; the first bad cell is looked up on failure."""
+        self._cell_sets = sets = {}
         for sort in self.signature.sorts:
             labels = self.cells[sort]
-            if len(set(labels)) != len(labels):
+            sets[sort] = frozenset(labels)
+            if len(sets[sort]) != len(labels):
                 dup = next(l for l in labels if labels.count(l) > 1)
                 raise ValidationError(f"duplicate {sort} label {dup!r}")
-            for label in labels:
-                if not isinstance(label, str):
-                    raise ValidationError(f"{sort} label {label!r} is not a string")
-        known = set(self.signature.sorts)
-        for extra in set(self.cells) - known:
-            raise ValidationError(f"unknown sort {extra!r}")
+            if not all(map(isinstance, labels, repeat(str))):
+                label = next(l for l in labels if not isinstance(l, str))
+                raise ValidationError(f"{sort} label {label!r} is not a string")
         for name, s_sort, t_sort in self.signature.ops:
-            table = self.ops[name]
-            src_cells = set(self.cells[s_sort])
-            tgt_cells = set(self.cells[t_sort])
-            if set(table) != src_cells:
-                missing = sorted(src_cells - set(table)) + sorted(set(table) - src_cells)
+            table, src_cells, tgt_cells = self.ops[name], sets[s_sort], sets[t_sort]
+            if table.keys() != src_cells:
+                missing = sorted(src_cells - table.keys()) + sorted(table.keys() - src_cells)
                 raise ValidationError(f"operator {name!r} table does not match {s_sort} cells: {missing}")
-            for cell, value in table.items():
-                if value not in tgt_cells:
-                    raise ValidationError(
-                        f"operator {name!r} sends {cell!r} to undeclared {t_sort} {value!r}"
-                    )
+            if not tgt_cells.issuperset(table.values()):
+                cell, value = next((c, v) for c, v in table.items() if v not in tgt_cells)
+                raise ValidationError(
+                    f"operator {name!r} sends {cell!r} to undeclared {t_sort} {value!r}"
+                )
 
     def op(self, name: str, cell: str) -> str:
         return self.ops[name][cell]
@@ -202,26 +202,27 @@ class PresheafMap:
             self._validate()
 
     def _validate(self):
-        for sort in self.domain.signature.sorts:
-            assignment = self.on[sort]
-            for cell in self.domain.cells[sort]:
-                if cell not in assignment:
-                    raise ValidationError(f"map is missing the {sort} cell {cell!r}")
-            for cell, value in assignment.items():
-                if cell not in self.domain.cell_set(sort):
+        """Each sort's assignment is checked whole, with set comparisons, and
+        looked into only when it fails; commutation is checked cell by cell
+        in one loop per operator."""
+        dom, cod, on = self.domain, self.codomain, self.on
+        for sort in dom.signature.sorts:
+            assignment, cells, targets = on[sort], dom.cell_set(sort), cod.cell_set(sort)
+            if assignment.keys() != cells or not targets.issuperset(assignment.values()):
+                for cell in dom.cells[sort]:
+                    if cell not in assignment:
+                        raise ValidationError(f"map is missing the {sort} cell {cell!r}")
+                cell, value = next((c, v) for c, v in assignment.items()
+                                   if c not in cells or v not in targets)
+                if cell not in cells:
                     raise ValidationError(f"map assigns undeclared {sort} cell {cell!r}")
-                if value not in self.codomain.cell_set(sort):
-                    raise ValidationError(
-                        f"map sends {sort} {cell!r} to undeclared cell {value!r}"
-                    )
-        for name, s_sort, t_sort in self.domain.signature.ops:
-            for cell in self.domain.cells[s_sort]:
-                left = self.on[t_sort][self.domain.op(name, cell)]
-                right = self.codomain.op(name, self.on[s_sort][cell])
-                if left != right:
-                    raise ValidationError(
-                        f"map does not commute with {name!r} at {s_sort} {cell!r}"
-                    )
+                raise ValidationError(f"map sends {sort} {cell!r} to undeclared cell {value!r}")
+        for name, s_sort, t_sort in dom.signature.ops:
+            # a plain loop over the tables beats lists built by ``map`` here
+            dom_op, cod_op, source, target = dom.ops[name], cod.ops[name], on[s_sort], on[t_sort]
+            for cell in dom.cells[s_sort]:
+                if target[dom_op[cell]] != cod_op[source[cell]]:
+                    raise ValidationError(f"map does not commute with {name!r} at {s_sort} {cell!r}")
 
     def __call__(self, sort: str, cell: str) -> str:
         return self.on[sort][cell]
@@ -550,43 +551,48 @@ class _SearchPlan:
     __slots__ = ("positions", "spans", "steps", "bucket_keys")
 
     def __init__(self, dom: PresheafObject):
-        order = list(dom.cell_items())
-        self.positions = {sort: {} for sort in dom.signature.sorts}
-        for i, (sort, cell) in enumerate(order):
-            self.positions[sort][cell] = i
-        self.spans, lo = [], 0
-        for sort in dom.signature.sorts:
+        sorts = dom.signature.sorts
+        self.positions, self.spans, lo = {}, [], 0
+        for sort in sorts:
             cells = dom.cells[sort]
+            self.positions[sort] = dict(zip(cells, range(lo, lo + len(cells))))
             self.spans.append((sort, cells, lo, lo + len(cells)))
             lo += len(cells)
-        forcing = [[] for _ in order]
-        keyed = [[] for _ in order]
-        residual = [[] for _ in order]
+        forcing, keyed, residual = ([[] for _ in range(lo)] for _ in range(3))
         for name, s_sort, t_sort in dom.signature.ops:
-            table = dom.ops[name]
-            for cell in dom.cells[s_sort]:
-                s = self.positions[s_sort][cell]
-                t = self.positions[t_sort][table[cell]]
-                at = residual if s == t else forcing if t > s else keyed
-                at[max(s, t)].append((name, s, t))
+            # positions are sort-major: an operator between two sorts forces
+            # at every cell or is keyed at every cell
+            table, sources, targets = dom.ops[name], self.positions[s_sort], self.positions[t_sort]
+            if s_sort == t_sort:
+                for cell, s in sources.items():
+                    t = targets[table[cell]]
+                    (residual if s == t else forcing if t > s else keyed)[max(s, t)].append((name, s, t))
+            elif sorts.index(t_sort) > sorts.index(s_sort):
+                for cell, s in sources.items():
+                    t = targets[table[cell]]
+                    forcing[t].append((name, s, t))
+            else:
+                for cell, s in sources.items():
+                    keyed[s].append((name, s, targets[table[cell]]))
         self.bucket_keys = []
         key_ids = {}
         self.steps = []
-        for i, (sort, cell) in enumerate(order):
-            all_checks = tuple(forcing[i] + keyed[i] + residual[i])
-            if forcing[i]:
-                name, s, _ = forcing[i][0]
-                mode, gen, own = _FORCED, (name, s), all_checks[1:]
-            elif keyed[i]:
-                key = (sort, tuple(name for name, _, _ in keyed[i]))
-                if key not in key_ids:
-                    key_ids[key] = len(self.bucket_keys)
-                    self.bucket_keys.append(key)
-                getter = itemgetter(*(t for _, _, t in keyed[i]))
-                mode, gen, own = _KEYED, (key_ids[key], getter), tuple(residual[i])
-            else:
-                mode, gen, own = _FREE, None, tuple(residual[i])
-            self.steps.append((sort, cell, mode, gen, own, all_checks))
+        for sort, cells, lo, _ in self.spans:
+            for i, cell in enumerate(cells, lo):
+                all_checks = tuple(forcing[i] + keyed[i] + residual[i])
+                if forcing[i]:
+                    name, s, _ = forcing[i][0]
+                    mode, gen, own = _FORCED, (name, s), all_checks[1:]
+                elif keyed[i]:
+                    names, _, reads = zip(*keyed[i])
+                    if (sort, names) not in key_ids:
+                        key_ids[sort, names] = len(self.bucket_keys)
+                        self.bucket_keys.append((sort, names))
+                    mode, gen = _KEYED, (key_ids[sort, names], itemgetter(*reads))
+                    own = tuple(residual[i])
+                else:
+                    mode, gen, own = _FREE, None, tuple(residual[i])
+                self.steps.append((sort, cell, mode, gen, own, all_checks))
 
     @staticmethod
     def of(dom: PresheafObject) -> "_SearchPlan":

@@ -9,12 +9,13 @@ keys, lists, tuples, strings, ints, bools and None); the tests pin the
 equivalence with ``json.dumps``.  Given a sink, it hands the text over in
 chunks as it is made instead of returning it, and :func:`write_document`
 passes the open file's ``write``, so an ``--out`` document is never held
-whole as one string.
+whole as one string; the file is new and replaces its target once whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -199,13 +200,27 @@ def load_document(source) -> dict:
 
 def write_document(path, document) -> None:
     """Write ``document`` to ``path`` as canonical JSON, refused with the
-    path named when it cannot be written.  The file is opened, and so
-    emptied, before the text is made, so a failure partway (an
-    ``OSError``, a ``TypeError`` for a value that is not canonical, an
-    interrupt) leaves the part written so far in place of what was there."""
+    path named when it cannot be written.  The text goes to a new hidden
+    file beside the target, which then replaces the target by
+    ``os.replace``; a failure partway (an ``OSError``, a ``TypeError`` for
+    a value that is not canonical, an interrupt) removes the new file and
+    leaves the target as it was.  A symlink is written through: its target
+    is replaced and the link kept.  A new file gets the mode that ``open``
+    gives one (0666 less the umask); a replaced file's mode is kept."""
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            canonical_json(document, handle.write)
+        handle = open(temp, "x", encoding="utf-8")
+        try:
+            with handle:
+                if os.path.exists(target):
+                    os.chmod(temp, os.stat(target).st_mode & 0o7777)
+                canonical_json(document, handle.write)
+            os.replace(temp, target)
+        except BaseException:
+            os.remove(temp)
+            raise
     except OSError as exc:
         raise ValidationError(f"{path} cannot be written: {exc.strerror}") from None
 
@@ -268,9 +283,13 @@ def _parse_sset(doc):
     faces, degens = {}, {}
     for key, ops in (("faces", faces), ("degeneracies", degens)):
         for n, table in tables[key].items():
-            for cell, images in table.items():
-                for i, image in enumerate(images):
-                    ops.setdefault((n, i), {})[cell] = image
+            if not set(map(len, table.values())) <= {n + 1}:
+                cell = next(c for c, images in table.items() if len(images) != n + 1)
+                raise ValidationError(f"sset document {key!r} row {cell!r} in dimension {n} has "
+                                      f"{len(table[cell])} images, not {n + 1}")
+            # the i-th images of all rows are the table of the i-th operator
+            for i, column in enumerate(zip(*table.values())):
+                ops[n, i] = dict(zip(table, column))
     return trunc_sset(cap, {n: tuple(v) for n, v in tables["cells"].items()}, faces, degens)
 
 

@@ -49,57 +49,52 @@ def sset_cap(obj: PresheafObject) -> int:
 def _check_simplicial_identities(obj: PresheafObject, cap: int):
     """Every simplicial identity on every cell below the cap.
 
-    Each identity is compared across all cells of its dimension at once, as
-    two image lists.  A failure names the first cell at which any identity
-    of its family (d∘d, then s∘s, then d∘s) fails, dimensions in order and
-    cells in their stored order, and at that cell the first identity in the
-    order (j, then i) of the loops below.
+    All identities are compared at once, as one list of left-hand images
+    against one of right-hand images.  The lists run in groups, a family
+    (d∘d, then s∘s, then d∘s) at one dimension each, in that order and
+    dimensions in order, and a group holds one run over the dimension's
+    cells per identity.  A failure names the first group that differs, its
+    first cell, in stored order, at which any identity differs, and at
+    that cell the first identity in the order (j, then i) of the loops.
     """
-    d = {(n, i): obj.ops[f"d{n}_{i}"].__getitem__ for n in range(1, cap + 1) for i in range(n + 1)}
-    s = {(n, i): obj.ops[f"s{n}_{i}"].__getitem__ for n in range(cap) for i in range(n + 1)}
-
-    def first_failure(n, cells, identities):
-        worst = None  # (cell position, identity name)
-        for name, lhs, rhs in identities:
-            if lhs != rhs:
-                at = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                if worst is None or at < worst[0]:
-                    worst = (at, name)
-        if worst is not None:
-            raise ValidationError(
-                f"simplicial identity {worst[1]} fails at {cells[worst[0]]!r} in dimension {n}"
-            )
-
+    ops, cells = obj.ops, [obj.cells[str(n)] for n in range(cap + 1)]
+    d = [[ops[f"d{n}_{i}"].__getitem__ for i in range(n + 1)] if n else [] for n in range(cap + 1)]
+    s = [[ops[f"s{n}_{i}"].__getitem__ for i in range(n + 1)] for n in range(cap)]
+    faces = [[list(map(f, cells[n])) for f in d[n]] for n in range(cap + 1)]
+    degens = [[list(map(f, cells[n])) for f in s[n]] for n in range(cap)]
+    groups, lhs, rhs = [], [], []  # groups: (identity form, n, [(i, j)])
     for n in range(2, cap + 1):
-        cells = list(obj.cells[str(n)])
-        faces = [list(map(d[n, i], cells)) for i in range(n + 1)]
-        first_failure(n, cells, (
-            (f"d{i} d{j}", list(map(d[n - 1, i], faces[j])), list(map(d[n - 1, j - 1], faces[i])))
-            for j in range(n + 1) for i in range(j)
-        ))
+        pairs = [(i, j) for j in range(n + 1) for i in range(j)]
+        for i, j in pairs:
+            lhs += map(d[n - 1][i], faces[n][j])
+            rhs += map(d[n - 1][j - 1], faces[n][i])
+        groups.append(("d{} d{}", n, pairs))
     for n in range(cap - 1):
-        cells = list(obj.cells[str(n)])
-        degens = [list(map(s[n, i], cells)) for i in range(n + 1)]
-        first_failure(n, cells, (
-            (f"s{i} s{j}", list(map(s[n + 1, i], degens[j])), list(map(s[n + 1, j + 1], degens[i])))
-            for j in range(n + 1) for i in range(j + 1)
-        ))
+        pairs = [(i, j) for j in range(n + 1) for i in range(j + 1)]
+        for i, j in pairs:
+            lhs += map(s[n + 1][i], degens[n][j])
+            rhs += map(s[n + 1][j + 1], degens[n][i])
+        groups.append(("s{} s{}", n, pairs))
     for n in range(cap):
-        cells = list(obj.cells[str(n)])
-        faces = [list(map(d[n, i], cells)) for i in range(n + 1)] if n else []
-        degens = [list(map(s[n, j], cells)) for j in range(n + 1)]
-
-        def expected(i, j):
-            if i == j or i == j + 1:
-                return cells
-            if i < j:
-                return list(map(s[n - 1, j - 1], faces[i]))
-            return list(map(s[n - 1, j], faces[i - 1]))
-
-        first_failure(n, cells, (
-            (f"d{i} s{j}", list(map(d[n + 1, i], degens[j])), expected(i, j))
-            for j in range(n + 1) for i in range(n + 2)
-        ))
+        pairs = [(i, j) for j in range(n + 1) for i in range(n + 2)]
+        for i, j in pairs:
+            lhs += map(d[n + 1][i], degens[n][j])
+            rhs += (cells[n] if i == j or i == j + 1 else map(s[n - 1][j - 1], faces[n][i]) if i < j
+                    else map(s[n - 1][j], faces[n][i - 1]))
+        groups.append(("d{} s{}", n, pairs))
+    if lhs == rhs:
+        return
+    at = 0
+    for form, n, pairs in groups:
+        size = len(cells[n])
+        end = at + size * len(pairs)
+        if lhs[at:end] != rhs[at:end]:
+            for k, cell in enumerate(cells[n]):
+                for r, (i, j) in enumerate(pairs):
+                    if lhs[at + r * size + k] != rhs[at + r * size + k]:
+                        raise ValidationError(f"simplicial identity {form.format(i, j)} fails "
+                                              f"at {cell!r} in dimension {n}")
+        at = end
 
 
 def trunc_sset(cap: int, cells, faces, degeneracies) -> PresheafObject:
@@ -110,13 +105,14 @@ def trunc_sset(cap: int, cells, faces, degeneracies) -> PresheafObject:
     program-built ones (Δⁿ, nerves) included.
     """
     sig = sset_signature(cap)
+    # the tables are handed over uncopied: the object copies them
     ops = {}
     for n in range(1, cap + 1):
         for i in range(n + 1):
-            ops[f"d{n}_{i}"] = dict(faces.get((n, i), {}))
+            ops[f"d{n}_{i}"] = faces.get((n, i), {})
     for n in range(cap):
         for i in range(n + 1):
-            ops[f"s{n}_{i}"] = dict(degeneracies.get((n, i), {}))
+            ops[f"s{n}_{i}"] = degeneracies.get((n, i), {})
     obj = PresheafObject(sig, {str(n): tuple(cells.get(n, ())) for n in range(cap + 1)}, ops)
     _check_simplicial_identities(obj, cap)
     return obj
@@ -186,54 +182,32 @@ def nerve(category: FiniteCategory, cap: int) -> PresheafObject:
 
     n-cells are composable chains of n morphisms (identities included); the
     inner faces compose, the outer faces drop, degeneracies insert
-    identities.
+    identities.  Each table is built in one pass over its dimension's chains.
     """
-    cells = {0: tuple(category.objects)}
-    decode = {0: {obj: (obj, obj, ()) for obj in category.objects}}
-    chains = [(category.src[g], category.tgt[g], (g,)) for g in category.morphisms]
+    src, tgt, then, identity = category.src, category.tgt, category.then, category.identity
+    join = "|".join  # _chain_label, called without a Python frame per chain
+    cells, chains = {0: tuple(category.objects)}, {1: [(g,) for g in category.morphisms]}
     for m in range(1, cap + 1):
         if m > 1:
-            chains = [
-                (src, category.tgt[g], chain + (g,))
-                for src, tgt, chain in chains
-                for g in category.morphisms
-                if category.src[g] == tgt
-            ]
-        labels = tuple(_chain_label(chain) for _, _, chain in chains)
-        if len(set(labels)) != len(labels):
+            chains[m] = [c + (g,) for c in chains[m - 1] for g in category.morphisms
+                         if src[g] == tgt[c[-1]]]
+        cells[m] = [join(c) for c in chains[m]]
+        if len(set(cells[m])) != len(cells[m]):
             raise ValidationError("nerve labels collide; rename the morphisms")
-        cells[m] = labels
-        decode[m] = dict(zip(labels, chains))
-    faces, degens = {}, {}
-    for m in range(1, cap + 1):
+    faces = {(1, 0): dict(zip(category.morphisms, map(tgt.__getitem__, category.morphisms))),
+             (1, 1): dict(zip(category.morphisms, map(src.__getitem__, category.morphisms)))}
+    for m in range(2, cap + 1):
+        faces[m, 0] = dict(zip(cells[m], [join(c[1:]) for c in chains[m]]))
+        faces[m, m] = dict(zip(cells[m], [join(c[:-1]) for c in chains[m]]))
+        for i in range(1, m):
+            faces[m, i] = dict(zip(cells[m], [
+                join(c[:i - 1] + (then(c[i - 1], c[i]),) + c[i + 1:]) for c in chains[m]]))
+    degens = {(0, 0): {obj: identity(obj) for obj in cells[0]}}
+    for m in range(1, cap):
         for i in range(m + 1):
-            table = {}
-            for label, (src, tgt, chain) in decode[m].items():
-                if m == 1:
-                    table[label] = category.tgt[chain[0]] if i == 0 else category.src[chain[0]]
-                    continue
-                if i == 0:
-                    new = chain[1:]
-                elif i == m:
-                    new = chain[:-1]
-                else:
-                    new = chain[: i - 1] + (category.then(chain[i - 1], chain[i]),) + chain[i + 1:]
-                table[label] = _chain_label(new)
-            faces[(m, i)] = table
-    for m in range(cap):
-        for i in range(m + 1):
-            table = {}
-            for label, (src, tgt, chain) in decode[m].items():
-                if m == 0:
-                    table[label] = _chain_label((category.identity(label),))
-                    continue
-                if i == 0:
-                    anchor = category.src[chain[0]]
-                else:
-                    anchor = category.tgt[chain[i - 1]]
-                new = chain[:i] + (category.identity(anchor),) + chain[i:]
-                table[label] = _chain_label(new)
-            degens[(m, i)] = table
+            degens[m, i] = dict(zip(cells[m], [
+                join(c[:i] + (identity(tgt[c[i - 1]] if i else src[c[0]]),) + c[i:])
+                for c in chains[m]]))
     return trunc_sset(cap, cells, faces, degens)
 
 

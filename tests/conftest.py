@@ -196,6 +196,95 @@ def brute_force_homs(dom, cod):
     return list(extend(0, {}))
 
 
+def reference_object_refusal(obj):
+    """The text of the ``ValidationError`` that an object's validation
+    raises, or None: a per-cell scan of its labels and operator tables,
+    kept as the reference for the bulk checks of ``PresheafObject``."""
+    for sort in obj.signature.sorts:
+        labels = obj.cells[sort]
+        if len(set(labels)) != len(labels):
+            dup = next(l for l in labels if labels.count(l) > 1)
+            return f"duplicate {sort} label {dup!r}"
+        for label in labels:
+            if not isinstance(label, str):
+                return f"{sort} label {label!r} is not a string"
+    known = set(obj.signature.sorts)
+    for extra in set(obj.cells) - known:
+        return f"unknown sort {extra!r}"
+    for name, s_sort, t_sort in obj.signature.ops:
+        table = obj.ops[name]
+        src_cells = set(obj.cells[s_sort])
+        tgt_cells = set(obj.cells[t_sort])
+        if set(table) != src_cells:
+            missing = sorted(src_cells - set(table)) + sorted(set(table) - src_cells)
+            return f"operator {name!r} table does not match {s_sort} cells: {missing}"
+        for cell, value in table.items():
+            if value not in tgt_cells:
+                return f"operator {name!r} sends {cell!r} to undeclared {t_sort} {value!r}"
+    return None
+
+
+def reference_map_refusal(f):
+    """The text of the ``ValidationError`` that a map's validation raises,
+    or None: a per-cell scan of its assignment and of commutation, kept as
+    the reference for the bulk checks of ``PresheafMap``."""
+    for sort in f.domain.signature.sorts:
+        assignment = f.on[sort]
+        for cell in f.domain.cells[sort]:
+            if cell not in assignment:
+                return f"map is missing the {sort} cell {cell!r}"
+        for cell, value in assignment.items():
+            if cell not in f.domain.cells[sort]:
+                return f"map assigns undeclared {sort} cell {cell!r}"
+            if value not in f.codomain.cells[sort]:
+                return f"map sends {sort} {cell!r} to undeclared cell {value!r}"
+    for name, s_sort, t_sort in f.domain.signature.ops:
+        for cell in f.domain.cells[s_sort]:
+            left = f.on[t_sort][f.domain.op(name, cell)]
+            right = f.codomain.op(name, f.on[s_sort][cell])
+            if left != right:
+                return f"map does not commute with {name!r} at {s_sort} {cell!r}"
+    return None
+
+
+def reference_plan(dom):
+    """``(positions, spans, bucket_keys, steps)`` of ``dom``'s search plan,
+    compiled cell by cell: each constraint is classified at its own two
+    positions.  A keyed step's getter is given as its index tuple."""
+    order = list(dom.cell_items())
+    positions = {sort: {} for sort in dom.signature.sorts}
+    for i, (sort, cell) in enumerate(order):
+        positions[sort][cell] = i
+    spans, lo = [], 0
+    for sort in dom.signature.sorts:
+        cells = dom.cells[sort]
+        spans.append((sort, cells, lo, lo + len(cells)))
+        lo += len(cells)
+    forcing, keyed, residual = ([[] for _ in order] for _ in range(3))
+    for name, s_sort, t_sort in dom.signature.ops:
+        for cell in dom.cells[s_sort]:
+            s = positions[s_sort][cell]
+            t = positions[t_sort][dom.ops[name][cell]]
+            at = residual if s == t else forcing if t > s else keyed
+            at[max(s, t)].append((name, s, t))
+    bucket_keys, steps = [], []
+    for i, (sort, cell) in enumerate(order):
+        all_checks = tuple(forcing[i] + keyed[i] + residual[i])
+        if forcing[i]:
+            name, s, _ = forcing[i][0]
+            mode, gen, own = core._FORCED, (name, s), all_checks[1:]
+        elif keyed[i]:
+            key = (sort, tuple(name for name, _, _ in keyed[i]))
+            if key not in bucket_keys:
+                bucket_keys.append(key)
+            reads = tuple(t for _, _, t in keyed[i])
+            mode, gen, own = core._KEYED, (bucket_keys.index(key), reads), tuple(residual[i])
+        else:
+            mode, gen, own = core._FREE, None, tuple(residual[i])
+        steps.append((sort, cell, mode, gen, own, all_checks))
+    return positions, spans, bucket_keys, steps
+
+
 @pytest.fixture(scope="session")
 def set_instance():
     from phl.cylinder import set_instance as make

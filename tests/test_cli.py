@@ -1008,6 +1008,27 @@ class TestRefusals:
         argv = ["horn-fill", str(path), "--n", "1", "--k", "0"]
         assert _refusal(argv, capsys) == (2, f"{path}: {message}")
 
+    @pytest.mark.parametrize("cap, key, n, cell, images", [
+        (1, "faces", 1, "01", ["1", "0", "1"]),
+        (2, "degeneracies", 1, "01", ["001", "011", "011"]),
+        (1, "faces", 1, "01", ["1"]),
+        (1, "degeneracies", 0, "1", []),
+    ], ids=["face-row-too-long", "degeneracy-row-too-long", "face-row-too-short",
+            "degeneracy-row-empty"])
+    def test_an_sset_row_of_the_wrong_width_names_the_file(
+        self, tmp_path, capsys, cap, key, n, cell, images,
+    ):
+        # a row at dimension n has n + 1 images; extra ones were once dropped
+        from phl.simplicial import delta
+
+        doc = object_to_document(delta(1, cap))
+        doc[key][str(n)][cell] = images
+        path = tmp_path / "delta1.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["horn-fill", str(path), "--n", "1", "--k", "0"]
+        assert _refusal(argv, capsys) == (2, f"{path}: sset document {key!r} row {cell!r} in "
+                                             f"dimension {n} has {len(images)} images, not {n + 1}")
+
     @staticmethod
     def _point_square(tmp_path, top_domain):
         """A square of set maps with left and right the identities of {p}

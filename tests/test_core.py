@@ -17,7 +17,7 @@ from phl.core import (
 
 from phl.documents import parse_document
 
-from conftest import brute_force_homs, enumerate_homs
+from conftest import brute_force_homs, enumerate_homs, reference_plan
 
 
 def vertex_map(dom, cod, vertices, edges=None):
@@ -209,6 +209,45 @@ class TestProduct:
         obj, _, _ = product(v, graph_instance.interval)
         assert len(obj.cells["vertex"]) == 2
         assert len(obj.cells["edge"]) == 0
+
+
+class TestSearchPlan:
+    """The plan compiled per operator against the per-cell reference."""
+
+    @staticmethod
+    def _domains(group):
+        from phl import fixtures, simplicial
+
+        if group == "corpus":
+            return (fixtures.corpus_sets() + list(fixtures.corpus_graphs().values())
+                    + [simplicial.nerve(c, cap) for c in fixtures.corpus_categories()
+                       for cap in range(4)])
+        if group == "cylinders":
+            return [simplicial.jinf_instance(cap).cylinder(simplicial.nerve(c, cap)).obj
+                    for c in fixtures.corpus_categories() for cap in (4, 5)]
+        if group == "horns":
+            return [simplicial._nondegenerate_horn(n, k) for n in range(6) for k in range(n + 1)]
+        if group == "small-graphs":
+            return list(fixtures.all_small_graphs(3, 3))
+        # operators within a sort, fixing cells or moving them either way
+        endo = core.Signature("endo", ("a", "b"), (("f", "a", "a"), ("g", "b", "a"),
+                                                   ("h", "b", "b")))
+        cells = {"a": ("a0", "a1", "a2"), "b": ("b0", "b1")}
+        return [core.PresheafObject(endo, cells, {"f": dict(zip(cells["a"], images)),
+                                                  "g": {"b0": "a2", "b1": "a0"},
+                                                  "h": {"b0": "b1", "b1": "b1"}})
+                for images in (("a0", "a1", "a2"), ("a2", "a0", "a0"), ("a1", "a2", "a0"))]
+
+    @pytest.mark.parametrize("group", ["corpus", "cylinders", "horns", "small-graphs",
+                                       "endomaps"])
+    def test_compiles_as_the_per_cell_reference(self, group):
+        domains = self._domains(group)
+        assert domains
+        for dom in domains:
+            plan = core._SearchPlan(dom)
+            steps = [step[:3] + ((step[3][0], step[3][1].__reduce__()[1]),) + step[4:]
+                     if step[2] == core._KEYED else step for step in plan.steps]
+            assert (plan.positions, plan.spans, plan.bucket_keys, steps) == reference_plan(dom)
 
 
 class TestEnumerateHoms:

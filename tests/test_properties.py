@@ -1,7 +1,9 @@
 """Property-based checks over randomly drawn small structures."""
 
+import functools
 import itertools
 import json
+import os
 from unittest import mock
 
 import pytest
@@ -19,7 +21,7 @@ from phl.core import (
 )
 from phl.cylinder import graph_instance, set_instance
 from phl.documents import canonical_json, family_to_document, write_document
-from phl.fixtures import chain2_category, z2_category
+from phl.fixtures import chain2_category, corpus_categories, corpus_graphs, z2_category
 from phl.homotopy import find_homotopy
 from phl.lifting import (
     AnodyneFamily,
@@ -31,7 +33,12 @@ from phl.lifting import (
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad, check_monad_laws
 from phl.simplicial import boundary_inclusion, delta, groupoid_interval, horn_inclusion, nerve
 
-from conftest import brute_force_homs, enumerate_homs
+from conftest import (
+    brute_force_homs,
+    enumerate_homs,
+    reference_map_refusal,
+    reference_object_refusal,
+)
 from test_monads import _reference_laws
 
 GRAPHI = graph_instance()
@@ -239,6 +246,84 @@ def test_set_products_count(n, m):
     # from Hom(1, X×Y) onto Hom(1, X) × Hom(1, Y), which has n·m elements
     legs = {(h.then(p1), h.then(p2)) for h in enumerate_homs(fin_set(["a"]), obj)}
     assert len(legs) == n * m
+
+
+# ---------------------------------------------------------------------------
+# Bulk validation against the per-cell reference
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _validation_pool():
+    """Corpus graphs, Δⁿ and corpus nerves at caps 2-5, and maps between
+    them: graph homs, Δ¹ and Δ² into the nerves, the face complexes of Δ²
+    and Δ³, and identities."""
+    graphs = list(corpus_graphs().values())
+    objects = graphs + [delta(n, cap) for n in range(4) for cap in range(2, 6)]
+    maps = [f for x in graphs for y in graphs[3:6] for f in itertools.islice(core.search_maps(x, y), 2)]
+    for cap in range(2, 6):
+        nerves = [nerve(category, cap) for category in corpus_categories()]
+        objects += nerves
+        maps += [f for n in (1, 2) for y in nerves
+                 for f in itertools.islice(core.search_maps(delta(n, cap), y), 2)]
+        maps += [boundary_inclusion(3, cap), horn_inclusion(2, 1, cap), identity(nerves[2])]
+    return objects, maps
+
+
+@st.composite
+def corrupted_builds(draw):
+    """``(build, refusal)``: a constructor call on a pool object's or map's
+    data with one kind of corruption, and the reference's refusal of that
+    data (None if it accepts).  An object gets labels of one sort
+    duplicated, or entries of one operator table removed, added or
+    redirected; a map gets images of one sort redirected, removed or
+    added.  One or two cells are corrupted, so that the first bad cell of
+    two is the one named."""
+    objects, maps = _validation_pool()
+    kind = draw(st.sampled_from(["duplicate", "remove", "add", "redirect", "map-redirect",
+                                 "map-remove", "map-add"]))
+    if kind.startswith("map"):
+        f = draw(st.sampled_from([f for f in maps if f.domain.total_cells()]))
+        on = {sort: dict(table) for sort, table in f.on.items()}
+        sort = draw(st.sampled_from([s for s in f.domain.signature.sorts if f.domain.cells[s]]))
+        table, domain, targets = on[sort], f.domain.cells[sort], f.codomain.cells[sort] + ("new",)
+        refusal = reference_map_refusal
+        def build(unchecked=False):
+            return PresheafMap(f.domain, f.codomain, on, _validated=unchecked)
+    else:
+        x = draw(st.sampled_from([x for x in objects if x.ops and any(x.ops.values())]))
+        cells = {sort: list(labels) for sort, labels in x.cells.items()}
+        ops = {name: dict(table) for name, table in x.ops.items()}
+        refusal = reference_object_refusal
+        def build(unchecked=False):
+            return core.PresheafObject(x.signature, cells, ops, _validated=unchecked)
+        if kind == "duplicate":
+            sort = draw(st.sampled_from([s for s in x.signature.sorts if cells[s]]))
+            cells[sort] += draw(st.lists(st.sampled_from(cells[sort]), min_size=1, max_size=2))
+        else:
+            name, s_sort, t_sort = draw(st.sampled_from([op for op in x.signature.ops
+                                                         if x.ops[op[0]]]))
+            table, domain, targets = ops[name], x.cells[s_sort], x.cells[t_sort] + ("new",)
+    if kind != "duplicate":
+        chosen = draw(st.lists(st.sampled_from(domain), min_size=1, max_size=2, unique=True))
+        for n, cell in enumerate(chosen):
+            if kind.endswith("remove"):
+                del table[cell]
+            else:
+                table[f"new{n}" if kind.endswith("add") else cell] = draw(st.sampled_from(targets))
+    # the reference reads the corrupted data from an object or map built unchecked
+    return build, refusal(build(unchecked=True))
+
+
+@settings(max_examples=300)
+@given(corrupted_builds())
+def test_bulk_validation_refuses_as_the_per_cell_reference(case):
+    build, refusal = case
+    try:
+        build()
+        found = None
+    except core.ValidationError as exc:
+        found = str(exc)
+    assert found == refusal
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +545,26 @@ def test_a_float_past_the_first_chunk_is_refused(tmp_path):
     path.write_text("old contents", encoding="utf-8")
     with pytest.raises(TypeError):
         write_document(path, value)
-    # the old contents are gone and the chunks handed over before the float
-    # are left: a proper prefix of the text up to the float
-    written = path.read_text(encoding="utf-8")
-    assert written == "".join(chunks)
-    assert json.dumps(value, sort_keys=True, indent=2).startswith(written)
-    assert '"b"' not in written
+    # the text went to a new file beside the old one, which is removed with
+    # the chunks handed over before the float: the old contents survive
+    assert path.read_text(encoding="utf-8") == "old contents"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_document_writes_through_a_link_and_keeps_the_mode(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old contents", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    write_document(link, {"a": "b"})
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == canonical_json({"a": "b"})
+    assert target.stat().st_mode & 0o777 == 0o640
+    fresh = tmp_path / "fresh.json"
+    write_document(fresh, {})
+    umask = os.umask(0o22)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "link.json", "target.json"]
 
 
 def test_canonical_json_of_empty_and_nested_containers():
