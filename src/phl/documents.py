@@ -207,7 +207,7 @@ def write_document(path, document) -> None:
     leaves the target as it was.  A symlink is written through: its target
     is replaced and the link kept.  A new file gets the mode that ``open``
     gives one (0666 less the umask); a replaced file's mode is kept."""
-    target = os.path.realpath(path)
+    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
     head, name = os.path.split(target)
     temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
@@ -215,7 +215,10 @@ def write_document(path, document) -> None:
         try:
             with handle:
                 if os.path.exists(target):
-                    os.chmod(temp, os.stat(target).st_mode & 0o7777)
+                    # a chmod is a metadata write: made only when the modes differ
+                    mode = os.stat(target).st_mode & 0o7777
+                    if mode != os.fstat(handle.fileno()).st_mode & 0o7777:
+                        os.chmod(temp, mode)
                 canonical_json(document, handle.write)
             os.replace(temp, target)
         except BaseException:
