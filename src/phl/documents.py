@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -200,25 +201,34 @@ def load_document(source) -> dict:
 
 def write_document(path, document) -> None:
     """Write ``document`` to ``path`` as canonical JSON, refused with the
-    path named when it cannot be written.  The text goes to a new hidden
-    file beside the target, which then replaces the target by
+    path named when it cannot be written.  A missing or regular target gets
+    the text in a new hidden file beside it, which then replaces it by
     ``os.replace``; a failure partway (an ``OSError``, a ``TypeError`` for
     a value that is not canonical, an interrupt) removes the new file and
     leaves the target as it was.  A symlink is written through: its target
     is replaced and the link kept.  A new file gets the mode that ``open``
-    gives one (0666 less the umask); a replaced file's mode is kept."""
-    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
-    head, name = os.path.split(target)
-    temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    gives one (0666 less the umask); a replaced file keeps its mode but not
+    its owner or group, its other hard links keep the old text, and its
+    directory must be writable.  Any other target (a FIFO, a terminal, a
+    device such as ``/dev/null``) is written in place, as it cannot be
+    replaced."""
     try:
+        try:
+            kind = os.stat(path).st_mode
+        except FileNotFoundError:
+            kind = None
+        if kind is not None and not stat.S_ISREG(kind):
+            with open(path, "w", encoding="utf-8") as handle:
+                canonical_json(document, handle.write)
+            return
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
         handle = open(temp, "x", encoding="utf-8")
         try:
             with handle:
-                if os.path.exists(target):
-                    # a chmod is a metadata write: made only when the modes differ
-                    mode = os.stat(target).st_mode & 0o7777
-                    if mode != os.fstat(handle.fileno()).st_mode & 0o7777:
-                        os.chmod(temp, mode)
+                if kind is not None:
+                    os.chmod(temp, stat.S_IMODE(kind))
                 canonical_json(document, handle.write)
             os.replace(temp, target)
         except BaseException:

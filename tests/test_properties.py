@@ -4,6 +4,8 @@ import functools
 import itertools
 import json
 import os
+import stat
+import threading
 from unittest import mock
 
 import pytest
@@ -565,6 +567,20 @@ def test_write_document_writes_through_a_link_and_keeps_the_mode(tmp_path):
     os.umask(umask)
     assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "link.json", "target.json"]
+
+
+def test_write_document_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    write_document(fifo, {"a": ["b"]})
+    reader.join(timeout=10)
+    assert read == [canonical_json({"a": ["b"]})]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_canonical_json_of_empty_and_nested_containers():
