@@ -202,10 +202,12 @@ def load_document(source) -> dict:
 def write_document(path, document) -> None:
     """Write ``document`` to ``path`` as canonical JSON, refused with the
     path named when it cannot be written.  A missing or regular target gets
-    the text in a new hidden file beside it, which then replaces it by
-    ``os.replace``; a failure partway (an ``OSError``, a ``TypeError`` for
-    a value that is not canonical, an interrupt) removes the new file and
-    leaves the target as it was.  A symlink is written through: its target
+    the text in a new hidden file beside it; once the text is whole the
+    target is removed and the new file renamed to its name.  A failure
+    before that (an ``OSError``, a ``TypeError`` for a value that is not
+    canonical, an interrupt) removes the new file and leaves the target as
+    it was; an interrupt between the removal and the rename leaves the
+    whole text in the hidden file.  A symlink is written through: its target
     is replaced and the link kept.  A new file gets the mode that ``open``
     gives one (0666 less the umask); a replaced file keeps its mode but not
     its owner or group, its other hard links keep the old text, and its
@@ -230,10 +232,14 @@ def write_document(path, document) -> None:
                 if kind is not None:
                     os.chmod(temp, stat.S_IMODE(kind))
                 canonical_json(document, handle.write)
-            os.replace(temp, target)
+            if kind is not None:
+                # ext4 writes out a file renamed over another before the
+                # rename returns, which costs more than a small write itself
+                os.remove(target)
         except BaseException:
             os.remove(temp)
             raise
+        os.rename(temp, target)
     except OSError as exc:
         raise ValidationError(f"{path} cannot be written: {exc.strerror}") from None
 
