@@ -64,6 +64,14 @@ GRAPH_SIGNATURE = Signature(
 )
 
 
+def _refuse_unknown(where, noun, given, known, signature):
+    """Refuse a key of ``given`` that ``known``, which is keyed by the
+    signature's names, lacks: one comparison of the two key sets."""
+    if not given <= known.keys():
+        raise ValidationError(f"{where} names the {noun} {min(given - known.keys())!r}, "
+                              f"which the base {signature.name!r} does not have")
+
+
 class PresheafObject:
     """A finite object: labelled cells per sort plus operator tables."""
 
@@ -78,11 +86,12 @@ class PresheafObject:
         self.ops = {name: dict(ops.get(name, {})) for name, _, _ in signature.ops}
         self._key = self._cell_sets = self._plan = self._index = None
         if not _validated:
-            self._validate()
+            self._validate(cells.keys(), ops.keys())
 
-    def _validate(self):
+    def _validate(self, sorts, names):
         """Each sort's labels and each operator's table are checked whole,
-        with set comparisons; the first bad cell is looked up on failure."""
+        with set comparisons; the first bad cell is looked up on failure.
+        Then a sort or operator that the signature lacks is refused."""
         self._cell_sets = sets = {}
         for sort in self.signature.sorts:
             labels = self.cells[sort]
@@ -103,6 +112,8 @@ class PresheafObject:
                 raise ValidationError(
                     f"operator {name!r} sends {cell!r} to undeclared {t_sort} {value!r}"
                 )
+        _refuse_unknown("object 'cells'", "sort", sorts, self.cells, self.signature)
+        _refuse_unknown("object 'ops'", "operator", names, self.ops, self.signature)
 
     def op(self, name: str, cell: str) -> str:
         return self.ops[name][cell]
@@ -114,9 +125,6 @@ class PresheafObject:
         if labels is None:
             labels = self._cell_sets[sort] = frozenset(self.cells[sort])
         return labels
-
-    def total_cells(self) -> int:
-        return sum(len(self.cells[sort]) for sort in self.signature.sorts)
 
     def cell_items(self):
         """All (sort, label) pairs in the canonical enumeration order."""
@@ -199,12 +207,13 @@ class PresheafMap:
         self.on = {sort: dict(on.get(sort, {})) for sort in domain.signature.sorts}
         self._key = None
         if not _validated:
-            self._validate()
+            self._validate(on.keys())
 
-    def _validate(self):
+    def _validate(self, sorts):
         """Each sort's assignment is checked whole, with set comparisons, and
         looked into only when it fails; commutation is checked cell by cell
-        in one loop per operator."""
+        in one loop per operator.  Then a sort that the base lacks is
+        refused."""
         dom, cod, on = self.domain, self.codomain, self.on
         for sort in dom.signature.sorts:
             assignment, cells, targets = on[sort], dom.cell_set(sort), cod.cell_set(sort)
@@ -223,9 +232,7 @@ class PresheafMap:
             for cell in dom.cells[s_sort]:
                 if target[dom_op[cell]] != cod_op[source[cell]]:
                     raise ValidationError(f"map does not commute with {name!r} at {s_sort} {cell!r}")
-
-    def __call__(self, sort: str, cell: str) -> str:
-        return self.on[sort][cell]
+        _refuse_unknown("map 'on'", "sort", sorts, on, dom.signature)
 
     def then(self, other: "PresheafMap") -> "PresheafMap":
         """Composite ``self`` followed by ``other``."""
@@ -256,12 +263,6 @@ class PresheafMap:
 
     def __repr__(self):
         return f"<map {self.domain!r} -> {self.codomain!r}>"
-
-    def assignment_tuple(self):
-        """Images in canonical cell order; the lexicographic sort key for maps."""
-        return tuple(
-            self.on[sort][cell] for sort, cell in self.domain.cell_items()
-        )
 
 
 def identity(obj: PresheafObject) -> PresheafMap:

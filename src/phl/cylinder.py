@@ -215,9 +215,6 @@ class EhdReport:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    def failures(self):
-        return [check for check in self.checks if not check.ok]
-
 
 def _describe(obj: PresheafObject) -> str:
     return "/".join(",".join(obj.cells[s]) for s in obj.signature.sorts)

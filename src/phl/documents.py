@@ -330,12 +330,7 @@ def parse_map(doc):
     on = doc.get("on", {})
     if not isinstance(on, dict) or not all(isinstance(table, dict) for table in on.values()):
         raise ValidationError("map 'on' is not a JSON object of JSON objects")
-    f = PresheafMap(*ends, on)
-    extra = on.keys() - f.on.keys()
-    if extra:
-        raise ValidationError(f"map 'on' names the sort {min(extra)!r}, which the base "
-                              f"{f.domain.signature.name!r} does not have")
-    return f
+    return PresheafMap(*ends, on)
 
 
 def _parse_family(doc):

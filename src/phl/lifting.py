@@ -62,13 +62,6 @@ class LiftingProblem:
                 if bottom[image] != right[top[cell]]:
                     raise ValidationError("lifting square does not commute")
 
-    @classmethod
-    def to_terminal(cls, left: PresheafMap, top: PresheafMap) -> "LiftingProblem":
-        """The square over A -> 1 determined by a top map."""
-        p = bang(top.codomain)
-        v = bang(left.codomain)
-        return cls(left, p, top, v)
-
 
 def solve_lift(problem: LiftingProblem, guard=None) -> Optional[PresheafMap]:
     """Lexicographically least diagonal, or None: the least extension of
@@ -102,9 +95,6 @@ class AnodyneFamily:
     seed_count: int
     generator_count: int
     pre_dedup_counts: dict = field(compare=False)
-
-    def at_depth(self, n: int):
-        return tuple(e for e in self.entries if e.depth == n)
 
 
 def default_generating_monos(instance: CylinderData):

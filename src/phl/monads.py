@@ -19,8 +19,7 @@ its letters, ``[a,b]``, and the empty path is ``[]@v`` at a vertex v but
 A map X -> T(Y) extends uniquely along the unit to an algebra map
 T(X) -> T(Y), and T(f) and the multiplication are such extensions: of
 eta∘f, and of the identity of T(X).  One body, ``_extend``, builds them
-and ``extend_to_free``; ``algebra_extend`` folds the same paths through an
-algebra's composition.
+and ``extend_to_free``.
 """
 
 from __future__ import annotations
@@ -82,13 +81,6 @@ class MultData:
     codomain: PresheafObject
     defined: dict
     skipped: tuple
-
-    def as_map(self) -> PresheafMap:
-        if self.skipped:
-            raise CapError(
-                f"multiplication is partial at this cap; {len(self.skipped)} cells overflow"
-            )
-        return PresheafMap(self.domain, self.codomain, self.defined)
 
 
 class FreeCategoryMonad:
@@ -329,27 +321,6 @@ class FiniteMonoid(FiniteCategory):
 
     def carrier(self) -> PresheafObject:
         return fin_set(self.morphisms)
-
-
-def algebra_extend(algebra, f: PresheafMap, monad) -> PresheafMap:
-    """The canonical extension T(X) -> A of a map f : X -> A into an algebra.
-
-    A path composes through the algebra's table from the identity at its
-    source, so the empty path goes to that identity (to the unit, for a
-    monoid).
-    """
-    carrier = algebra.carrier()
-    if f.codomain != carrier:
-        raise ValidationError("map must land in the algebra carrier")
-    tx = monad.apply(f.domain)
-    vertex_on, edge_on = monad._tables(f.on)
-    on = {
-        label: functools.reduce(
-            algebra.then, (edge_on[e] for e in edges), algebra.identity(vertex_on[a])
-        )
-        for label, (a, _, edges) in tx.decode.items()
-    }
-    return PresheafMap(tx.obj, carrier, monad._on(dict(vertex_on), on))
 
 
 def extend_to_free(monad, h: PresheafMap, source_t: TObject, target_t: TObject

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from phl import core, fixtures
+from phl.lifting import LiftingProblem
 
 settings.register_profile(
     "ci",
@@ -30,6 +31,18 @@ def inverse(f):
         for sort in f.domain.signature.sorts
     }
     return core.PresheafMap(f.codomain, f.domain, on)
+
+
+def assignment_tuple(f):
+    """Images in canonical cell order: the key of the lexicographic order
+    in which a search yields maps."""
+    return tuple(f.on[sort][cell] for sort, cell in f.domain.cell_items())
+
+
+def to_terminal(left, top):
+    """The lifting square of ``left`` against A -> 1, where A is the
+    codomain of ``top``."""
+    return LiftingProblem(left, core.bang(top.codomain), top, core.bang(left.codomain))
 
 
 def enumerate_homs(dom, cod, guard=None):
@@ -196,10 +209,21 @@ def brute_force_homs(dom, cod):
     return list(extend(0, {}))
 
 
-def reference_object_refusal(obj):
-    """The text of the ``ValidationError`` that an object's validation
-    raises, or None: a per-cell scan of its labels and operator tables,
-    kept as the reference for the bulk checks of ``PresheafObject``."""
+def _reference_unknown(where, noun, given, known, signature):
+    extra = sorted(set(given) - set(known))
+    if extra:
+        return f"{where} names the {noun} {extra[0]!r}, which the base {signature.name!r} does not have"
+    return None
+
+
+def reference_object_refusal(signature, cells, ops):
+    """The text of the ``ValidationError`` that
+    ``PresheafObject(signature, cells, ops)`` raises, or None: a per-cell
+    scan of its labels and operator tables, as an object built unchecked
+    keeps them, and then of the sorts and operators named that the
+    signature lacks.  Kept as the reference for the bulk checks of
+    ``PresheafObject``."""
+    obj = core.PresheafObject(signature, cells, ops, _validated=True)
     for sort in obj.signature.sorts:
         labels = obj.cells[sort]
         if len(set(labels)) != len(labels):
@@ -208,9 +232,6 @@ def reference_object_refusal(obj):
         for label in labels:
             if not isinstance(label, str):
                 return f"{sort} label {label!r} is not a string"
-    known = set(obj.signature.sorts)
-    for extra in set(obj.cells) - known:
-        return f"unknown sort {extra!r}"
     for name, s_sort, t_sort in obj.signature.ops:
         table = obj.ops[name]
         src_cells = set(obj.cells[s_sort])
@@ -221,13 +242,17 @@ def reference_object_refusal(obj):
         for cell, value in table.items():
             if value not in tgt_cells:
                 return f"operator {name!r} sends {cell!r} to undeclared {t_sort} {value!r}"
-    return None
+    return (_reference_unknown("object 'cells'", "sort", cells, obj.cells, signature)
+            or _reference_unknown("object 'ops'", "operator", ops, obj.ops, signature))
 
 
-def reference_map_refusal(f):
-    """The text of the ``ValidationError`` that a map's validation raises,
-    or None: a per-cell scan of its assignment and of commutation, kept as
-    the reference for the bulk checks of ``PresheafMap``."""
+def reference_map_refusal(domain, codomain, on):
+    """The text of the ``ValidationError`` that
+    ``PresheafMap(domain, codomain, on)`` raises, or None: a per-cell scan
+    of its assignment and of commutation, as a map built unchecked keeps
+    them, and then of the sorts named that the base lacks.  Kept as the
+    reference for the bulk checks of ``PresheafMap``."""
+    f = core.PresheafMap(domain, codomain, on, _validated=True)
     for sort in f.domain.signature.sorts:
         assignment = f.on[sort]
         for cell in f.domain.cells[sort]:
@@ -244,7 +269,7 @@ def reference_map_refusal(f):
             right = f.codomain.op(name, f.on[s_sort][cell])
             if left != right:
                 return f"map does not commute with {name!r} at {s_sort} {cell!r}"
-    return None
+    return _reference_unknown("map 'on'", "sort", on, f.on, domain.signature)
 
 
 def reference_plan(dom):

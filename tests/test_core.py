@@ -17,7 +17,7 @@ from phl.core import (
 
 from phl.documents import parse_document
 
-from conftest import brute_force_homs, enumerate_homs, reference_plan
+from conftest import assignment_tuple, brute_force_homs, enumerate_homs, reference_plan
 
 
 def vertex_map(dom, cod, vertices, edges=None):
@@ -49,6 +49,21 @@ class TestBuildObject:
     def test_enumeration_order_is_sorted(self):
         s = parse_document({"kind": "set", "elements": ["c", "a", "b"]})
         assert s.cells["element"] == ("a", "b", "c")
+
+    def test_a_name_the_signature_lacks_is_refused(self):
+        with pytest.raises(ValidationError, match="^object 'cells' names the sort 'bogus', "
+                                                  "which the base 'set' does not have$"):
+            core.PresheafObject(core.SET_SIGNATURE, {"element": ["a"], "bogus": ["x"]},
+                                {"f": {"a": "a"}})
+        with pytest.raises(ValidationError, match="^object 'ops' names the operator 'f', "
+                                                  "which the base 'set' does not have$"):
+            core.PresheafObject(core.SET_SIGNATURE, {"element": ["a"]}, {"f": {"a": "a"}})
+        x = fin_set(["a"])
+        with pytest.raises(ValidationError, match="^map 'on' names the sort 'vertex', "
+                                                  "which the base 'set' does not have$"):
+            PresheafMap(x, x, {"element": {"a": "a"}, "vertex": {}})
+        # a caller that has built the tables itself may pass more
+        assert PresheafMap(x, x, {"element": {"a": "a"}, "vertex": {}}, _validated=True) == identity(x)
 
 
 class TestIsMono:
@@ -110,7 +125,7 @@ class TestCoproduct:
         for (prefix, x), inj in zip(summands, injections):
             assert inj.domain == x and inj.codomain == obj
             for sort, cell in x.cell_items():
-                assert inj(sort, cell) == prefix + cell
+                assert inj.on[sort][cell] == prefix + cell
             assert is_mono(inj)
         for sort in obj.signature.sorts:
             images = [c for inj in injections for c in inj.on[sort].values()]
@@ -279,7 +294,7 @@ class TestEnumerateHoms:
 
     def test_lexicographic_order(self):
         maps = enumerate_homs(fin_set(["a", "b"]), fin_set(["0", "1"]))
-        keys = [m.assignment_tuple() for m in maps]
+        keys = [assignment_tuple(m) for m in maps]
         assert keys == sorted(keys)
 
     def test_guard_fails_loudly(self):

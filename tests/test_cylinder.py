@@ -221,11 +221,11 @@ class TestFunctoriality:
 class TestVerifyEhd:
     def test_set_battery_green(self, set_instance):
         report = verify_ehd(set_instance, corpus_monos_set(), corpus_spans_set())
-        assert report.ok, report.failures()
+        assert report.ok, report
 
     def test_graph_battery_green(self, graph_instance):
         report = verify_ehd(graph_instance, corpus_monos_graph(), corpus_spans_graph())
-        assert report.ok, report.failures()
+        assert report.ok, report
 
     def test_corrupted_instance_is_flagged(self, graph_instance):
         class Corrupted:
@@ -270,7 +270,7 @@ class TestVerifyEhd:
             if is_mono(f)
         ]
         report = verify_ehd(set_instance, monos, [])
-        assert report.ok, report.failures()
+        assert report.ok, report
 
     def test_sset_battery_green(self):
         from phl.simplicial import boundary_inclusion
@@ -278,4 +278,4 @@ class TestVerifyEhd:
         instance = get_instance("sset-jinf", cap=2)
         monos = [boundary_inclusion(n, 2) for n in (0, 1)]
         report = verify_ehd(instance, monos, [])
-        assert report.ok, report.failures()
+        assert report.ok, report

@@ -6,7 +6,9 @@ from phl.homotopy import find_homotopy, homotopy_classes, induced_class_map
 from phl.fixtures import chain2_category, corpus_categories, corpus_graphs, groupoid_interval
 from phl.simplicial import delta, nerve
 
-from conftest import brute_force_homs, enumerate_homs, one_step_relation, relation_properties
+from conftest import (
+    assignment_tuple, brute_force_homs, enumerate_homs, one_step_relation, relation_properties,
+)
 
 
 def one_step_matrix(instance, x, a):
@@ -84,8 +86,8 @@ class TestHomotopyClasses:
             graph_instance, fin_graph(["a"], []), graph_instance.interval
         )
         rep = classes.representatives()[0]
-        keys = [h.assignment_tuple() for h in classes.homs]
-        assert rep.assignment_tuple() == min(keys)
+        keys = [assignment_tuple(h) for h in classes.homs]
+        assert assignment_tuple(rep) == min(keys)
 
 
 class TestInducedClassMap:

@@ -41,12 +41,14 @@ from phl.lifting import (
 from phl.simplicial import boundary_inclusion, delta, horn_inclusion, nerve
 
 from conftest import (
+    assignment_tuple,
     brute_force_homs,
     enumerate_homs,
     inverse,
     one_step_relation,
     reference_arrows_isomorphic,
     relation_properties,
+    to_terminal,
 )
 
 
@@ -82,7 +84,7 @@ class TestSolveLift:
         corner = corner_endpoint(graph_instance, j, 0)
         c = groupoid_interval().underlying_graph()
         for top in enumerate_homs(corner.domain, c):
-            problem = LiftingProblem.to_terminal(corner.arrow, top)
+            problem = to_terminal(corner.arrow, top)
             fast = solve_lift(problem)
             slow = brute_force_lift(problem)
             assert (fast is None) == (slow is None)
@@ -94,13 +96,13 @@ class TestSolveLift:
         corner = corner_endpoint(set_instance, j, 0)
         a = fin_set(["0", "1"])
         top = enumerate_homs(corner.domain, a)[0]
-        d = solve_lift(LiftingProblem.to_terminal(corner.arrow, top))
+        d = solve_lift(to_terminal(corner.arrow, top))
         all_diagonals = [
             m
             for m in brute_force_homs(corner.codomain, a)
             if corner.arrow.then(m) == top
         ]
-        assert d == min(all_diagonals, key=lambda m: m.assignment_tuple())
+        assert d == min(all_diagonals, key=assignment_tuple)
 
 
 class TestHasRlp:
@@ -147,7 +149,7 @@ class TestGenerateAnodyne:
         family = generate_anodyne(graph_instance, [], [j], depth=0)
         assert family.pre_dedup_counts[0] == 2
         # the two endpoint corners are isomorphic arrows, so dedup keeps one
-        assert len(family.at_depth(0)) == 1
+        assert len([entry for entry in family.entries if entry.depth == 0]) == 1
 
     def test_count_is_seeds_plus_twice_generators(self, graph_instance, set_instance):
         for instance in (graph_instance, set_instance):
@@ -161,9 +163,9 @@ class TestGenerateAnodyne:
         point = fin_graph(["v"], [])
         j = PresheafMap(empty_object(core.GRAPH_SIGNATURE), point, {})
         family = generate_anodyne(graph_instance, [], [j], depth=1)
-        kept0 = family.at_depth(0)
+        kept0 = [entry for entry in family.entries if entry.depth == 0]
         expected = [corner_full(graph_instance, entry.arrow).arrow for entry in kept0]
-        produced = [entry.arrow for entry in family.at_depth(1)]
+        produced = [entry.arrow for entry in family.entries if entry.depth == 1]
         for arrow in produced:
             assert any(arrows_isomorphic(arrow, exp) for exp in expected)
         assert family.pre_dedup_counts[1] == len(kept0)

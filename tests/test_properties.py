@@ -273,31 +273,33 @@ def _validation_pool():
 
 @st.composite
 def corrupted_builds(draw):
-    """``(build, refusal)``: a constructor call on a pool object's or map's
-    data with one kind of corruption, and the reference's refusal of that
-    data (None if it accepts).  An object gets labels of one sort
-    duplicated, or entries of one operator table removed, added or
+    """``(make, args, refusal)``: a constructor and its arguments, a pool
+    object's or map's data with one kind of corruption, and the reference's
+    refusal of that data (None if it accepts).  An object gets labels of
+    one sort duplicated, or entries of one operator table removed, added or
     redirected; a map gets images of one sort redirected, removed or
     added.  One or two cells are corrupted, so that the first bad cell of
-    two is the one named."""
+    two is the one named.  Either may also name one or two sorts (or, for
+    an object, operators) that its signature lacks, so that a corrupt table
+    and an unknown name are refused in the reference's order."""
     objects, maps = _validation_pool()
     kind = draw(st.sampled_from(["duplicate", "remove", "add", "redirect", "map-redirect",
                                  "map-remove", "map-add"]))
+    unknown = draw(st.lists(st.sampled_from(["unknown-a", "unknown-b"]), max_size=2, unique=True))
     if kind.startswith("map"):
-        f = draw(st.sampled_from([f for f in maps if f.domain.total_cells()]))
+        f = draw(st.sampled_from([f for f in maps if any(f.domain.cells.values())]))
         on = {sort: dict(table) for sort, table in f.on.items()}
         sort = draw(st.sampled_from([s for s in f.domain.signature.sorts if f.domain.cells[s]]))
         table, domain, targets = on[sort], f.domain.cells[sort], f.codomain.cells[sort] + ("new",)
-        refusal = reference_map_refusal
-        def build(unchecked=False):
-            return PresheafMap(f.domain, f.codomain, on, _validated=unchecked)
+        make, args, refusal = PresheafMap, (f.domain, f.codomain, on), reference_map_refusal
+        named = on
     else:
         x = draw(st.sampled_from([x for x in objects if x.ops and any(x.ops.values())]))
         cells = {sort: list(labels) for sort, labels in x.cells.items()}
         ops = {name: dict(table) for name, table in x.ops.items()}
+        make, args = core.PresheafObject, (x.signature, cells, ops)
         refusal = reference_object_refusal
-        def build(unchecked=False):
-            return core.PresheafObject(x.signature, cells, ops, _validated=unchecked)
+        named = draw(st.sampled_from([cells, ops]))
         if kind == "duplicate":
             sort = draw(st.sampled_from([s for s in x.signature.sorts if cells[s]]))
             cells[sort] += draw(st.lists(st.sampled_from(cells[sort]), min_size=1, max_size=2))
@@ -312,16 +314,16 @@ def corrupted_builds(draw):
                 del table[cell]
             else:
                 table[f"new{n}" if kind.endswith("add") else cell] = draw(st.sampled_from(targets))
-    # the reference reads the corrupted data from an object or map built unchecked
-    return build, refusal(build(unchecked=True))
+    named.update(dict.fromkeys(unknown, {}))
+    return make, args, refusal(*args)
 
 
 @settings(max_examples=300)
 @given(corrupted_builds())
 def test_bulk_validation_refuses_as_the_per_cell_reference(case):
-    build, refusal = case
+    make, args, refusal = case
     try:
-        build()
+        make(*args)
         found = None
     except core.ValidationError as exc:
         found = str(exc)

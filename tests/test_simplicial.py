@@ -13,7 +13,7 @@ from phl.fixtures import (
     discrete2_category,
     terminal_category,
 )
-from phl.lifting import LiftingProblem, generate_anodyne, solve_lift
+from phl.lifting import generate_anodyne, solve_lift
 from phl.simplicial import (
     boundary_inclusion,
     delta,
@@ -24,6 +24,8 @@ from phl.simplicial import (
     tau0_classes,
     trunc_sset,
 )
+
+from conftest import to_terminal
 
 
 def whole_horn_map(incl, top, x):
@@ -278,14 +280,14 @@ class TestHornFilling:
         # short edge to a non-invertible arrow; cross-check with the oracle
         top = report.first_failure
         incl = horn_inclusion(2, 0, 3)
-        assert solve_lift(LiftingProblem.to_terminal(incl, top)) is None
+        assert solve_lift(to_terminal(incl, top)) is None
 
     def test_filler_matches_lifting_oracle(self):
         x = nerve(chain2_category(), 2)
         incl = horn_inclusion(2, 1, 2)
         report = horn_filler(x, 2, 1)
         for top, filler in report.instances:
-            oracle = solve_lift(LiftingProblem.to_terminal(incl, whole_horn_map(incl, top, x)))
+            oracle = solve_lift(to_terminal(incl, whole_horn_map(incl, top, x)))
             assert (filler is None) == (oracle is None)
 
     @pytest.mark.parametrize("cap", range(1, 5))
@@ -324,7 +326,7 @@ class TestHornFilling:
         )
         incl = horn_inclusion(1, 0, 1)
         report = horn_filler(x, 1, 0)
-        assert {top("0", "0"): filler for top, filler in report.instances} == {
+        assert {top.on["0"]["0"]: filler for top, filler in report.instances} == {
             "a": "sa", "b": "sb", "c": "f"}
         for top, filler in report.instances:
             extension = core.extend_along([(incl, whole_horn_map(incl, top, x))], x)

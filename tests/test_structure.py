@@ -1,6 +1,7 @@
 """Module boundaries of ``src/phl``, read from the source with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import phl
@@ -129,3 +130,96 @@ def test_every_parameter_of_a_module_level_function_is_read():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             unread |= {(module, function.name, p.arg) for p in params if p.arg not in read}
     assert unread == {("cli", "cmd_verify", "args"), ("monads", "check_monad_laws", "guard")}
+
+
+def _reached(roots):
+    """The ``(module, name)`` pairs bound at module level in ``src/phl``,
+    and those that ``roots`` reach through names, sibling imports and
+    ``module.attr`` reads.  A def or class is reached whole, so a reached
+    class reaches its method bodies.  Imports are read at every level, so
+    the function-level one in ``cylinder.get_instance`` counts."""
+    bound, imported = {}, {}
+    for module, tree in SOURCES.items():
+        for node in tree.body:
+            names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else [
+                t.id for t in ast.walk(node) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+            for name in names:
+                bound.setdefault((module, name), []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    # ``from . import core`` binds a module, with no name in it
+                    imported[module, alias.asname or alias.name] = (
+                        (node.module, alias.name) if node.module else (alias.name, None))
+
+    def resolve(module, name):
+        while (module, name) in imported:
+            module, name = imported[module, name]
+        return module, name
+
+    reached, stack = set(), list(roots)
+    while stack:
+        key = stack.pop()
+        if key in bound and key not in reached:
+            reached.add(key)
+            for node in (node for statement in bound[key] for node in ast.walk(statement)):
+                if isinstance(node, ast.Name):
+                    stack.append(resolve(key[0], node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    module, name = resolve(key[0], node.value.id)
+                    if name is None:
+                        stack.append((module, node.attr))
+    return set(bound), reached
+
+
+# Module-level names kept for a reader outside phl, each with its reader.
+# They are roots of the walk too: what they use stays with them.
+KEPT_FOR_OTHER_READERS = {
+    ("__init__", "__version__"),  # the package's version
+    ("lifting", "has_rlp"),  # the tests' reference for ``fibrant``; bench/spans.py traces it
+    ("equivalence", "alternative_we_check"),  # bench/workloads.py calls it in ``algebra``
+    ("fixtures", "all_small_graphs"),  # bench/workloads.py builds workload inputs with it
+    ("fixtures", "we_algebras"),  # and with this one
+}
+
+
+def test_every_module_level_name_is_reached_from_a_command():
+    # a name that no command reaches is code that only the tests run, and
+    # it belongs in the tests.  The roots are ``cli.main`` and the
+    # ``cmd_*`` handlers, which ``run_command`` finds by name in
+    # ``globals()``; a kept name must exist and no command may reach it
+    bound, _ = _reached(())
+    assert KEPT_FOR_OTHER_READERS <= bound
+    commands = {(m, n) for m, n in bound if m == "cli" and (n == "main" or n.startswith("cmd_"))}
+    assert _reached(commands)[1] & KEPT_FOR_OTHER_READERS == set()
+    assert bound - _reached(commands | KEPT_FOR_OTHER_READERS)[1] == set()
+
+
+def test_every_method_is_read_somewhere_in_phl():
+    # a method that no module of phl reads as an attribute is called only
+    # from the tests, or not at all
+    read = {node.attr for tree in SOURCES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = {
+        (module, cls.name, method.name)
+        for module, tree in SOURCES.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and method.name not in read
+    }
+    assert unread == set()
+
+
+def test_the_readme_names_every_shared_test_helper():
+    # README's ``## Tests`` section lists what ``tests/conftest.py``
+    # offers the test modules; it names other things too, so only this
+    # direction is checked
+    tests = Path(__file__).resolve().parent
+    readme = (tests.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Tests", 1)[1].split("\n## ", 1)[0]
+    conftest = ast.parse((tests / "conftest.py").read_text(encoding="utf-8"))
+    helpers = {node.name for node in conftest.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert helpers - set(re.findall(r"`(\w+)`", section)) == set()

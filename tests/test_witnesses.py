@@ -12,7 +12,7 @@ from phl.core import (
 )
 from phl.cylinder import corner_endpoint
 from phl.fixtures import chain2_category, corpus_graphs, groupoid_interval, terminal_category, z2_category
-from phl.lifting import LiftingProblem, solve_lift
+from phl.lifting import solve_lift
 from phl.monads import FreeCategoryMonad, FreeMonoidMonad, linear_chain
 from phl.witnesses import (
     LiftConstructionError,
@@ -26,7 +26,7 @@ from phl.witnesses import (
     validate_saturation,
 )
 
-from conftest import enumerate_homs
+from conftest import enumerate_homs, to_terminal
 
 
 class TestRetractWitness:
@@ -246,7 +246,7 @@ class TestExplicitLiftMonoid:
             for top in enumerate_homs(corner.domain, a):
                 d = explicit_lift_monoid(corner, top)
                 assert corner.arrow.then(d) == top
-                assert solve_lift(LiftingProblem.to_terminal(corner.arrow, top)) is not None
+                assert solve_lift(to_terminal(corner.arrow, top)) is not None
 
     def test_never_consults_any_table(self, set_instance):
         # the codomain is a bare set with no structure at all
@@ -303,7 +303,7 @@ class TestExplicitLiftCategory:
         for corner, top, category in problems:
             d = explicit_lift_category(corner, top, category)
             assert corner.arrow.then(d) == top
-            assert solve_lift(LiftingProblem.to_terminal(corner.arrow, top)) is not None
+            assert solve_lift(to_terminal(corner.arrow, top)) is not None
 
     def test_mirrored_endpoint(self, graph_instance):
         k = fin_graph(["a"], [("la", "a", "a")])
