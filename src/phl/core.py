@@ -529,7 +529,10 @@ def product_map(f: PresheafMap, g: PresheafMap) -> PresheafMap:
 # - keyed: the source comes later, so its candidates are the codomain cells
 #   whose images under those operators are the images already assigned --
 #   graph edges by (src, tgt), n-simplices by their face tuple;
-# - residual: an operator from a cell to itself, checked on each candidate.
+# - residual: an operator from a cell to itself, checked on each candidate;
+# - watched: a keyed cell without residual checks is also looked up at the
+#   last cell its key reads, when that is not the cell just before it, and
+#   a missing key rejects that cell's value early (:func:`_triggers`).
 #
 # Buckets list codomain cells in sorted order, so the candidates of a cell
 # are exactly the full scan's survivors of its keyed constraints, in the
@@ -546,10 +549,11 @@ class _SearchPlan:
     key id, image getter)`` for a keyed one; checks are ``(name, s, t)``
     triples meaning ``cod.op(name, image at s) == image at t``.  An unpinned
     cell runs ``own_checks`` (the constraints its candidates do not already
-    satisfy); a pinned cell runs ``all_checks``.
+    satisfy); a pinned cell runs ``all_checks``.  ``first_trigger`` is the
+    least watched step (:func:`_triggers`), or the number of steps.
     """
 
-    __slots__ = ("positions", "spans", "steps", "bucket_keys")
+    __slots__ = ("positions", "spans", "steps", "bucket_keys", "first_trigger", "triggers")
 
     def __init__(self, dom: PresheafObject):
         sorts = dom.signature.sorts
@@ -575,7 +579,7 @@ class _SearchPlan:
             else:
                 for cell, s in sources.items():
                     keyed[s].append((name, s, targets[table[cell]]))
-        self.bucket_keys = []
+        self.bucket_keys, self.first_trigger, self.triggers = [], lo, None
         key_ids = {}
         self.steps = []
         for sort, cells, lo, _ in self.spans:
@@ -591,6 +595,8 @@ class _SearchPlan:
                         self.bucket_keys.append((sort, names))
                     mode, gen = _KEYED, (key_ids[sort, names], itemgetter(*reads))
                     own = tuple(residual[i])
+                    if i < self.first_trigger and not own and max(reads) < i - 1:
+                        self.first_trigger = i
                 else:
                     mode, gen, own = _FREE, None, tuple(residual[i])
                 self.steps.append((sort, cell, mode, gen, own, all_checks))
@@ -805,16 +811,31 @@ def _exceeded(budget):
     return GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
 
 
-def _watches(dom, plan, cod, stop, indexes):
-    """Per prefix step, the ``(bucket, key getter)`` of each later keyed
-    step without residual checks whose key that step completes; None if
-    there are none.
+def _triggers(plan):
+    """Per step m, the ``(j, bucket key id, key getter)`` of each keyed step
+    j without residual checks whose key reads m last, when m < j - 1.
+    Built on the first walk that watches the plan and kept on it."""
+    if plan.triggers is None:
+        plan.triggers = [[] for _ in plan.steps]
+        start = plan.first_trigger
+        for j, (_, _, mode, gen, own, checks) in enumerate(plan.steps[start:], start):
+            if mode == _KEYED and not own:
+                m = max(t for _, _, t in checks)
+                if m < j - 1:
+                    plan.triggers[m].append((j, *gen))
+    return plan.triggers
 
-    A step is left out when its lookup could reject nothing: when every
-    map into ``cod`` from the part of ``dom`` that the cells it reads
-    generate under the operators to earlier sorts (faces, endpoints) gives
-    it a key in its bucket.  That is decided once per bucket and shape of
-    that part."""
+
+def _watches(dom, plan, cod, stop, indexes):
+    """Per step before ``stop``, the ``(bucket, key getter)`` of each keyed
+    step without residual checks that it watches; None if there are none.
+
+    A step j before ``stop`` is watched as :func:`_triggers` says, a later
+    one by the prefix step that completes its key.  A later step is left
+    out when its lookup could reject nothing: when every map into ``cod``
+    from the part of ``dom`` that the cells it reads generate under the
+    operators to earlier sorts (faces, endpoints) gives it a key in its
+    bucket.  That is decided once per bucket and shape of that part."""
     sig = dom.signature
     down = tuple(op for op in sig.ops if sig.sorts.index(op[2]) < sig.sorts.index(op[1]))
     faces = sig if down == sig.ops else Signature(sig.name, sig.sorts, down)
@@ -822,12 +843,22 @@ def _watches(dom, plan, cod, stop, indexes):
     watch = [[] for _ in range(stop)]
     found = False
     covered = {}
+
+    def bucket(kid):
+        if indexes[kid] is None:
+            indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
+        return indexes[kid]
+
+    if plan.first_trigger < stop:
+        for m, triggers in enumerate(_triggers(plan)[:stop]):
+            for j, kid, getter in triggers:
+                if j < stop:
+                    watch[m].append((bucket(kid), getter))
+                    found = True
     for _, _, mode, gen, own, checks in plan.steps[stop:]:
         if mode != _KEYED or own:
             continue
         kid, getter = gen
-        if indexes[kid] is None:
-            indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
         reads = [t for _, _, t in checks]
         shape = _shape(dom, [plan.steps[t][:2] for t in reads], down)[0]
         if (kid, shape) not in covered:
@@ -838,10 +869,10 @@ def _watches(dom, plan, cod, stop, indexes):
             keys = (tuple(h.on[sorts[n]][str(n)] for n in gens)
                     for h in search_maps(_shaped(faces, shape), cod_faces))
             covered[kid, shape] = all(
-                (key[0] if len(key) == 1 else key) in indexes[kid] for key in keys
+                (key[0] if len(key) == 1 else key) in bucket(kid) for key in keys
             )
         if not covered[kid, shape]:
-            watch[max(reads)].append((indexes[kid], getter))
+            watch[max(reads)].append((bucket(kid), getter))
             found = True
     return watch if found else None
 
@@ -856,17 +887,23 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     unless the product is 0.  Each later step adds all its candidates to
     the guard's count at once, before its checks filter them in one loop,
     so the guard trips on the step where a count by candidate would.  The
-    value vector is the walk's own and changes as the walk goes on.  A
-    later keyed step of :func:`_watches` has its key looked up as soon as
-    the prefix step that completes it is assigned, and a missing key
-    rejects that assignment: no completion of it has a nonzero product.
-    The lookup draws no candidate, so the guard does not count it.
+    value vector is the walk's own and changes as the walk goes on.
+
+    Without pin, filter or injectivity, a keyed step of :func:`_watches`,
+    of the walk or after ``stop``, has its key looked up as soon as the
+    step that completes it is assigned, and a missing key rejects that
+    assignment: no completion of it has a map, or a nonzero product.  The
+    lookup draws no candidate, so the guard does not count it, and a walk
+    can finish where one without lookups would exceed the guard.
     """
     steps = plan.steps
     n = len(steps) if stop is None else stop
     cod_ops, cod_cells = cod.ops, cod.cells
     indexes = [None] * len(plan.bucket_keys)
-    watch = None if stop is None else _watches(dom, plan, cod, stop, indexes)
+    watch = None
+    if (cell_filter is None and not injective and (stop is not None or plan.first_trigger < n)
+            and pinned.count(None) == len(pinned)):
+        watch = _watches(dom, plan, cod, n, indexes)
     used = {sort: set() for sort in dom.signature.sorts}
     vals = [None] * len(steps)
     pending = [None] * n

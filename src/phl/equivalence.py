@@ -7,7 +7,6 @@ family and the truncation caps, and carries that caveat explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import PresheafMap, identity, search_maps
 from .cylinder import CylinderData
@@ -61,8 +60,6 @@ class AltWeReport:
     """Search for an algebra-homomorphism homotopy inverse of T(f)."""
 
     found: bool
-    restriction: Optional[PresheafMap]   # the map Y -> T(X) generating the inverse
-    inverse: Optional[PresheafMap]       # T(Y) -> T(X)
     caveat: str
 
 
@@ -87,5 +84,5 @@ def alternative_we_check(instance: CylinderData, monad, f: PresheafMap,
             continue
         if find_homotopy(instance, tf.then(fbar), identity(tx.obj), guard=guard) is None:
             continue
-        return AltWeReport(True, h, fbar, caveat)
-    return AltWeReport(False, None, None, caveat)
+        return AltWeReport(True, caveat)
+    return AltWeReport(False, caveat)

@@ -33,8 +33,6 @@ class HomClasses:
     is its lexicographically least map.
     """
 
-    source: PresheafObject
-    target: PresheafObject
     homs: tuple
     classes: tuple
     caveat: Optional[str] = None
@@ -78,7 +76,7 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     for i in range(len(homs)):
         buckets.setdefault(linked.find(i), []).append(i)
     classes = tuple(tuple(buckets[root]) for root in sorted(buckets))
-    return HomClasses(x, y, homs, classes, caveat=caveat)
+    return HomClasses(homs, classes, caveat=caveat)
 
 
 @dataclass(frozen=True)
@@ -86,9 +84,6 @@ class InducedClassMap:
     """Precomposition [Y,A] -> [X,A] along f with its bijectivity verdict."""
 
     f: PresheafMap
-    source_classes: HomClasses  # [Y, A]
-    target_classes: HomClasses  # [X, A]
-    mapping: tuple              # class index in [Y,A] -> class index in [X,A]
     well_defined: bool
     injective: bool
     surjective: bool
@@ -115,6 +110,4 @@ def induced_class_map(instance: CylinderData, f: PresheafMap, a: PresheafObject,
         mapping.append(min(images))
     injective = len(set(mapping)) == len(mapping)
     surjective = set(mapping) == set(range(from_x.class_count))
-    return InducedClassMap(
-        f, from_y, from_x, tuple(mapping), well_defined, injective, surjective
-    )
+    return InducedClassMap(f, well_defined, injective, surjective)

@@ -73,14 +73,13 @@ class TObject:
 class MultData:
     """The partial multiplication T(T(X)) -> T(X) at the cap.
 
-    ``defined`` maps in-cap cells; ``skipped`` lists cells whose flattening
-    would exceed the cap.
+    ``defined`` maps in-cap cells; the cells whose flattening would exceed
+    the cap are left out.
     """
 
     domain: PresheafObject
     codomain: PresheafObject
     defined: dict
-    skipped: tuple
 
 
 class FreeCategoryMonad:
@@ -189,8 +188,8 @@ class FreeCategoryMonad:
         ttx = self.apply(tx.obj)
         vertex_on = {v: v for v in self._graph(tx.obj)[0]}
         words = {label: edges for label, (_, _, edges) in tx.decode.items()}
-        defined, skipped = self._extend(ttx, tx, vertex_on, words)
-        return MultData(ttx.obj, tx.obj, self._on(vertex_on, defined), tuple(skipped))
+        defined, _ = self._extend(ttx, tx, vertex_on, words)
+        return MultData(ttx.obj, tx.obj, self._on(vertex_on, defined))
 
 
 class FreeMonoidMonad(FreeCategoryMonad):
@@ -350,15 +349,11 @@ class LawReport:
     assoc_ok: bool
     assoc_checked: int
     skipped_count: int
-    skipped: tuple  # bounded sample of cap-blocked elements
     failures: tuple
 
     @property
     def ok(self) -> bool:
         return self.unit_left_ok and self.unit_right_ok and self.assoc_ok
-
-
-_SKIP_SAMPLE = 20
 
 
 def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
@@ -367,12 +362,11 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     The unit triangles cover every in-cap element of T(X).  Associativity is
     checked on every triple-nested element for which both evaluation orders
     are defined at the cap; elements where either side overflows (attempted
-    up to one letter past the cap) are reported as skipped rather than
-    silently ignored, and counted as all nested elements within the cap
-    less those checked.  The skip sample holds the first 20 skipped
-    elements in walk order.  A step of the walk that starts with the sample
-    full does not visit its cells whose outer two levels flatten past the
-    cap: they and their extensions can only be skipped.  Each sequence
+    up to one letter past the cap) are counted as skipped rather than
+    silently ignored: all nested elements within the cap less those
+    checked.  A step of the walk does not visit its cells whose outer two
+    levels flatten past the cap: they and their extensions can only be
+    skipped.  Each sequence
     carries path one's flattening and the products of its entries down the
     walk.  Nothing reads ``guard``; ``bench/workloads.py`` passes it.
     """
@@ -407,7 +401,7 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     # triple-nested elements: composable sequences of T(T(X))-cells, outer
     # length <= cap, total expansion <= cap.  Inside that domain a side can
     # still overflow (empty-word padding inflates intermediate lengths);
-    # those elements land in the skip list instead of being checked.
+    # those elements are skipped instead of being checked.
     length = {label: len(edges) for label, (_, _, edges) in t_decode.items()}
     expansion = {
         label: sum(map(length.__getitem__, entries))
@@ -446,7 +440,6 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
 
     assoc_ok = True
     checked = 0
-    skipped = []
 
     def classify(anchor, outer, concat, inner):
         """Check one sequence, given path one's flattening ``concat`` and
@@ -454,17 +447,16 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         undefined)."""
         nonlocal assoc_ok, checked
         first = second = None
-        if len(concat) <= cap:  # path one: flatten the outer two levels, then multiply
-            middle = tt_encode(concat, anchor)
-            if middle is not None:
-                first = mu_on.get(middle)
+        # path one: flatten the outer two levels, which the walk keeps
+        # within the cap, then multiply
+        middle = tt_encode(concat, anchor)
+        if middle is not None:
+            first = mu_on.get(middle)
         if inner is not None:  # path two: multiply each entry, then the result
             middle = tt_encode(inner, anchor)
             if middle is not None:
                 second = mu_on.get(middle)
         if first is None or second is None:
-            if len(skipped) < _SKIP_SAMPLE:
-                skipped.append((anchor, outer, "mu∘muT" if first is None else "mu∘Tmu"))
             return
         checked += 1
         if first != second:
@@ -474,11 +466,9 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     def walk(vertex, anchor, outer, concat, inner, room):
         # Depth-first in T(T(X)) decode order.  Past the cap, path one is
         # undefined on a sequence and on every extension of it, whatever the
-        # multiplication holds; a frame that starts with the skip sample
-        # full walks only the cells that path one has room for.
-        choices = (walkable(vertex, room, cap - len(concat)) if len(skipped) == _SKIP_SAMPLE
-                   else fitting.get((vertex, room), ()))
-        for label in choices:
+        # multiplication holds, so a frame walks only the cells that path
+        # one has room for.
+        for label in walkable(vertex, room, cap - len(concat)):
             source, end, entries = tt_decode[label]
             flat = concat + entries
             left = room - expansion[label]
@@ -497,7 +487,4 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     # every walked sequence is checked or skipped; the walk visits
     # one-entry sequences even at cap 0
     skipped_count = len(vertices) + below(start, cap, max(cap, 1)) - checked
-    return LawReport(
-        unit_left_ok, unit_right_ok, assoc_ok, checked, skipped_count,
-        tuple(skipped), tuple(failures)
-    )
+    return LawReport(unit_left_ok, unit_right_ok, assoc_ok, checked, skipped_count, tuple(failures))

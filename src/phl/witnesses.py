@@ -242,14 +242,12 @@ def m2_retract_set(x: PresheafObject, cap: int) -> RetractWitness:
 class TowerWitness:
     """The stage-wise pushout tower with comparison maps and section."""
 
-    graph: PresheafObject
     n_max: int
     cap: int
     stages: tuple            # G~(0) .. G~(n_max)
     h_maps: tuple            # G -> G~(0), then G~(i-1) -> G~(i)
     k_maps: tuple            # G~(i) -> T(G)
     section: PresheafMap     # probed part of T(G) -> G~(n_max)
-    probe_inclusion: PresheafMap  # probed part of T(G) -> T(G)
     shortfall: Optional[str]
     steps: tuple
 
@@ -419,8 +417,7 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
     if not validate_saturation(steps):
         raise WitnessError("saturation evidence failed to verify")
     return TowerWitness(
-        g, n_max, cap, tuple(stages), tuple(h_maps), tuple(k_maps),
-        section, probe_incl, shortfall, steps,
+        n_max, cap, tuple(stages), tuple(h_maps), tuple(k_maps), section, shortfall, steps,
     )
 
 

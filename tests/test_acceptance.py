@@ -70,7 +70,7 @@ from conftest import (
     relation_properties,
     to_terminal,
 )
-from test_witnesses import random_endpoint_corner_problems
+from test_witnesses import probe_inclusion, random_endpoint_corner_problems
 
 SET2 = set_instance()
 GRAPHI = graph_instance()
@@ -243,7 +243,7 @@ def test_c05_retract_and_tower_witnesses():
     ]
     for g in graphs:
         witness = m2_tower_graph(g, n_max=3, cap=3)
-        assert witness.section.then(witness.k_maps[-1]) == witness.probe_inclusion
+        assert witness.section.then(witness.k_maps[-1]) == probe_inclusion(g, witness)
         assert witness.shortfall is None
         assert validate_saturation(witness.steps)
         count += 1

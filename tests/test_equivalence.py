@@ -17,7 +17,7 @@ from phl.fixtures import (
 )
 from phl.homotopy import homotopy_classes
 from phl.lifting import generate_anodyne, has_rlp, is_naively_fibrant_upto
-from phl.monads import FreeCategoryMonad, FreeMonoidMonad
+from phl.monads import FreeCategoryMonad, FreeMonoidMonad, extend_to_free
 
 from conftest import enumerate_homs, mono_unit, to_terminal
 
@@ -80,7 +80,9 @@ class TestAlternativeWeCheck:
         x = corpus_graphs()["loop"]
         report = alternative_we_check(graph_instance, monad, identity(x))
         assert report.found
-        assert report.inverse is not None
+        # an inverse of T(id): the unit extends to the identity of T(X)
+        tx = monad.apply(x)
+        assert extend_to_free(monad, monad.unit(x), tx, tx) == identity(tx.obj)
 
     def test_set_maps_found(self, set_instance):
         # oracle: exhaustive scan over truncated algebra maps plus the

@@ -111,9 +111,10 @@ class TestInducedClassMap:
         assert induced.well_defined
         src = homotopy_classes(graph_instance, cyl.obj, a)
         tgt = homotopy_classes(graph_instance, x, a)
+        mapping = [tgt.class_of(cyl.d0.then(src.homs[members[0]])) for members in src.classes]
         assert (induced.injective, induced.surjective) == (
-            src.class_count >= tgt.class_count and len(set(induced.mapping)) == len(induced.mapping),
-            set(induced.mapping) == set(range(tgt.class_count)),
+            src.class_count >= tgt.class_count and len(set(mapping)) == len(mapping),
+            set(mapping) == set(range(tgt.class_count)),
         )
 
 

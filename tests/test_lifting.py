@@ -18,6 +18,7 @@ from phl.core import (
 from phl.cylinder import corner_endpoint, corner_full, get_instance
 from phl.fixtures import (
     all_small_graphs,
+    chain2_category,
     corpus_categories,
     corpus_graphs,
     corpus_monoids,
@@ -38,6 +39,7 @@ from phl.lifting import (
     is_naively_fibrant_upto,
     solve_lift,
 )
+from phl.monads import FiniteCategory
 from phl.simplicial import boundary_inclusion, delta, horn_inclusion, nerve
 
 from conftest import (
@@ -377,10 +379,12 @@ class TestCountedVerdict:
     ])
     def test_bucket_lookups_drop_only_prefixes_without_maps(self, target):
         # the classes, counts and failures are those of the walk without
-        # lookups.  They reject prefixes into z2_loop, parallel_pair and
-        # the boundary of the 2-simplex, whose 2-simplices leave some edge
-        # triples unfilled; the other targets fill every triple they can,
-        # so their walks look nothing up
+        # lookups.  The walk always watches its own keyed cells that
+        # :func:`core._triggers` lists; the later cells are watched only
+        # for z2_loop, parallel_pair and the boundary of the 2-simplex,
+        # whose 2-simplices leave some edge triples unfilled.  The other
+        # targets fill every triple they can, so the later cells' lookups
+        # are left out
         shapes = {
             "delta2": delta(2, 2),
             "boundary2": boundary_inclusion(2, 2).domain,
@@ -390,9 +394,10 @@ class TestCountedVerdict:
         a = shapes[target] if target in shapes else nerve(categories[target], 2)
         watches, looked_up = core._watches, []
 
-        def recorded(*args):
-            watch = watches(*args)
-            looked_up.append(watch is not None)
+        def recorded(dom, plan, cod, stop, indexes):
+            watch = watches(dom, plan, cod, stop, indexes)
+            own = sum(j < stop for triggers in core._triggers(plan)[:stop] for j, _, _ in triggers)
+            looked_up.append(watch is not None and sum(map(len, watch)) > own)
             return watch
 
         for entry in family_of("sset-jinf", 0, cap=2).entries:
@@ -408,6 +413,32 @@ class TestCountedVerdict:
         # reject them as soon as the triple is assigned
         family = family_of("sset-jinf", 1, cap=2)
         for category, squares in ((parallel_category(), 24), (z2_category(), 2_225)):
+            verdict = is_naively_fibrant_upto(nerve(category, 2), family)
+            assert (verdict.ok, verdict.squares_checked) == (True, squares)
+
+    def test_cap_two_nerves_at_depth_one_within_a_small_guard(self):
+        # the prefix walks look a 2-simplex's face triple up as soon as its
+        # last edge is assigned, not when they reach the 2-simplex, so most
+        # edge pairs die before any later edge is drawn.  Without these
+        # lookups each case exceeded a guard of 10^6 candidates
+        objects = ("X", "Y", "Z")
+        identities = {o: f"i{o}" for o in objects}
+        discrete3 = FiniteCategory(
+            objects, [(i, o, o) for o, i in identities.items()], identities,
+            {i: {i: i} for i in identities.values()}, name="discrete3",
+        )
+        for category, instance, squares in ((chain2_category(), "sset-jinf", 38),
+                                            (discrete3, "sset-jinf", 18),
+                                            (discrete3, "sset-delta1", 30)):
+            family = family_of(instance, 1, cap=2)
+            verdict = is_naively_fibrant_upto(nerve(category, 2), family, guard=10_000)
+            assert (verdict.ok, verdict.squares_checked) == (True, squares)
+
+    def test_cap_two_nerves_at_depth_two_within_the_default_guard(self):
+        # these exceeded the default guard before the walk looked up its
+        # own keyed cells
+        family = family_of("sset-jinf", 2, cap=2)
+        for category, squares in ((discrete2_category(), 18), (chain2_category(), 57)):
             verdict = is_naively_fibrant_upto(nerve(category, 2), family)
             assert (verdict.ok, verdict.squares_checked) == (True, squares)
 

@@ -195,11 +195,14 @@ def test_every_module_level_name_is_reached_from_a_command():
     assert bound - _reached(commands | KEPT_FOR_OTHER_READERS)[1] == set()
 
 
+READ_ATTRIBUTES = {node.attr for tree in SOURCES.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)}
+
+
 def test_every_method_is_read_somewhere_in_phl():
     # a method that no module of phl reads as an attribute is called only
     # from the tests, or not at all
-    read = {node.attr for tree in SOURCES.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+    read = READ_ATTRIBUTES
     unread = {
         (module, cls.name, method.name)
         for module, tree in SOURCES.items()
@@ -210,6 +213,30 @@ def test_every_method_is_read_somewhere_in_phl():
         and method.name not in read
     }
     assert unread == set()
+
+
+FIELDS_FOR_OTHER_READERS = {
+    # the benchmark's checks and counters read these (bench/workloads.py,
+    # bench/spans.py); no command does
+    ("equivalence", "AltWeReport", "found"),
+    ("monads", "LawReport", "assoc_checked"),
+    ("monads", "LawReport", "skipped_count"),
+    ("monads", "LawReport", "failures"),
+}
+
+
+def test_every_dataclass_field_is_read_somewhere_in_phl():
+    # an annotated field that no module of phl reads as an attribute is
+    # read only by the tests, or only by the dataclass's equality and repr
+    unread = {
+        (module, cls.name, field.target.id)
+        for module, tree in SOURCES.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in READ_ATTRIBUTES
+    }
+    assert unread == FIELDS_FOR_OTHER_READERS
 
 
 def test_the_readme_names_every_shared_test_helper():
