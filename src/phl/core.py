@@ -836,25 +836,24 @@ def _watches(dom, plan, cod, stop, indexes):
     from the part of ``dom`` that the cells it reads generate under the
     operators to earlier sorts (faces, endpoints) gives it a key in its
     bucket.  That is decided once per bucket and shape of that part."""
-    sig = dom.signature
-    down = tuple(op for op in sig.ops if sig.sorts.index(op[2]) < sig.sorts.index(op[1]))
-    faces = sig if down == sig.ops else Signature(sig.name, sig.sorts, down)
-    cod_faces = None
-    watch = [[] for _ in range(stop)]
-    found = False
-    covered = {}
 
     def bucket(kid):
         if indexes[kid] is None:
             indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
         return indexes[kid]
 
-    if plan.first_trigger < stop:
-        for m, triggers in enumerate(_triggers(plan)[:stop]):
-            for j, kid, getter in triggers:
-                if j < stop:
-                    watch[m].append((bucket(kid), getter))
-                    found = True
+    found = plan.first_trigger < stop
+    if found:
+        watch = [[(bucket(kid), getter) for j, kid, getter in triggers if j < stop]
+                 for triggers in _triggers(plan)[:stop]]
+    else:
+        watch = [[] for _ in range(stop)]
+    if stop < len(plan.steps):
+        sig = dom.signature
+        down = tuple(op for op in sig.ops if sig.sorts.index(op[2]) < sig.sorts.index(op[1]))
+        faces = sig if down == sig.ops else Signature(sig.name, sig.sorts, down)
+        cod_faces = None
+        covered = {}
     for _, _, mode, gen, own, checks in plan.steps[stop:]:
         if mode != _KEYED or own:
             continue

@@ -527,7 +527,7 @@ CAP2_ENTRIES = [entry for name in ("sset-jinf", "sset-delta1")
 
 def _unwatched():
     """The walk with no lookups of its own keyed cells."""
-    return mock.patch.object(core, "_triggers", lambda plan: [])
+    return mock.patch.object(core, "_triggers", lambda plan: [()] * len(plan.steps))
 
 
 @st.composite
