@@ -366,9 +366,9 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
     silently ignored: all nested elements within the cap less those
     checked.  A step of the walk does not visit its cells whose outer two
     levels flatten past the cap: they and their extensions can only be
-    skipped.  Each sequence
-    carries path one's flattening and the products of its entries down the
-    walk.  Nothing reads ``guard``; ``bench/workloads.py`` passes it.
+    skipped.  Each sequence carries path one's flattening and the products
+    of its entries down the walk.  Nothing reads ``guard``;
+    ``bench/workloads.py`` passes it.
     """
     cap = monad.cap
     failures = []
