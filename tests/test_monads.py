@@ -228,8 +228,8 @@ class TestOneVertexGraphs:
 
     def test_law_reports_keep_their_counts_and_samples(self):
         # counts of the law checks that ``phl verify`` runs, and of the
-        # two-letter monoid at cap 3; the exhaustive walk's first skipped
-        # elements, which the reports no longer carry
+        # two-letter monoid at cap 3, and the first nestings that the
+        # exhaustive walk skips
         report = check_monad_laws(FreeMonoidMonad(3), fin_set(["a"]))
         assert (report.ok, report.assoc_checked, report.skipped_count) == (True, 428, 3668)
         sample = _reference_laws(FreeMonoidMonad(3), fin_set(["a"]))[1]
@@ -424,11 +424,11 @@ class TestLawsAgainstReference:
         # both kinds of corruption show in the reports being compared
         assert tmu_samples and failing
 
-    def test_corrupted_multiplications_past_a_full_sample(self):
+    def test_corrupted_multiplications_after_many_skips(self):
         # at cap 3 these skip more than 20 nestings before their first
-        # failure, which used to fill a skip sample; every frame walks only
-        # the cells path one has room for, so a change to the order of
-        # those cells or to the skip count shows in the reports compared
+        # failure, and most failures come from deep frames, which walk only
+        # the cells path one has room for: a change to the order of those
+        # cells or to the skip count shows in the reports being compared
         failing = 0
         for name in ("two_loops", "looped_edge"):
             x = corpus_graphs()[name]
