@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -531,8 +532,9 @@ def product_map(f: PresheafMap, g: PresheafMap) -> PresheafMap:
 #   graph edges by (src, tgt), n-simplices by their face tuple;
 # - residual: an operator from a cell to itself, checked on each candidate;
 # - watched: a keyed cell without residual checks is also looked up at the
-#   last cell its key reads, when that is not the cell just before it, and
-#   a missing key rejects that cell's value early (:func:`_triggers`).
+#   last cell its key reads, when that is not the cell just before it and
+#   its bucket does not hold every key, and a missing key rejects that
+#   cell's value early (:func:`_triggers`).
 #
 # Buckets list codomain cells in sorted order, so the candidates of a cell
 # are exactly the full scan's survivors of its keyed constraints, in the
@@ -659,10 +661,10 @@ def search_maps(
     return _walk(dom, cod, plan, pinned, cell_filter, injective, budget)
 
 
-def _shape(obj: PresheafObject, cells, ops) -> tuple:
+def _shape(obj: PresheafObject, cells) -> tuple:
     """The part of ``obj`` that the distinct ``(sort, cell)`` pairs generate
-    under ``ops``, numbered in the order a walk along ``ops`` from the pairs
-    reaches its cells, so that the pairs are 0, 1, ...
+    under its operators, numbered in the order a walk along them from the
+    pairs reaches its cells, so that the pairs are 0, 1, ...
 
     Returns ``(shape, order)``: the shape is the numbered cells' sorts, per
     operator its table of number pairs, and the pairs' numbers; ``order``
@@ -676,6 +678,7 @@ def _shape(obj: PresheafObject, cells, ops) -> tuple:
             order.append(key)
         return number[key]
 
+    ops = obj.signature.ops
     gens = tuple(visit(key) for key in cells)
     tables = {name: [] for name, _, _ in ops}
     for sort, cell in order:
@@ -747,7 +750,7 @@ def _split(i: PresheafMap) -> tuple:
     preimage = {sort: {v: c for c, v in i.on[sort].items()} for sort in l.signature.sorts}
     parts = []
     for members in components.values():
-        shape, order = _shape(l, members, ops)
+        shape, order = _shape(l, members)
         pins = tuple(plan.positions[sort][preimage[sort][cell]] for sort, cell in order[len(members):])
         parts.append((shape, pins))
     return cut, parts
@@ -812,8 +815,8 @@ def _exceeded(budget):
 
 
 def _triggers(plan):
-    """Per step m, the ``(j, bucket key id, key getter)`` of each keyed step
-    j without residual checks whose key reads m last, when m < j - 1.
+    """Per step m, the ``(bucket key id, key getter)`` of each keyed step j
+    without residual checks whose key reads m last, when m < j - 1.
     Built on the first walk that watches the plan and kept on it."""
     if plan.triggers is None:
         plan.triggers = [[] for _ in plan.steps]
@@ -822,58 +825,8 @@ def _triggers(plan):
             if mode == _KEYED and not own:
                 m = max(t for _, _, t in checks)
                 if m < j - 1:
-                    plan.triggers[m].append((j, *gen))
+                    plan.triggers[m].append(gen)
     return plan.triggers
-
-
-def _watches(dom, plan, cod, stop, indexes):
-    """Per step before ``stop``, the ``(bucket, key getter)`` of each keyed
-    step without residual checks that it watches; None if there are none.
-
-    A step j before ``stop`` is watched as :func:`_triggers` says, a later
-    one by the prefix step that completes its key.  A later step is left
-    out when its lookup could reject nothing: when every map into ``cod``
-    from the part of ``dom`` that the cells it reads generate under the
-    operators to earlier sorts (faces, endpoints) gives it a key in its
-    bucket.  That is decided once per bucket and shape of that part."""
-
-    def bucket(kid):
-        if indexes[kid] is None:
-            indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
-        return indexes[kid]
-
-    found = plan.first_trigger < stop
-    if found:
-        watch = [[(bucket(kid), getter) for j, kid, getter in triggers if j < stop]
-                 for triggers in _triggers(plan)[:stop]]
-    else:
-        watch = [[] for _ in range(stop)]
-    if stop < len(plan.steps):
-        sig = dom.signature
-        down = tuple(op for op in sig.ops if sig.sorts.index(op[2]) < sig.sorts.index(op[1]))
-        faces = sig if down == sig.ops else Signature(sig.name, sig.sorts, down)
-        cod_faces = None
-        covered = {}
-    for _, _, mode, gen, own, checks in plan.steps[stop:]:
-        if mode != _KEYED or own:
-            continue
-        kid, getter = gen
-        reads = [t for _, _, t in checks]
-        shape = _shape(dom, [plan.steps[t][:2] for t in reads], down)[0]
-        if (kid, shape) not in covered:
-            if cod_faces is None:
-                cod_faces = cod if faces is sig else PresheafObject(
-                    faces, cod.cells, cod.ops, _validated=True)
-            sorts, _, gens = shape
-            keys = (tuple(h.on[sorts[n]][str(n)] for n in gens)
-                    for h in search_maps(_shaped(faces, shape), cod_faces))
-            covered[kid, shape] = all(
-                (key[0] if len(key) == 1 else key) in bucket(kid) for key in keys
-            )
-        if not covered[kid, shape]:
-            watch[max(reads)].append((bucket(kid), getter))
-            found = True
-    return watch if found else None
 
 
 def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
@@ -888,21 +841,38 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     so the guard trips on the step where a count by candidate would.  The
     value vector is the walk's own and changes as the walk goes on.
 
-    Without pin, filter or injectivity, a keyed step of :func:`_watches`,
+    Without pin, filter or injectivity, a keyed step of :func:`_triggers`,
     of the walk or after ``stop``, has its key looked up as soon as the
-    step that completes it is assigned, and a missing key rejects that
-    assignment: no completion of it has a map, or a nonzero product.  The
-    lookup draws no candidate, so the guard does not count it, and a walk
-    can finish where one without lookups would exceed the guard.
+    step it reads last is assigned, and a missing key rejects that
+    assignment: no completion of it has a map, or a nonzero product.  A
+    later step reads only the prefix, so :func:`_triggers` lists it at a
+    prefix step unless it directly follows the step it reads last; then it
+    is the step at ``stop``, whose empty bucket the count finds at once.  A
+    step is not looked up when its bucket is total, holding a key for every
+    choice of the codomain's cells that it reads: that lookup could reject
+    nothing.  The lookup draws no candidate, so the guard does not count
+    it, and a walk can finish where one without lookups would exceed the
+    guard.
     """
     steps = plan.steps
     n = len(steps) if stop is None else stop
     cod_ops, cod_cells = cod.ops, cod.cells
     indexes = [None] * len(plan.bucket_keys)
+
+    def bucket(kid):
+        if indexes[kid] is None:
+            indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
+        return indexes[kid]
+
     watch = None
-    if (cell_filter is None and not injective and (stop is not None or plan.first_trigger < n)
+    if (cell_filter is None and not injective and plan.first_trigger < len(steps)
             and pinned.count(None) == len(pinned)):
-        watch = _watches(dom, plan, cod, n, indexes)
+        size = {name: len(cod_cells[t_sort]) for name, _, t_sort in dom.signature.ops}
+        watch = [[(bucket(kid), getter) for kid, getter in triggers
+                  if len(bucket(kid)) < prod(size[name] for name in plan.bucket_keys[kid][1])]
+                 for triggers in _triggers(plan)[:n]]
+        if not any(watch):
+            watch = None
     used = {sort: set() for sort in dom.signature.sorts}
     vals = [None] * len(steps)
     pending = [None] * n
@@ -917,9 +887,7 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             return (cod_ops[name][vals[s]],), own
         if mode == _KEYED:
             kid, getter = gen
-            if indexes[kid] is None:
-                indexes[kid] = buckets(cod, *plan.bucket_keys[kid])
-            return indexes[kid].get(getter(vals), ()), own
+            return bucket(kid).get(getter(vals), ()), own
         return cod_cells[sort], own
 
     def extend(count):
@@ -975,8 +943,8 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             else:
                 if watch is None:
                     break
-                for bucket, getter in watch[i]:
-                    if getter(vals) not in bucket:
+                for keys, getter in watch[i]:
+                    if getter(vals) not in keys:
                         break
                 else:
                     break

@@ -225,6 +225,13 @@ class FreeMonoidMonad(FreeCategoryMonad):
 # Algebras
 # ---------------------------------------------------------------------------
 
+def _refuse_undeclared(where, noun, given, declared):
+    """Refuse a key of ``given`` that ``declared`` lacks."""
+    extra = given.keys() - set(declared)
+    if extra:
+        raise ValidationError(f"the {where} names {min(extra)!r}, which is not a declared {noun}")
+
+
 class FiniteCategory:
     """A finite category given by explicit identity and composition tables.
 
@@ -245,6 +252,10 @@ class FiniteCategory:
             if self.src[label] not in self.objects or self.tgt[label] not in self.objects:
                 raise ValidationError(f"morphism {label!r} has undeclared endpoints")
         self.identities = dict(identities)
+        _refuse_undeclared("identity table", "object", self.identities, self.objects)
+        _refuse_undeclared("composition table", "morphism", compose, self.morphisms)
+        for f, row in compose.items():
+            _refuse_undeclared(f"composition row {f!r}", "morphism", row, self.morphisms)
         for obj in self.objects:
             ident = self.identities.get(obj)
             if ident is None:

@@ -572,6 +572,31 @@ class TestRefusals:
         code, error = _refusal(["fibrant", str(path), "--family", str(path)], capsys)
         assert code == 2 and "'z'" in error
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "category", "objects": ["*"], "morphisms": [["i", "*", "*"]],
+          "identities": {"*": "i", "ghost": "i"}, "compose": {"i": {"i": "i"}}},
+         "the identity table names 'ghost', which is not a declared object"),
+        ({"kind": "category", "objects": ["*"], "morphisms": [["i", "*", "*"]],
+          "identities": {"*": "i"}, "compose": {"i": {"i": "i"}, "bogus": {"i": "i"}}},
+         "the composition table names 'bogus', which is not a declared morphism"),
+        ({"kind": "category", "objects": ["*"], "morphisms": [["i", "*", "*"]],
+          "identities": {"*": "i"}, "compose": {"i": {"i": "i", "zz": "i"}}},
+         "the composition row 'i' names 'zz', which is not a declared morphism"),
+        ({"kind": "monoid", "elements": ["e"], "unit": "e",
+          "table": {"e": {"e": "e"}, "y": {"e": "e"}}},
+         "the composition table names 'y', which is not a declared morphism"),
+        ({"kind": "monoid", "elements": ["e"], "unit": "e", "table": {"e": {"e": "e", "x": "e"}}},
+         "the composition row 'e' names 'x', which is not a declared morphism"),
+    ], ids=["category-identity", "category-row", "category-column", "monoid-row", "monoid-column"])
+    def test_a_name_the_tables_do_not_declare_is_refused(self, corpus_dir, tmp_path, capsys,
+                                                          doc, message):
+        # the extra name would be kept, or dropped without a word, and the
+        # document written back with it
+        path = tmp_path / "algebra.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = ["fibrant", str(path), "--family", str(corpus_dir / "family_graphI_d1.json")]
+        assert _refusal(argv, capsys) == (2, f"{path}: {message}")
+
     @pytest.mark.parametrize("key", ["instance", "depth"])
     def test_family_needs_its_instance_and_depth(self, corpus_dir, tmp_path, capsys, key):
         doc = json.loads((corpus_dir / "family_graphI_d1.json").read_text(encoding="utf-8"))

@@ -1,4 +1,6 @@
+from contextlib import contextmanager
 from functools import lru_cache
+from math import prod
 from unittest import mock
 
 import pytest
@@ -241,6 +243,21 @@ def assert_agrees_with_reference(a, family):
     assert is_naively_fibrant_upto(a, family) == has_rlp(bang(a), family)
 
 
+@contextmanager
+def recorded_walks():
+    """The frames of the walks that start under it, each readable, locals
+    and all, once its walk is done."""
+    walk, frames = core._walk, []
+
+    def recorded(*args):
+        started = walk(*args)
+        frames.append(started.gi_frame)
+        return started
+
+    with mock.patch.object(core, "_walk", recorded):
+        yield frames
+
+
 class TestCountedVerdict:
     """The counted verdict against the exhaustive square walk of has_rlp:
     the same ok, count, entry, top and bottom."""
@@ -379,12 +396,9 @@ class TestCountedVerdict:
     ])
     def test_bucket_lookups_drop_only_prefixes_without_maps(self, target):
         # the classes, counts and failures are those of the walk without
-        # lookups.  The walk always watches its own keyed cells that
-        # :func:`core._triggers` lists; the later cells are watched only
-        # for z2_loop, parallel_pair and the boundary of the 2-simplex,
-        # whose 2-simplices leave some edge triples unfilled.  The other
-        # targets fill every triple they can, so the later cells' lookups
-        # are left out
+        # lookups.  Each walk with no pin looks up the keyed cells that
+        # :func:`core._triggers` lists at the steps of its prefix, later
+        # cells included, less those whose bucket is total
         shapes = {
             "delta2": delta(2, 2),
             "boundary2": boundary_inclusion(2, 2).domain,
@@ -392,20 +406,38 @@ class TestCountedVerdict:
         }
         categories = {c.name: c for c in corpus_categories()}
         a = shapes[target] if target in shapes else nerve(categories[target], 2)
-        watches, looked_up = core._watches, []
-
-        def recorded(dom, plan, cod, stop, indexes):
-            watch = watches(dom, plan, cod, stop, indexes)
-            own = sum(j < stop for triggers in core._triggers(plan)[:stop] for j, _, _ in triggers)
-            looked_up.append(watch is not None and sum(map(len, watch)) > own)
-            return watch
-
+        walks = []
         for entry in family_of("sset-jinf", 0, cap=2).entries:
-            with mock.patch.object(core, "_watches", lambda *args: None):
+            with mock.patch.object(core, "_triggers", lambda plan: [()] * len(plan.steps)):
                 unwatched = list(core.extension_classes(entry.arrow, a))
-            with mock.patch.object(core, "_watches", recorded):
+            with recorded_walks() as frames:
                 assert list(core.extension_classes(entry.arrow, a)) == unwatched
-        assert any(looked_up) == (target in ("z2_loop", "parallel_pair", "boundary2"))
+            walks += [frame.f_locals for frame in frames]
+        assert any(walk["watch"] is not None for walk in walks)
+        for walk in walks:
+            plan, cod, watch = walk["plan"], walk["cod"], walk["watch"]
+            if any(value is not None for value in walk["pinned"]):
+                assert watch is None
+                continue
+            total = [len(core.buckets(cod, sort, names))
+                     == prod(len(cod.cells[t]) for name, _, t in cod.signature.ops if name in names)
+                     for sort, names in plan.bucket_keys]
+            lookups = [[getter for kid, getter in triggers if not total[kid]]
+                       for triggers in core._triggers(plan)[:walk["n"]]]
+            assert [[getter for _, getter in step] for step in watch or ()] == (
+                lookups if any(lookups) else [])
+
+    @pytest.mark.parametrize("carrier, watched", [("groupoid_interval", False), ("parallel_pair", True)])
+    def test_a_total_bucket_is_not_looked_up(self, carrier, watched):
+        # graphI's prefix walks assign vertices and count the later edges,
+        # whose buckets are keyed by their endpoints.  groupoid_interval's
+        # carrier has an edge from every vertex to every vertex, so no
+        # lookup could miss; parallel_pair's has no edge B -> A
+        a = {c.name: c for c in corpus_categories()}[carrier].underlying_graph()
+        family = family_of("graphI", 1)
+        with recorded_walks() as frames:
+            assert_agrees_with_reference(a, family)
+        assert any(frame.f_locals["watch"] is not None for frame in frames) == watched
 
     def test_cap_two_nerves_finish_within_the_default_guard(self):
         # at cap 2 and depth 1 the prefix walks over these nerves reach

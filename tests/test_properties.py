@@ -114,7 +114,7 @@ def test_counted_fibrancy_agrees_with_the_square_walk_on_drawn_entries(i, a):
 
 @given(subgraph_inclusions(), small_graphs(3, 3))
 def test_bucket_lookups_drop_only_prefixes_without_maps(i, a):
-    with mock.patch.object(core, "_watches", lambda *args: None):
+    with _unwatched():
         unwatched = list(core.extension_classes(i, a))
     assert list(core.extension_classes(i, a)) == unwatched
 
@@ -526,7 +526,7 @@ CAP2_ENTRIES = [entry for name in ("sset-jinf", "sset-delta1")
 
 
 def _unwatched():
-    """The walk with no lookups of its own keyed cells."""
+    """The walk with no lookups."""
     return mock.patch.object(core, "_triggers", lambda plan: [()] * len(plan.steps))
 
 

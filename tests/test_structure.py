@@ -195,6 +195,13 @@ def test_every_module_level_name_is_reached_from_a_command():
     assert bound - _reached(commands | KEPT_FOR_OTHER_READERS)[1] == set()
 
 
+def test_the_walk_sets_up_without_a_search():
+    # deciding which cells to watch by a hom search of its own took
+    # ``tau0`` from 50 ms to 10 s a round: no ``core`` function that the
+    # walk reaches may name ``search_maps``
+    assert ("core", "search_maps") not in _reached({("core", "_walk")})[1]
+
+
 READ_ATTRIBUTES = {node.attr for tree in SOURCES.values() for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute)}
 
