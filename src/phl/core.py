@@ -11,9 +11,10 @@ deduplication logic depend on it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
-from math import prod
+from itertools import islice, repeat
+from math import inf, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -555,7 +556,8 @@ class _SearchPlan:
     least watched step (:func:`_triggers`), or the number of steps.
     """
 
-    __slots__ = ("positions", "spans", "steps", "bucket_keys", "first_trigger", "triggers")
+    __slots__ = ("positions", "spans", "steps", "bucket_keys", "first_trigger", "triggers",
+                 "attached")
 
     def __init__(self, dom: PresheafObject):
         sorts = dom.signature.sorts
@@ -581,7 +583,7 @@ class _SearchPlan:
             else:
                 for cell, s in sources.items():
                     keyed[s].append((name, s, targets[table[cell]]))
-        self.bucket_keys, self.first_trigger, self.triggers = [], lo, None
+        self.bucket_keys, self.first_trigger, self.triggers, self.attached = [], lo, None, None
         key_ids = {}
         self.steps = []
         for sort, cells, lo, _ in self.spans:
@@ -772,8 +774,9 @@ def extension_classes(i: PresheafMap, cod: PresheafObject,
     boundary, remembered for the rest of the call.  The guard counts the
     prefix walk's candidates and, per prefix assignment that the walk's
     bucket lookups keep (see :func:`_walk`), every candidate of every later
-    cell; a lookup counts nothing, and each search on a closure gets the
-    guard afresh.
+    cell.  That count is unchanged by the walk counting a later cell only
+    when a prefix cell it reads changes; a lookup counts nothing, and each
+    search on a closure gets the guard afresh.
     """
     dom = i.domain
     if dom.signature.name != cod.signature.name:
@@ -829,17 +832,55 @@ def _triggers(plan):
     return plan.triggers
 
 
+def _attached(plan, stop):
+    """For a counted walk that stops at ``stop``, ``(later, groups,
+    below)``.  ``later`` lists the later steps in order, as ``(j, sort,
+    mode, gen, own_checks)``.  ``groups`` splits them by the last prefix
+    step they read through their forcing source, key or checks, in the
+    order of that step, those that read none first, and ``below[m]`` is the
+    number of groups that read only steps before m.  ``groups`` is None
+    when all later steps read step ``stop - 1``, so that no count could be
+    kept for another prefix assignment.  Built on the first counted walk
+    that stops there and kept on the plan."""
+    if plan.attached is None:
+        plan.attached = {}
+    found = plan.attached.get(stop)
+    if found is None:
+        later, groups = [], {}
+        for j in range(stop, len(plan.steps)):
+            sort, _, mode, gen, own, checks = plan.steps[j]
+            later.append((j, sort, mode, gen, own))
+            groups.setdefault(max((min(s, t) for _, s, t in checks if s != t), default=-1),
+                              []).append(later[-1])
+        reads = sorted(groups)
+        if reads in ([], [stop - 1]):
+            found = later, None, None
+        else:
+            found = later, [groups[m] for m in reads], [bisect_left(reads, m) for m in range(stop)]
+        plan.attached[stop] = found
+    return found
+
+
 def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     """Depth-first walk of the search plan, yielding every map in order.
 
     With ``stop`` (and no pin, filter or injectivity) the walk ends at that
     step: per prefix assignment it counts the admitted candidates of each
     later step, which must read only the prefix and themselves, and yields
-    ``(product, values)`` with each later step at its least candidate,
-    unless the product is 0.  Each later step adds all its candidates to
-    the guard's count at once, before its checks filter them in one loop,
-    so the guard trips on the step where a count by candidate would.  The
-    value vector is the walk's own and changes as the walk goes on.
+    ``(product, values)`` unless the product is 0.  A later step is counted
+    once per value of the last prefix step it reads (:func:`_attached`):
+    per prefix step that later steps read last, the walk keeps the
+    candidates and the product of the later steps read up to it, as they
+    stand for its current value, so a prefix assignment recounts only the
+    later steps of the prefix steps that changed.  The values hold each
+    later step at its least admitted candidate.  A prefix assignment with
+    a nonzero product adds all its later candidates to the guard's count
+    at once; one with product 0 recounts its later steps one by one, each
+    adding all its candidates before its checks filter them, up to the
+    first that admits none.  So the guard's count is unchanged from a count
+    of every later step per prefix assignment, and the guard trips on the
+    prefix assignment where that count would.  The value vector is the
+    walk's own and changes as the walk goes on.
 
     Without pin, filter or injectivity, a keyed step of :func:`_triggers`,
     of the walk or after ``stop``, has its key looked up as soon as the
@@ -890,39 +931,62 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             return bucket(kid).get(getter(vals), ()), own
         return cod_cells[sort], own
 
-    def extend(count):
-        # ``count`` is passed in and handed back rather than shared, so that
-        # it stays a fast local of the walk's per-candidate loop
-        product = 1
-        for j in range(n, len(steps)):
-            cands, checks = candidates(j)
-            count += len(cands)
-            if count > budget:
-                raise _exceeded(budget)
-            if checks:
-                admitted = []
-                for value in cands:
-                    vals[j] = value
-                    for name, s, t in checks:
-                        if cod_ops[name][vals[s]] != vals[t]:
-                            break
-                    else:
-                        admitted.append(value)
-                cands = admitted
-            if not cands:
-                return count, 0
-            vals[j] = cands[0]
-            product *= len(cands)
-        return count, product
+    def tally(runs, drawn, product, limit, record=None):
+        # adds the candidates of each run's later steps to ``drawn`` and
+        # multiplies their admitted counts into ``product``, leaving each
+        # step at its least, up to the first step that admits none; appends
+        # both to ``record`` after each run.  ``drawn`` is passed in and
+        # handed back rather than shared, so that the guard's count stays a
+        # fast local of the walk's per-candidate loop
+        for run in runs:
+            for j, sort, mode, gen, checks in run:
+                if mode == _KEYED:
+                    kid, getter = gen
+                    cands = (indexes[kid] or bucket(kid)).get(getter(vals), ())
+                elif mode == _FORCED:
+                    name, s = gen
+                    cands = (cod_ops[name][vals[s]],)
+                else:
+                    cands = cod_cells[sort]
+                drawn += len(cands)
+                if drawn > limit:
+                    raise _exceeded(budget)
+                if checks:
+                    admitted = []
+                    for value in cands:
+                        vals[j] = value
+                        for name, s, t in checks:
+                            if cod_ops[name][vals[s]] != vals[t]:
+                                break
+                        else:
+                            admitted.append(value)
+                    cands = admitted
+                if not cands:
+                    product = 0
+                    break
+                vals[j] = cands[0]
+                product *= len(cands)
+            if record is not None:
+                record.append((drawn, product))
+            if not product:
+                break
+        return drawn, product
 
+    if stop is not None:
+        # tallies[g] is (candidates, product) over the later steps of the
+        # first g groups, as they stand for the current prefix
+        later, groups, below = _attached(plan, n)
+        tallies = [(0, 1)]
     if n == 0:
         if stop is None:
             yield _assemble(dom, cod, plan, vals)
         else:
-            product = extend(count)[1]
+            product = tally((later,), count, 1, budget)[1]
             if product:
                 yield product, vals
         return
+    # the least level assigned since the last prefix assignment was counted
+    low = n - 1
     i = 0
     cands, checks = candidates(0)
     it = iter(cands)
@@ -954,6 +1018,8 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             i -= 1
             if i < 0:
                 return
+            if i < low:
+                low = i
             it, checks = pending[i]
             if injective:
                 used[steps[i][0]].discard(vals[i])
@@ -961,10 +1027,23 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
         if i + 1 == n:
             if stop is None:
                 yield _assemble(dom, cod, plan, vals)
-            else:
-                count, product = extend(count)
+                continue
+            product = 0
+            if groups is not None:
+                del tallies[below[low] + 1:]
+                low = i
+                drawn, product = tallies[-1]
                 if product:
-                    yield product, vals
+                    drawn, product = tally(islice(groups, len(tallies) - 1, None), drawn, product,
+                                           inf, tallies)
+            if product:
+                count += drawn
+                if count > budget:
+                    raise _exceeded(budget)
+            else:
+                count, product = tally((later,), count, 1, budget)
+            if product:
+                yield product, vals
             continue
         if injective:
             used[sort].add(value)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from phl import core
+from phl import core, lifting
 from phl.core import (
     PresheafMap,
     ValidationError,
@@ -518,6 +518,27 @@ class TestFibrancy:
         assert verdict.squares_checked == squares == sum(
             2 ** len(entry.arrow.domain.cells["edge"]) for entry in family.entries
         )
+
+    def test_groupoid_interval_fibrant_at_depth_two(self, monkeypatch):
+        # the carrier has one edge from every vertex to every vertex.  Its
+        # 131,619 classes are counted in about a second, since each later
+        # edge is recounted only when a vertex it reads changes, and
+        # remembering which part boundaries extend leaves 25 searches
+        family, a = family_of("graphI", 2), groupoid_interval().underlying_graph()
+        classes, searches = [], []
+        extension_classes, search_maps = core.extension_classes, core.search_maps
+
+        def counted(*args, **kwargs):
+            for found in extension_classes(*args, **kwargs):
+                classes.append(found)
+                yield found
+
+        monkeypatch.setattr(lifting, "extension_classes", counted)
+        monkeypatch.setattr(core, "search_maps",
+                            lambda *args, **kwargs: searches.append(args) or search_maps(*args, **kwargs))
+        verdict = is_naively_fibrant_upto(a, family)
+        assert (verdict.ok, verdict.squares_checked) == (True, 131_890)
+        assert (len(classes), len(searches)) == (131_619, 25)
 
     @pytest.mark.parametrize("instance, squares", [
         ("sset-delta1", 262_162),

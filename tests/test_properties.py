@@ -23,7 +23,13 @@ from phl.core import (
 )
 from phl.cylinder import get_instance, graph_instance, set_instance
 from phl.documents import canonical_json, family_to_document, write_document
-from phl.fixtures import chain2_category, corpus_categories, corpus_graphs, z2_category
+from phl.fixtures import (
+    all_small_graphs,
+    chain2_category,
+    corpus_categories,
+    corpus_graphs,
+    z2_category,
+)
 from phl.homotopy import find_homotopy
 from phl.lifting import (
     AnodyneFamily,
@@ -574,6 +580,63 @@ def test_horn_fillers_are_those_of_the_walk_without_lookups(cap):
                 with _unwatched():
                     unwatched = horn_filler(x, n, k)
                 assert horn_filler(x, n, k) == unwatched
+
+
+# ---------------------------------------------------------------------------
+# The counted walk's per-level tallies against a count of every later step
+# ---------------------------------------------------------------------------
+
+def _recounted():
+    """The counted walk that counts every later step afresh for each prefix
+    assignment."""
+    attached = core._attached
+    return mock.patch.object(core, "_attached",
+                             lambda plan, stop: (attached(plan, stop)[0], None, None))
+
+
+def _classes(i, a, guard):
+    """The yields of ``extension_classes(i, a)`` under ``guard``, or None
+    when it exceeds the guard."""
+    try:
+        return list(core.extension_classes(i, a, guard=guard))
+    except core.GuardExceeded:
+        return None
+
+
+CAP2_TARGETS = (CAP2_NERVES + [delta(2, 2), boundary_inclusion(2, 2).domain]
+                + [horn_inclusion(2, k, 2).domain for k in range(3)])
+COUNTED_CASES = st.one_of(
+    st.tuples(st.sampled_from([e.arrow for family in FAMILIES for e in family.entries]),
+              st.sampled_from(all_small_graphs(3, 3))),
+    st.tuples(st.sampled_from([e.arrow for name in ("sset-jinf", "sset-delta1")
+                               for e in generate_anodyne(get_instance(name, 2), [], depth=0).entries]),
+              st.sampled_from(CAP2_TARGETS)),
+    st.tuples(endo_inclusions(), endomaps(3)),
+)
+
+
+@settings(max_examples=300)
+@given(COUNTED_CASES)
+def test_level_tallies_count_as_every_later_step_does(case):
+    # graphI entries into small graphs and cap-2 entries into Δ², ∂Δ², Λ²ₖ
+    # and the corpus nerves recount keyed later cells, and endomap entries
+    # later cells with checks of their own.  The yields, and the least
+    # guard they finish under, are those of the recount
+    i, a = case
+    with _recounted():
+        guard = 1
+        while _classes(i, a, guard) is None:
+            guard *= 2
+        failing = guard // 2 if guard > 1 else -1
+        while failing + 1 < guard:
+            mid = (failing + guard) // 2
+            if _classes(i, a, mid) is None:
+                failing = mid
+            else:
+                guard = mid
+        recounted = _classes(i, a, guard)
+    assert _classes(i, a, guard) == recounted
+    assert guard == 0 or _classes(i, a, guard - 1) is None
 
 
 # strings that exercise every escape: quotes, backslashes, control
