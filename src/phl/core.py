@@ -11,7 +11,6 @@ deduplication logic depend on it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
 from math import inf, prod
@@ -832,31 +831,43 @@ def _triggers(plan):
     return plan.triggers
 
 
+# A counted walk groups its later steps (:func:`_attached`) once it has
+# counted this many prefix assignments one step at a time: grouping costs
+# about as much as a few such counts, which a walk with fewer would not repay
+_COUNTS_BEFORE_GROUPING = 4
+
+
 def _attached(plan, stop):
-    """For a counted walk that stops at ``stop``, ``(later, groups,
-    below)``.  ``later`` lists the later steps in order, as ``(j, sort,
-    mode, gen, own_checks)``.  ``groups`` splits them by the last prefix
-    step they read through their forcing source, key or checks, in the
-    order of that step, those that read none first, and ``below[m]`` is the
-    number of groups that read only steps before m.  ``groups`` is None
-    when all later steps read step ``stop - 1``, so that no count could be
-    kept for another prefix assignment.  Built on the first counted walk
-    that stops there and kept on the plan."""
+    """For a counted walk that stops at ``stop``, ``(groups, below)``:
+    ``groups`` splits the later steps by the last prefix step they read
+    through their forcing source, key or checks, in the order of that step,
+    those that read none first, and ``below[m]`` is the number of groups
+    that read only steps before m.  ``groups`` is None when all later steps
+    read step ``stop - 1``, so that no count could be kept for another
+    prefix assignment.  Built on the first counted walk of the plan that
+    groups and kept on the plan."""
     if plan.attached is None:
         plan.attached = {}
     found = plan.attached.get(stop)
     if found is None:
-        later, groups = [], {}
+        groups = {}
         for j in range(stop, len(plan.steps)):
-            sort, _, mode, gen, own, checks = plan.steps[j]
-            later.append((j, sort, mode, gen, own))
-            groups.setdefault(max((min(s, t) for _, s, t in checks if s != t), default=-1),
-                              []).append(later[-1])
+            last = -1
+            for _, s, t in plan.steps[j][5]:
+                # a later step's check pairs it with the prefix step s + t - j
+                if s != t and s + t - j > last:
+                    last = s + t - j
+            groups.setdefault(last, []).append(j)
         reads = sorted(groups)
         if reads in ([], [stop - 1]):
-            found = later, None, None
+            found = None, None
         else:
-            found = later, [groups[m] for m in reads], [bisect_left(reads, m) for m in range(stop)]
+            below, g = [], 0
+            for m in range(stop):
+                while g < len(reads) and reads[g] < m:
+                    g += 1
+                below.append(g)
+            found = [groups[m] for m in reads], below
         plan.attached[stop] = found
     return found
 
@@ -867,19 +878,21 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     With ``stop`` (and no pin, filter or injectivity) the walk ends at that
     step: per prefix assignment it counts the admitted candidates of each
     later step, which must read only the prefix and themselves, and yields
-    ``(product, values)`` unless the product is 0.  A later step is counted
-    once per value of the last prefix step it reads (:func:`_attached`):
-    per prefix step that later steps read last, the walk keeps the
-    candidates and the product of the later steps read up to it, as they
-    stand for its current value, so a prefix assignment recounts only the
-    later steps of the prefix steps that changed.  The values hold each
-    later step at its least admitted candidate.  A prefix assignment with
-    a nonzero product adds all its later candidates to the guard's count
-    at once; one with product 0 recounts its later steps one by one, each
-    adding all its candidates before its checks filter them, up to the
-    first that admits none.  So the guard's count is unchanged from a count
-    of every later step per prefix assignment, and the guard trips on the
-    prefix assignment where that count would.  The value vector is the
+    ``(product, values)`` unless the product is 0.  The first
+    ``_COUNTS_BEFORE_GROUPING`` prefix assignments count their later steps
+    one by one, each adding all its candidates to the guard's count before
+    its checks filter them, up to the first that admits none.  After them
+    a later step is counted once per value of the last prefix step it reads
+    (:func:`_attached`): per prefix step that later steps read last, the
+    walk keeps the candidates and the product of the later steps read up
+    to it, as they stand for its current value, so a prefix assignment
+    recounts only the later steps of the prefix steps that changed.  One
+    whose product is nonzero then adds all its later candidates to the
+    guard's count at once, and one whose product is 0 counts its later
+    steps one by one as above.  So the guard's count is unchanged from a
+    count of every later step per prefix assignment, and the guard trips on
+    the prefix assignment where that count would.  The values hold each
+    later step at its least admitted candidate.  The value vector is the
     walk's own and changes as the walk goes on.
 
     Without pin, filter or injectivity, a keyed step of :func:`_triggers`,
@@ -939,7 +952,8 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
         # handed back rather than shared, so that the guard's count stays a
         # fast local of the walk's per-candidate loop
         for run in runs:
-            for j, sort, mode, gen, checks in run:
+            for j in run:
+                sort, _, mode, gen, checks, _ = steps[j]
                 if mode == _KEYED:
                     kid, getter = gen
                     cands = (indexes[kid] or bucket(kid)).get(getter(vals), ())
@@ -973,15 +987,12 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
         return drawn, product
 
     if stop is not None:
-        # tallies[g] is (candidates, product) over the later steps of the
-        # first g groups, as they stand for the current prefix
-        later, groups, below = _attached(plan, n)
-        tallies = [(0, 1)]
+        later, groups, counted = (range(n, len(steps)),), None, 0
     if n == 0:
         if stop is None:
             yield _assemble(dom, cod, plan, vals)
         else:
-            product = tally((later,), count, 1, budget)[1]
+            product = tally(later, count, 1, budget)[1]
             if product:
                 yield product, vals
         return
@@ -1028,20 +1039,28 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             if stop is None:
                 yield _assemble(dom, cod, plan, vals)
                 continue
-            product = 0
-            if groups is not None:
+            if groups is None:
+                count, product = tally(later, count, 1, budget)
+                counted += 1
+                if counted == _COUNTS_BEFORE_GROUPING:
+                    # tallies[g] is (candidates, product) over the later
+                    # steps of the first g groups, as they stand for the
+                    # current prefix
+                    groups, below = _attached(plan, n)
+                    tallies = [(0, 1)]
+            else:
                 del tallies[below[low] + 1:]
                 low = i
                 drawn, product = tallies[-1]
-                if product:
+                if product and len(tallies) <= len(groups):
                     drawn, product = tally(islice(groups, len(tallies) - 1, None), drawn, product,
                                            inf, tallies)
-            if product:
-                count += drawn
-                if count > budget:
-                    raise _exceeded(budget)
-            else:
-                count, product = tally((later,), count, 1, budget)
+                if product:
+                    count += drawn
+                    if count > budget:
+                        raise _exceeded(budget)
+                else:
+                    count, product = tally(later, count, 1, budget)
             if product:
                 yield product, vals
             continue

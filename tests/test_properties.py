@@ -589,9 +589,7 @@ def test_horn_fillers_are_those_of_the_walk_without_lookups(cap):
 def _recounted():
     """The counted walk that counts every later step afresh for each prefix
     assignment."""
-    attached = core._attached
-    return mock.patch.object(core, "_attached",
-                             lambda plan, stop: (attached(plan, stop)[0], None, None))
+    return mock.patch.object(core, "_attached", lambda plan, stop: (None, None))
 
 
 def _classes(i, a, guard):
