@@ -1039,28 +1039,33 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             if stop is None:
                 yield _assemble(dom, cod, plan, vals)
                 continue
-            if groups is None:
+            product = 0
+            if groups is not None:
+                # keep the tallies of the groups whose prefix steps stand.
+                # When none does, count one by one, which costs less than
+                # counting by groups and keeping the tallies, and count the
+                # groups afresh at the next assignment that keeps some
+                kept, low = below[low] + 1, i
+                del tallies[kept:]
+                if kept > 1:
+                    drawn, product = tallies[-1]
+                    if product and len(tallies) <= len(groups):
+                        drawn, product = tally(islice(groups, len(tallies) - 1, None), drawn,
+                                               product, inf, tallies)
+                    if product:
+                        count += drawn
+                        if count > budget:
+                            raise _exceeded(budget)
+            if not product:
                 count, product = tally(later, count, 1, budget)
-                counted += 1
-                if counted == _COUNTS_BEFORE_GROUPING:
-                    # tallies[g] is (candidates, product) over the later
-                    # steps of the first g groups, as they stand for the
-                    # current prefix
-                    groups, below = _attached(plan, n)
-                    tallies = [(0, 1)]
-            else:
-                del tallies[below[low] + 1:]
-                low = i
-                drawn, product = tallies[-1]
-                if product and len(tallies) <= len(groups):
-                    drawn, product = tally(islice(groups, len(tallies) - 1, None), drawn, product,
-                                           inf, tallies)
-                if product:
-                    count += drawn
-                    if count > budget:
-                        raise _exceeded(budget)
-                else:
-                    count, product = tally(later, count, 1, budget)
+                if groups is None:
+                    counted += 1
+                    if counted == _COUNTS_BEFORE_GROUPING:
+                        # tallies[g] is (candidates, product) over the later
+                        # steps of the first g groups, as they stand for the
+                        # current prefix
+                        groups, below = _attached(plan, n)
+                        tallies = [(0, 1)]
             if product:
                 yield product, vals
             continue
