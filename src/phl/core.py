@@ -886,14 +886,15 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
     (:func:`_attached`): per prefix step that later steps read last, the
     walk keeps the candidates and the product of the later steps read up
     to it, as they stand for its current value, so a prefix assignment
-    recounts only the later steps of the prefix steps that changed.  One
-    whose product is nonzero then adds all its later candidates to the
-    guard's count at once, and one whose product is 0 counts its later
-    steps one by one as above.  So the guard's count is unchanged from a
-    count of every later step per prefix assignment, and the guard trips on
-    the prefix assignment where that count would.  The values hold each
-    later step at its least admitted candidate.  The value vector is the
-    walk's own and changes as the walk goes on.
+    recounts only the later steps of the prefix steps that changed; one
+    that changed them all is counted one by one as above.  One whose
+    product is nonzero then adds all its later candidates to the guard's
+    count at once, and one whose product is 0 counts its later steps one
+    by one.  So the guard's count is unchanged from a count of every later
+    step per prefix assignment, and the guard trips on the prefix
+    assignment where that count would.  The values hold each later step at
+    its least admitted candidate.  The value vector is the walk's own and
+    changes as the walk goes on.
 
     Without pin, filter or injectivity, a keyed step of :func:`_triggers`,
     of the walk or after ``stop``, has its key looked up as soon as the
