@@ -534,7 +534,7 @@ def product_map(f: PresheafMap, g: PresheafMap) -> PresheafMap:
 # - watched: a keyed cell without residual checks is also looked up at the
 #   last cell its key reads, when that is not the cell just before it and
 #   its bucket does not hold every key, and a missing key rejects that
-#   cell's value early (:func:`_triggers`).
+#   cell's value early (:func:`_watcher`, :func:`_triggers`).
 #
 # Buckets list codomain cells in sorted order, so the candidates of a cell
 # are exactly the full scan's survivors of its keyed constraints, in the
@@ -552,7 +552,7 @@ class _SearchPlan:
     triples meaning ``cod.op(name, image at s) == image at t``.  An unpinned
     cell runs ``own_checks`` (the constraints its candidates do not already
     satisfy); a pinned cell runs ``all_checks``.  ``first_trigger`` is the
-    least watched step (:func:`_triggers`), or the number of steps.
+    least watched step (:func:`_watcher`), or the number of steps.
     """
 
     __slots__ = ("positions", "spans", "steps", "bucket_keys", "first_trigger", "triggers",
@@ -598,11 +598,12 @@ class _SearchPlan:
                         self.bucket_keys.append((sort, names))
                     mode, gen = _KEYED, (key_ids[sort, names], itemgetter(*reads))
                     own = tuple(residual[i])
-                    if i < self.first_trigger and not own and max(reads) < i - 1:
-                        self.first_trigger = i
                 else:
                     mode, gen, own = _FREE, None, tuple(residual[i])
-                self.steps.append((sort, cell, mode, gen, own, all_checks))
+                step = (sort, cell, mode, gen, own, all_checks)
+                if i < self.first_trigger and _watcher(i, step) is not None:
+                    self.first_trigger = i
+                self.steps.append(step)
 
     @staticmethod
     def of(dom: PresheafObject) -> "_SearchPlan":
@@ -816,18 +817,28 @@ def _exceeded(budget):
     return GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
 
 
+def _watcher(j, step):
+    """The step m that watches step j: the last step that j's key reads,
+    when j is keyed, has no residual checks and m < j - 1; else None."""
+    _, _, mode, _, own, checks = step
+    if mode == _KEYED and not own:
+        m = max(t for _, _, t in checks)
+        if m < j - 1:
+            return m
+    return None
+
+
 def _triggers(plan):
-    """Per step m, the ``(bucket key id, key getter)`` of each keyed step j
-    without residual checks whose key reads m last, when m < j - 1.
-    Built on the first walk that watches the plan and kept on it."""
+    """Per step m, the ``(bucket key id, key getter)`` of each step that m
+    watches (:func:`_watcher`).  Built on the first walk that watches the
+    plan and kept on it."""
     if plan.triggers is None:
         plan.triggers = [[] for _ in plan.steps]
         start = plan.first_trigger
-        for j, (_, _, mode, gen, own, checks) in enumerate(plan.steps[start:], start):
-            if mode == _KEYED and not own:
-                m = max(t for _, _, t in checks)
-                if m < j - 1:
-                    plan.triggers[m].append(gen)
+        for j, step in enumerate(plan.steps[start:], start):
+            m = _watcher(j, step)
+            if m is not None:
+                plan.triggers[m].append(step[3])
     return plan.triggers
 
 

@@ -36,7 +36,6 @@ from .core import (
 class Cylinder:
     """The tuple (X ⊗ I, endpoint inclusions, projection) over a base object."""
 
-    base: PresheafObject
     obj: PresheafObject
     d0: PresheafMap
     d1: PresheafMap
@@ -75,7 +74,7 @@ class CylinderData:
         d0, d1 = (PresheafMap(x, obj, {s: {c: pair_label(c, ends[s]) for c in x.cells[s]}
                                        for s in x.signature.sorts})
                   for ends in self.const_targets)
-        return Cylinder(x, obj, d0, d1, pr1)
+        return Cylinder(obj, d0, d1, pr1)
 
     def tensor_map(self, f: PresheafMap) -> PresheafMap:
         """Functorial action f ⊗ I = f x id."""

@@ -30,7 +30,6 @@ class AlgebraRecord:
 class WeVerdict:
     """Per-algebra bijectivity of the induced class map, conjoined."""
 
-    f: PresheafMap
     records: tuple
     caveat: str
 
@@ -43,16 +42,11 @@ def is_t_weak_equivalence(instance: CylinderData, f: PresheafMap, algebras,
                           guard=None) -> WeVerdict:
     """Whether precomposition with f is a bijection on classes into every
     supplied algebra carrier."""
-    records = []
-    for algebra in algebras:
-        carrier = algebra.carrier()
-        induced = induced_class_map(instance, f, carrier, guard=guard)
-        records.append(
-            AlgebraRecord(
-                algebra.name, induced.well_defined, induced.injective, induced.surjective
-            )
-        )
-    return WeVerdict(f, tuple(records), "relative to the supplied family and caps")
+    records = tuple(
+        AlgebraRecord(algebra.name, *induced_class_map(instance, f, algebra.carrier(), guard=guard))
+        for algebra in algebras
+    )
+    return WeVerdict(records, "relative to the supplied family and caps")
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,6 @@ class AltWeReport:
     """Search for an algebra-homomorphism homotopy inverse of T(f)."""
 
     found: bool
-    caveat: str
 
 
 def alternative_we_check(instance: CylinderData, monad, f: PresheafMap,
@@ -75,7 +68,6 @@ def alternative_we_check(instance: CylinderData, monad, f: PresheafMap,
     tx = monad.apply(f.domain)
     ty = monad.apply(f.codomain)
     tf = monad.on_map(f)
-    caveat = f"relative to cap {monad.cap}"
     for h in search_maps(f.codomain, tx.obj, guard=guard):
         fbar = extend_to_free(monad, h, ty, tx)
         if fbar is None:
@@ -84,5 +76,5 @@ def alternative_we_check(instance: CylinderData, monad, f: PresheafMap,
             continue
         if find_homotopy(instance, tf.then(fbar), identity(tx.obj), guard=guard) is None:
             continue
-        return AltWeReport(True, caveat)
-    return AltWeReport(False, caveat)
+        return AltWeReport(True)
+    return AltWeReport(False)

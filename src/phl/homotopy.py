@@ -79,23 +79,10 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     return HomClasses(homs, classes, caveat=caveat)
 
 
-@dataclass(frozen=True)
-class InducedClassMap:
-    """Precomposition [Y,A] -> [X,A] along f with its bijectivity verdict."""
-
-    f: PresheafMap
-    well_defined: bool
-    injective: bool
-    surjective: bool
-
-    @property
-    def bijective(self) -> bool:
-        return self.well_defined and self.injective and self.surjective
-
-
 def induced_class_map(instance: CylinderData, f: PresheafMap, a: PresheafObject,
-                      guard=None) -> InducedClassMap:
-    """The map of partitions [Y,A] -> [X,A] induced by precomposition with f.
+                      guard=None) -> tuple:
+    """Whether the map of partitions [Y,A] -> [X,A] induced by
+    precomposition with f is well defined, injective and surjective.
 
     Well-definedness is checked member by member instead of assumed.
     """
@@ -110,4 +97,4 @@ def induced_class_map(instance: CylinderData, f: PresheafMap, a: PresheafObject,
         mapping.append(min(images))
     injective = len(set(mapping)) == len(mapping)
     surjective = set(mapping) == set(range(from_x.class_count))
-    return InducedClassMap(f, well_defined, injective, surjective)
+    return well_defined, injective, surjective

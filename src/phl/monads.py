@@ -69,19 +69,6 @@ class TObject:
     encode: dict = field(repr=False)    # path -> cell label
 
 
-@dataclass(frozen=True)
-class MultData:
-    """The partial multiplication T(T(X)) -> T(X) at the cap.
-
-    ``defined`` maps in-cap cells; the cells whose flattening would exceed
-    the cap are left out.
-    """
-
-    domain: PresheafObject
-    codomain: PresheafObject
-    defined: dict
-
-
 class FreeCategoryMonad:
     """Paths of length at most ``cap`` in a finite directed multigraph."""
 
@@ -182,14 +169,16 @@ class FreeCategoryMonad:
         image, _ = self._extend(tx, ty, vertex_on, words)
         return PresheafMap(tx.obj, ty.obj, self._on(dict(vertex_on), image), _validated=True)
 
-    def mult(self, x: PresheafObject) -> MultData:
-        """The extension of the identity of T(X), partial past the cap."""
+    def mult(self, x: PresheafObject) -> dict:
+        """The ``on`` table of the partial multiplication T(T(X)) -> T(X) at
+        the cap: the extension of the identity of T(X), which leaves out the
+        cells whose flattening would exceed the cap."""
         tx = self.apply(x)
         ttx = self.apply(tx.obj)
         vertex_on = {v: v for v in self._graph(tx.obj)[0]}
         words = {label: edges for label, (_, _, edges) in tx.decode.items()}
         defined, _ = self._extend(ttx, tx, vertex_on, words)
-        return MultData(ttx.obj, tx.obj, self._on(vertex_on, defined))
+        return self._on(vertex_on, defined)
 
 
 class FreeMonoidMonad(FreeCategoryMonad):
@@ -393,14 +382,14 @@ def check_monad_laws(monad, x: PresheafObject, guard=None) -> LawReport:
         eta_tx = monad.unit(tx.obj)
         t_eta = monad.on_map(monad.unit(x))
         for sort, cell in tx.obj.cell_items():
-            if mu.defined[sort].get(eta_tx.on[sort][cell]) != cell:
+            if mu[sort].get(eta_tx.on[sort][cell]) != cell:
                 unit_left_ok = False
                 failures.append(("mu∘etaT", sort, cell))
-            if mu.defined[sort].get(t_eta.on[sort][cell]) != cell:
+            if mu[sort].get(t_eta.on[sort][cell]) != cell:
                 unit_right_ok = False
                 failures.append(("mu∘Teta", sort, cell))
 
-    _, mu_on = monad._tables(mu.defined)
+    _, mu_on = monad._tables(mu)
     t_decode, tt_decode = tx.decode, ttx.decode
 
     def tt_encode(entries, vertex):

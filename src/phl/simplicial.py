@@ -293,8 +293,6 @@ class HornReport:
     ``first_failure`` is the first top without a filler as the whole map
     Λⁿₖ -> X up to the cap, or None."""
 
-    n: int
-    k: int
     instances: tuple  # (top, n-simplex label or None)
     first_failure: Optional[PresheafMap]
     caveat: str
@@ -344,7 +342,7 @@ def horn_filler(x: PresheafObject, n: int, k: int, guard=None) -> HornReport:
     failing = next((top for top, filler in instances if filler is None), None)
     if failing is not None:
         failing = next(search_maps(horn_inclusion(n, k, cap).domain, x, pin=failing.on, guard=guard))
-    return HornReport(n, k, instances, failing, f"cells above dimension {cap} are not represented")
+    return HornReport(instances, failing, f"cells above dimension {cap} are not represented")
 
 
 def tau0_classes(x: PresheafObject, a: PresheafObject, guard=None) -> HomClasses:

@@ -134,8 +134,6 @@ def validate_saturation(steps) -> bool:
 class RetractWitness:
     """eta_X exhibited as a retract of a coproduct of generator units."""
 
-    x: PresheafObject
-    cap: int
     eta: PresheafMap        # X -> T(X)
     middle: PresheafMap     # c : P -> Q
     s: PresheafMap          # X -> P
@@ -231,7 +229,7 @@ def m2_retract_set(x: PresheafObject, cap: int) -> RetractWitness:
     )
     if not validate_saturation(steps):
         raise WitnessError("saturation evidence failed to verify")
-    return RetractWitness(x, cap, eta, c, s, r, u, v, steps)
+    return RetractWitness(eta, c, s, r, u, v, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,6 @@ class TowerWitness:
     """The stage-wise pushout tower with comparison maps and section."""
 
     n_max: int
-    cap: int
     stages: tuple            # G~(0) .. G~(n_max)
     h_maps: tuple            # G -> G~(0), then G~(i-1) -> G~(i)
     k_maps: tuple            # G~(i) -> T(G)
@@ -417,7 +414,7 @@ def m2_tower_graph(g: PresheafObject, n_max: int, cap: int) -> TowerWitness:
     if not validate_saturation(steps):
         raise WitnessError("saturation evidence failed to verify")
     return TowerWitness(
-        n_max, cap, tuple(stages), tuple(h_maps), tuple(k_maps), section, shortfall, steps,
+        n_max, tuple(stages), tuple(h_maps), tuple(k_maps), section, shortfall, steps,
     )
 
 

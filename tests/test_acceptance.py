@@ -243,7 +243,7 @@ def test_c05_retract_and_tower_witnesses():
     ]
     for g in graphs:
         witness = m2_tower_graph(g, n_max=3, cap=3)
-        assert witness.section.then(witness.k_maps[-1]) == probe_inclusion(g, witness)
+        assert witness.section.then(witness.k_maps[-1]) == probe_inclusion(g, witness, 3)
         assert witness.shortfall is None
         assert validate_saturation(witness.steps)
         count += 1

@@ -51,9 +51,10 @@ class TestCylinderOf:
 
 
 def _copair_mono(cyl):
-    for sort in cyl.base.signature.sorts:
-        images = [cyl.d0.on[sort][c] for c in cyl.base.cells[sort]]
-        images += [cyl.d1.on[sort][c] for c in cyl.base.cells[sort]]
+    base = cyl.d0.domain
+    for sort in base.signature.sorts:
+        images = [cyl.d0.on[sort][c] for c in base.cells[sort]]
+        images += [cyl.d1.on[sort][c] for c in base.cells[sort]]
         if len(set(images)) != len(images):
             return False
     return True
@@ -234,18 +235,18 @@ class TestVerifyEhd:
             def cylinder(self, x):
                 good = graph_instance.cylinder(x)
                 broken = {
-                    sort: {c: good.base.cells[sort][0] for c in good.obj.cells[sort]}
-                    for sort in good.base.signature.sorts
-                    if good.base.cells[sort]
+                    sort: {c: x.cells[sort][0] for c in good.obj.cells[sort]}
+                    for sort in x.signature.sorts
+                    if x.cells[sort]
                 }
                 if not broken.get("vertex"):
                     return good
-                sigma = PresheafMap(good.obj, good.base, {
+                sigma = PresheafMap(good.obj, x, {
                     "vertex": broken.get("vertex", {}),
                     "edge": broken.get("edge", {}),
                 })
                 # d1 = d0, so the copairing [d0, d1] is not mono
-                return Cylinder(good.base, good.obj, good.d0, good.d0, sigma)
+                return Cylinder(good.obj, good.d0, good.d0, sigma)
 
             def tensor_map(self, f):
                 return graph_instance.tensor_map(f)

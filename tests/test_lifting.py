@@ -520,7 +520,8 @@ class TestFibrancy:
         )
 
     def test_groupoid_interval_fibrant_at_depth_two(self, monkeypatch):
-        # the carrier has one edge from every vertex to every vertex.  Its
+        # the carrier has one edge from every vertex to every vertex, so a
+        # top map is any map on the vertices of the entry's domain.  Its
         # 131,619 classes are counted in about a second, since each later
         # edge is recounted only when a vertex it reads changes, and
         # remembering which part boundaries extend leaves 25 searches
@@ -538,6 +539,9 @@ class TestFibrancy:
                             lambda *args, **kwargs: searches.append(args) or search_maps(*args, **kwargs))
         verdict = is_naively_fibrant_upto(a, family)
         assert (verdict.ok, verdict.squares_checked) == (True, 131_890)
+        assert verdict.squares_checked == sum(
+            2 ** len(entry.arrow.domain.cells["vertex"]) for entry in family.entries
+        )
         assert (len(classes), len(searches)) == (131_619, 25)
 
     @pytest.mark.parametrize("instance, squares", [
@@ -554,6 +558,21 @@ class TestFibrancy:
         assert verdict.squares_checked == squares == sum(
             2 ** (len(k.cells["1"]) - len(set(k.ops["s0_0"].values())))
             for k in (entry.arrow.domain for entry in family.entries)
+        )
+
+    @pytest.mark.parametrize("instance, squares", [
+        ("sset-delta1", 8_868),
+        ("sset-jinf", 4_450),
+    ])
+    def test_groupoid_interval_nerve_fibrant_at_depth_one(self, instance, squares):
+        # the codiscrete groupoid on two objects has one arrow between any
+        # two, so its cap-2 nerve is 0-coskeletal: a top map is any map on
+        # the vertices of the entry's domain, and the simplices above follow
+        family = family_of(instance, 1, cap=2)
+        verdict = is_naively_fibrant_upto(nerve(groupoid_interval(), 2), family)
+        assert verdict.ok
+        assert verdict.squares_checked == squares == sum(
+            2 ** len(entry.arrow.domain.cells["0"]) for entry in family.entries
         )
 
     def test_discrete_category_fails_thread_corner(self, graph_instance):

@@ -29,10 +29,11 @@ from phl.witnesses import (
 from conftest import enumerate_homs, to_terminal
 
 
-def probe_inclusion(g, w):
-    """The inclusion into T(G) of the paths of length at most the tower's
-    ``n_max``, the part of T(G) that its section covers."""
-    tg = FreeCategoryMonad(w.cap).apply(g)
+def probe_inclusion(g, w, cap):
+    """The inclusion into T(G), at the tower's ``cap``, of the paths of
+    length at most the tower's ``n_max``, the part of T(G) that its section
+    covers."""
+    tg = FreeCategoryMonad(cap).apply(g)
     edges = [e for e, (_, _, path) in tg.decode.items() if len(path) <= w.n_max]
     return core.subobject_from_cells(tg.obj, {"vertex": tg.obj.cells["vertex"], "edge": edges})[1]
 
@@ -145,7 +146,7 @@ class TestTowerWitness:
         g = fin_graph(["a"], [])
         w = m2_tower_graph(g, n_max=0, cap=2)
         assert w.section.on["vertex"] == {"a": "a"}
-        assert w.section.then(w.k_maps[-1]) == probe_inclusion(g, w)
+        assert w.section.then(w.k_maps[-1]) == probe_inclusion(g, w, 2)
 
     def test_single_edge_chain(self):
         # oracle: explicit pushout bookkeeping; the singleton path lands on
@@ -153,13 +154,13 @@ class TestTowerWitness:
         g = linear_chain(1)
         w = m2_tower_graph(g, n_max=1, cap=2)
         assert w.section.on["edge"]["[f1]"] == "f1"
-        assert w.section.then(w.k_maps[-1]) == probe_inclusion(g, w)
+        assert w.section.then(w.k_maps[-1]) == probe_inclusion(g, w, 2)
 
     def test_loop_composites(self):
         g = corpus_graphs()["loop"]
         w = m2_tower_graph(g, n_max=2, cap=2)
         assert w.section.on["edge"]["[l,l]"].startswith("g2.")
-        assert w.section.then(w.k_maps[-1]) == probe_inclusion(g, w)
+        assert w.section.then(w.k_maps[-1]) == probe_inclusion(g, w, 2)
 
     def test_tower_compatibilities(self):
         g = corpus_graphs()["two_loops"]
