@@ -11,8 +11,9 @@ deduplication logic depend on it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from math import inf, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -534,7 +535,7 @@ def product_map(f: PresheafMap, g: PresheafMap) -> PresheafMap:
 # - watched: a keyed cell without residual checks is also looked up at the
 #   last cell its key reads, when that is not the cell just before it and
 #   its bucket does not hold every key, and a missing key rejects that
-#   cell's value early (:func:`_watcher`, :func:`_triggers`).
+#   cell's value early (:func:`_triggers`).
 #
 # Buckets list codomain cells in sorted order, so the candidates of a cell
 # are exactly the full scan's survivors of its keyed constraints, in the
@@ -551,12 +552,10 @@ class _SearchPlan:
     key id, image getter)`` for a keyed one; checks are ``(name, s, t)``
     triples meaning ``cod.op(name, image at s) == image at t``.  An unpinned
     cell runs ``own_checks`` (the constraints its candidates do not already
-    satisfy); a pinned cell runs ``all_checks``.  ``first_trigger`` is the
-    least watched step (:func:`_watcher`), or the number of steps.
+    satisfy); a pinned cell runs ``all_checks``.
     """
 
-    __slots__ = ("positions", "spans", "steps", "bucket_keys", "first_trigger", "triggers",
-                 "attached")
+    __slots__ = ("positions", "spans", "steps", "bucket_keys", "triggers", "attached")
 
     def __init__(self, dom: PresheafObject):
         sorts = dom.signature.sorts
@@ -582,7 +581,7 @@ class _SearchPlan:
             else:
                 for cell, s in sources.items():
                     keyed[s].append((name, s, targets[table[cell]]))
-        self.bucket_keys, self.first_trigger, self.triggers, self.attached = [], lo, None, None
+        self.bucket_keys, self.triggers, self.attached = [], None, None
         key_ids = {}
         self.steps = []
         for sort, cells, lo, _ in self.spans:
@@ -600,10 +599,7 @@ class _SearchPlan:
                     own = tuple(residual[i])
                 else:
                     mode, gen, own = _FREE, None, tuple(residual[i])
-                step = (sort, cell, mode, gen, own, all_checks)
-                if i < self.first_trigger and _watcher(i, step) is not None:
-                    self.first_trigger = i
-                self.steps.append(step)
+                self.steps.append((sort, cell, mode, gen, own, all_checks))
 
     @staticmethod
     def of(dom: PresheafObject) -> "_SearchPlan":
@@ -817,28 +813,20 @@ def _exceeded(budget):
     return GuardExceeded(f"hom search exceeded the guard of {budget} candidates")
 
 
-def _watcher(j, step):
-    """The step m that watches step j: the last step that j's key reads,
-    when j is keyed, has no residual checks and m < j - 1; else None."""
-    _, _, mode, _, own, checks = step
-    if mode == _KEYED and not own:
-        m = max(t for _, _, t in checks)
-        if m < j - 1:
-            return m
-    return None
-
-
 def _triggers(plan):
-    """Per step m, the ``(bucket key id, key getter)`` of each step that m
-    watches (:func:`_watcher`).  Built on the first walk that watches the
-    plan and kept on it."""
+    """Per step m, the ``(bucket key id, key getter)`` of each step j that m
+    watches: j is keyed, has no residual checks, and m, the last step that
+    its key reads, is before j - 1.  Empty when no step is watched.  Built
+    on the first walk that can watch the plan and kept on it."""
     if plan.triggers is None:
-        plan.triggers = [[] for _ in plan.steps]
-        start = plan.first_trigger
-        for j, step in enumerate(plan.steps[start:], start):
-            m = _watcher(j, step)
-            if m is not None:
-                plan.triggers[m].append(step[3])
+        plan.triggers = ()
+        for j, (_, _, mode, gen, own, checks) in enumerate(plan.steps):
+            if mode == _KEYED and not own:
+                m = max(t for _, _, t in checks)
+                if m < j - 1:
+                    if not plan.triggers:
+                        plan.triggers = [[] for _ in plan.steps]
+                    plan.triggers[m].append(gen)
     return plan.triggers
 
 
@@ -853,10 +841,8 @@ def _attached(plan, stop):
     ``groups`` splits the later steps by the last prefix step they read
     through their forcing source, key or checks, in the order of that step,
     those that read none first, and ``below[m]`` is the number of groups
-    that read only steps before m.  ``groups`` is None when all later steps
-    read step ``stop - 1``, so that no count could be kept for another
-    prefix assignment.  Built on the first counted walk of the plan that
-    groups and kept on the plan."""
+    that read only steps before m.  Built on the first counted walk of the
+    plan that groups and kept on the plan."""
     if plan.attached is None:
         plan.attached = {}
     found = plan.attached.get(stop)
@@ -870,16 +856,8 @@ def _attached(plan, stop):
                     last = s + t - j
             groups.setdefault(last, []).append(j)
         reads = sorted(groups)
-        if reads in ([], [stop - 1]):
-            found = None, None
-        else:
-            below, g = [], 0
-            for m in range(stop):
-                while g < len(reads) and reads[g] < m:
-                    g += 1
-                below.append(g)
-            found = [groups[m] for m in reads], below
-        plan.attached[stop] = found
+        found = plan.attached[stop] = ([groups[m] for m in reads],
+                                       [bisect_left(reads, m) for m in range(stop)])
     return found
 
 
@@ -931,14 +909,15 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
         return indexes[kid]
 
     watch = None
-    if (cell_filter is None and not injective and plan.first_trigger < len(steps)
-            and pinned.count(None) == len(pinned)):
-        size = {name: len(cod_cells[t_sort]) for name, _, t_sort in dom.signature.ops}
-        watch = [[(bucket(kid), getter) for kid, getter in triggers
-                  if len(bucket(kid)) < prod(size[name] for name in plan.bucket_keys[kid][1])]
-                 for triggers in _triggers(plan)[:n]]
-        if not any(watch):
-            watch = None
+    if cell_filter is None and not injective and pinned.count(None) == len(pinned):
+        watched = _triggers(plan)
+        if watched:
+            size = {name: len(cod_cells[t_sort]) for name, _, t_sort in dom.signature.ops}
+            watch = [[(bucket(kid), getter) for kid, getter in triggers
+                      if len(bucket(kid)) < prod(size[name] for name in plan.bucket_keys[kid][1])]
+                     for triggers in watched[:n]]
+            if not any(watch):
+                watch = None
     used = {sort: set() for sort in dom.signature.sorts}
     vals = [None] * len(steps)
     pending = [None] * n
@@ -956,50 +935,44 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
             return bucket(kid).get(getter(vals), ()), own
         return cod_cells[sort], own
 
-    def tally(runs, drawn, product, limit, record=None):
-        # adds the candidates of each run's later steps to ``drawn`` and
+    def tally(run, drawn, product, limit):
+        # adds the candidates of the run's later steps to ``drawn`` and
         # multiplies their admitted counts into ``product``, leaving each
-        # step at its least, up to the first step that admits none; appends
-        # both to ``record`` after each run.  ``drawn`` is passed in and
-        # handed back rather than shared, so that the guard's count stays a
-        # fast local of the walk's per-candidate loop
-        for run in runs:
-            for j in run:
-                sort, _, mode, gen, checks, _ = steps[j]
-                if mode == _KEYED:
-                    kid, getter = gen
-                    cands = (indexes[kid] or bucket(kid)).get(getter(vals), ())
-                elif mode == _FORCED:
-                    name, s = gen
-                    cands = (cod_ops[name][vals[s]],)
-                else:
-                    cands = cod_cells[sort]
-                drawn += len(cands)
-                if drawn > limit:
-                    raise _exceeded(budget)
-                if checks:
-                    admitted = []
-                    for value in cands:
-                        vals[j] = value
-                        for name, s, t in checks:
-                            if cod_ops[name][vals[s]] != vals[t]:
-                                break
-                        else:
-                            admitted.append(value)
-                    cands = admitted
-                if not cands:
-                    product = 0
-                    break
-                vals[j] = cands[0]
-                product *= len(cands)
-            if record is not None:
-                record.append((drawn, product))
-            if not product:
-                break
+        # step at its least, up to the first step that admits none.
+        # ``drawn`` is passed in and handed back rather than shared, so that
+        # the guard's count stays a fast local of the walk's per-candidate
+        # loop
+        for j in run:
+            sort, _, mode, gen, checks, _ = steps[j]
+            if mode == _KEYED:
+                kid, getter = gen
+                cands = (indexes[kid] or bucket(kid)).get(getter(vals), ())
+            elif mode == _FORCED:
+                name, s = gen
+                cands = (cod_ops[name][vals[s]],)
+            else:
+                cands = cod_cells[sort]
+            drawn += len(cands)
+            if drawn > limit:
+                raise _exceeded(budget)
+            if checks:
+                admitted = []
+                for value in cands:
+                    vals[j] = value
+                    for name, s, t in checks:
+                        if cod_ops[name][vals[s]] != vals[t]:
+                            break
+                    else:
+                        admitted.append(value)
+                cands = admitted
+            if not cands:
+                return drawn, 0
+            vals[j] = cands[0]
+            product *= len(cands)
         return drawn, product
 
     if stop is not None:
-        later, groups, counted = (range(n, len(steps)),), None, 0
+        later, groups, counted = range(n, len(steps)), None, 0
     if n == 0:
         if stop is None:
             yield _assemble(dom, cod, plan, vals)
@@ -1061,9 +1034,11 @@ def _walk(dom, cod, plan, pinned, cell_filter, injective, budget, stop=None):
                 del tallies[kept:]
                 if kept > 1:
                     drawn, product = tallies[-1]
-                    if product and len(tallies) <= len(groups):
-                        drawn, product = tally(islice(groups, len(tallies) - 1, None), drawn,
-                                               product, inf, tallies)
+                    for run in groups[len(tallies) - 1:]:
+                        if not product:
+                            break
+                        drawn, product = tally(run, drawn, product, inf)
+                        tallies.append((drawn, product))
                     if product:
                         count += drawn
                         if count > budget:

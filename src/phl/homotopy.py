@@ -8,7 +8,7 @@ suite checks, never an assumption made here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import MismatchError, PresheafMap, PresheafObject, UnionFind, search_maps
@@ -30,11 +30,13 @@ class HomClasses:
 
     ``homs`` is the full hom list in enumeration order; classes are tuples of
     indices into it, ordered by least member; the representative of a class
-    is its lexicographically least map.
+    is its lexicographically least map.  ``class_by_hom`` sends each map of
+    ``homs`` to the index of its class.
     """
 
     homs: tuple
     classes: tuple
+    class_by_hom: dict = field(compare=False, repr=False)
     caveat: Optional[str] = None
 
     @property
@@ -45,11 +47,7 @@ class HomClasses:
         return tuple(self.homs[cls[0]] for cls in self.classes)
 
     def class_of(self, f: PresheafMap) -> int:
-        idx = self.homs.index(f)
-        for c, members in enumerate(self.classes):
-            if idx in members:
-                return c
-        raise ValueError("map escaped its own partition")
+        return self.class_by_hom[f]
 
 
 def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObject,
@@ -76,7 +74,8 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     for i in range(len(homs)):
         buckets.setdefault(linked.find(i), []).append(i)
     classes = tuple(tuple(buckets[root]) for root in sorted(buckets))
-    return HomClasses(homs, classes, caveat=caveat)
+    class_by_hom = {homs[i]: c for c, members in enumerate(classes) for i in members}
+    return HomClasses(homs, classes, class_by_hom, caveat=caveat)
 
 
 def induced_class_map(instance: CylinderData, f: PresheafMap, a: PresheafObject,

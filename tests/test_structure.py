@@ -1,5 +1,6 @@
-"""Module boundaries of ``src/phl``, read from the source with ``ast``, and
-the dataclass members that the golden cases read at run time."""
+"""Module boundaries of ``src/phl``, read from the source with ``ast``, the
+dataclass members that the golden cases read at run time, and what a
+compiled search plan leaves to its first walk."""
 
 import ast
 import dataclasses
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import phl
 import golden_cases
+from phl import core, fixtures, simplicial
 
 SOURCES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -205,6 +207,26 @@ def test_the_walk_sets_up_without_a_search():
     # ``tau0`` from 50 ms to 10 s a round: no ``core`` function that the
     # walk reaches may name ``search_maps``
     assert ("core", "search_maps") not in _reached({("core", "_walk")})[1]
+
+
+def test_compiling_a_plan_runs_no_walk_rule():
+    # anything per plan is built on the first walk that uses it: scanning
+    # every compiled plan for the steps a walk would watch cost the plans
+    # that no walk watches.  ``_SearchPlan.__init__`` calls no function of
+    # ``core`` and leaves the watch lists and the later steps' groups unbuilt
+    tree = SOURCES["core"]
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    plan = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_SearchPlan")
+    init = next(node for node in plan.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    called = {node.func.id for node in ast.walk(init)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called & defined == set()
+    for dom in (fixtures.groupoid_interval().underlying_graph(),
+                simplicial.nerve(fixtures.z2_category(), 2)):
+        compiled = core._SearchPlan(dom)
+        assert (compiled.triggers, compiled.attached) == (None, None)
 
 
 READ_ATTRIBUTES = {node.attr for tree in SOURCES.values() for node in ast.walk(tree)
