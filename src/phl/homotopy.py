@@ -31,13 +31,15 @@ class HomClasses:
     ``homs`` is the full hom list in enumeration order; classes are tuples of
     indices into it, ordered by least member; the representative of a class
     is its lexicographically least map.  ``class_by_hom`` sends each map of
-    ``homs`` to the index of its class.
+    ``homs`` to the index of its class; it is filled on the first
+    :meth:`class_of`, since hashing the maps builds the structural key of
+    their codomain, which ``tau0`` and ``classes`` never read.
     """
 
     homs: tuple
     classes: tuple
-    class_by_hom: dict = field(compare=False, repr=False)
     caveat: Optional[str] = None
+    class_by_hom: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -47,6 +49,9 @@ class HomClasses:
         return tuple(self.homs[cls[0]] for cls in self.classes)
 
     def class_of(self, f: PresheafMap) -> int:
+        if not self.class_by_hom:
+            self.class_by_hom.update(
+                (self.homs[i], c) for c, members in enumerate(self.classes) for i in members)
         return self.class_by_hom[f]
 
 
@@ -74,8 +79,7 @@ def homotopy_classes(instance: CylinderData, x: PresheafObject, y: PresheafObjec
     for i in range(len(homs)):
         buckets.setdefault(linked.find(i), []).append(i)
     classes = tuple(tuple(buckets[root]) for root in sorted(buckets))
-    class_by_hom = {homs[i]: c for c, members in enumerate(classes) for i in members}
-    return HomClasses(homs, classes, class_by_hom, caveat=caveat)
+    return HomClasses(homs, classes, caveat=caveat)
 
 
 def induced_class_map(instance: CylinderData, f: PresheafMap, a: PresheafObject,

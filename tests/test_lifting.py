@@ -477,10 +477,10 @@ class TestCountedVerdict:
         # at cap 2 and depth 1 the prefix walks over these nerves reach
         # edge triples that bound no 2-simplex of A; the bucket lookups
         # reject them as soon as the triple is assigned
-        # (z2_loop's nerve is pinned with its closed form in TestFibrancy)
         family = family_of("sset-jinf", 1, cap=2)
-        verdict = is_naively_fibrant_upto(nerve(parallel_category(), 2), family)
-        assert (verdict.ok, verdict.squares_checked) == (True, 24)
+        for category, squares in ((parallel_category(), 24), (z2_category(), 2_225)):
+            verdict = is_naively_fibrant_upto(nerve(category, 2), family)
+            assert (verdict.ok, verdict.squares_checked) == (True, squares)
 
     def test_cap_two_nerves_at_depth_one_within_a_small_guard(self):
         # the prefix walks look a 2-simplex's face triple up as soon as its
